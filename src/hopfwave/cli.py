@@ -17,8 +17,9 @@ Unknown keys are rejected. Outputs are UTF-8 JSON (complex numbers as
 command is deterministic given the file and the seed, which is recorded
 in the output.
 
-Exit codes: 0 ok, 2 input error, 3 certification failure, 4 structure
-error, 5 continuation convergence failure, 6 simulation error.
+Exit codes: 0 ok, 2 input error, 3 certification failure (for branch
+also a singular Newton matrix), 4 structure error, 5 continuation
+failure, 6 simulation error.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import direction as direction_mod
 from . import eigen, periodic, timedomain
-from .errors import (HopfwaveError, NegativeDelayUnsupported, NoConvergence,
+from .errors import (HopfwaveError, JacobianSingular, NegativeDelayUnsupported,
                      NoOscillationDetected, NotSeparable, ParseError,
                      QuadraticTermPresent, RhoZero, SpecInvalid)
 from .model import ProblemSpec
@@ -269,12 +270,16 @@ def cmd_branch(args):
     try:
         branch = periodic.continue_branch(cert, settings.eps_grid, ctx,
                                           settings.N, opts)
-    except NoConvergence as err:
+    except HopfwaveError as err:
+        # a singular Newton matrix is a resonance or a failed certificate;
+        # every other solver error is a continuation failure
         summary["error"] = str(err)
-        summary["last_good_eps"] = err.last_good
+        summary["last_good_eps"] = getattr(err, "last_good", None)
         if args.out:
             _write_json(args.out, summary)
         print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, JacobianSingular):
+            return EXIT_CERTIFICATION
         return EXIT_CONVERGENCE
     rows = [(o.eps, o.omega, o.tau, o.residual_norm) for o in branch.orbits]
     pde_res = [periodic.pde_residual_check(o, ctx) for o in branch.orbits]

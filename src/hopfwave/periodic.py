@@ -12,18 +12,62 @@ kernels.
 The nonlinear operator B is evaluated pseudo-spectrally on 4N+1 equispaced
 times, which de-aliases cubic products exactly. Newton treats the stacked
 harmonic coefficients plus (omega, tau) as unknowns, with an amplitude
-projection on the critical mode and a phase condition closing the system.
+projection on the critical mode and a phase condition closing the system,
+and uses the exact derivative of that residual.
+
+Fields and operators accept leading batch axes: coefficient arrays have
+shape (..., N+1, 2, M+1), which lets the Jacobian apply the tangent to a
+whole block of unit inputs at once.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .errors import JacobianSingular, NoConvergence
-from .model import LinearizedCoeffs, ProblemSpec, kernels, linearize
+from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
+from .exprlang import Expr
+from .model import _UVARS, LinearizedCoeffs, ProblemSpec, kernels, linearize
 from .quadrature import cumulative_integral, integral
+
+
+# ---------------------------------------------------------------------------
+# Fourier synthesis and analysis: the one path for every operator
+
+def harmonic_synthesis(hats, times):
+    """Real values at the given times of harmonics 0..N held on axis -2.
+
+    hats: (..., N+1, X) complex; returns (..., len(times), X). Negative
+    harmonics are the conjugates, so k >= 1 carries weight 2. Computed as
+    one real product [w cos(kt), -w sin(kt)] @ [Re hat; Im hat].
+    """
+    ks = np.arange(hats.shape[-2])
+    w = np.where(ks == 0, 1.0, 2.0)
+    arg = np.outer(times, ks)
+    basis = np.concatenate([w * np.cos(arg), -w * np.sin(arg)], axis=1)
+    return basis @ np.concatenate([hats.real, hats.imag], axis=-2)
+
+
+def harmonic_analysis(values, N):
+    """Harmonics 0..N of equispaced samples over one period on axis -2.
+
+    values: (..., T, X) real with T >= 2N+1; content above T-N-1 aliases,
+    so callers supply enough samples for their nonlinearity degree. The
+    k = 0 harmonic comes back real.
+    """
+    T = values.shape[-2]
+    arg = np.outer(np.arange(N + 1), 2.0 * np.pi * np.arange(T) / T)
+    parts = (np.concatenate([np.cos(arg), -np.sin(arg)]) / T) @ values
+    coef = parts[..., :N + 1, :] + 1j * parts[..., N + 1:, :]
+    coef[..., 0, :] = coef[..., 0, :].real
+    return coef
+
+
+def _collocation_times(N):
+    T = 4 * N + 1
+    return 2.0 * np.pi * np.arange(T) / T
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +77,9 @@ from .quadrature import cumulative_integral, integral
 class FourierField:
     """Truncated Fourier representation v(t, x) = sum_k vhat_k(x) e^{ikt}.
 
-    coef has shape (N+1, 2, M+1): harmonic index 0..N, component, node.
-    Negative harmonics are the conjugates (the represented field is real);
-    the k = 0 slice is kept real.
+    coef has shape (..., N+1, 2, M+1): optional batch axes, harmonic index
+    0..N, component, node. Negative harmonics are the conjugates (the
+    represented field is real); the k = 0 slice is kept real.
     """
 
     coef: np.ndarray
@@ -46,46 +90,34 @@ class FourierField:
 
     @property
     def N(self):
-        return self.coef.shape[0] - 1
+        return self.coef.shape[-3] - 1
 
     @property
     def M(self):
-        return self.coef.shape[2] - 1
+        return self.coef.shape[-1] - 1
 
     def copy(self):
         return FourierField(self.coef.copy())
 
     def enforce_symmetry(self):
-        self.coef[0] = self.coef[0].real
+        self.coef[..., 0, :, :] = self.coef[..., 0, :, :].real
         return self
 
     def max_abs(self):
         return float(np.max(np.abs(self.coef)))
 
     def synthesize(self, times):
-        """Real field values, shape (len(times), 2, M+1)."""
-        ks = np.arange(self.N + 1)
-        w = np.where(ks == 0, 1.0, 2.0)
-        phases = np.exp(1j * np.outer(times, ks)) * w  # (T, N+1)
-        flat = self.coef.reshape(self.N + 1, -1)
-        vals = (phases @ flat).real
-        return vals.reshape(len(times), 2, self.M + 1)
+        """Real field values, shape (..., len(times), 2, M+1)."""
+        lead = self.coef.shape[:-2]
+        vals = harmonic_synthesis(self.coef.reshape(lead + (-1,)), times)
+        return vals.reshape(vals.shape[:-1] + self.coef.shape[-2:])
 
     @classmethod
     def analyze(cls, values, N):
-        """Harmonics 0..N of equispaced samples over one period.
-
-        values: (T, 2, M+1) with T >= 2N+1; content above T-N-1 aliases,
-        so callers supply enough samples for their nonlinearity degree.
-        """
-        T = values.shape[0]
-        t = 2.0 * np.pi * np.arange(T) / T
-        ks = np.arange(N + 1)
-        proj = np.exp(-1j * np.outer(ks, t)) / T  # (N+1, T)
-        flat = values.reshape(T, -1)
-        coef = (proj @ flat).reshape(N + 1, 2, values.shape[2])
-        out = cls(coef)
-        return out.enforce_symmetry()
+        """Harmonics 0..N of equispaced samples (..., T, 2, M+1) over one
+        period (see harmonic_analysis for the sample count)."""
+        coef = harmonic_analysis(values.reshape(values.shape[:-2] + (-1,)), N)
+        return cls(coef.reshape(coef.shape[:-1] + values.shape[-2:]))
 
     def time_shifted(self, phi):
         """Field t -> v(t + phi, x) (harmonic k picks up e^{ik phi})."""
@@ -93,25 +125,23 @@ class FourierField:
         return FourierField(self.coef * np.exp(1j * phi * ks)[:, None, None])
 
     # real packing for the Newton unknown vector -----------------------------
+    # order: Re v_0, then Re v_k, Im v_k for k = 1..N, each block (component,
+    # node); the always-zero Im v_0 block is dropped
     def flatten(self):
-        parts = [self.coef[0].real.ravel()]
-        for k in range(1, self.N + 1):
-            parts.append(self.coef[k].real.ravel())
-            parts.append(self.coef[k].imag.ravel())
-        return np.concatenate(parts)
+        parts = np.stack([self.coef.real, self.coef.imag], axis=-3)
+        flat = parts.reshape(parts.shape[:-4] + (-1,))
+        blk = 2 * (self.M + 1)
+        return np.concatenate([flat[..., :blk], flat[..., 2 * blk:]], axis=-1)
 
     @classmethod
     def unflatten(cls, vec, N, M):
+        vec = np.asarray(vec)
+        lead = vec.shape[:-1]
         blk = 2 * (M + 1)
-        coef = np.empty((N + 1, 2, M + 1), dtype=complex)
-        coef[0] = vec[:blk].reshape(2, M + 1)
-        off = blk
-        for k in range(1, N + 1):
-            re = vec[off:off + blk].reshape(2, M + 1)
-            im = vec[off + blk:off + 2 * blk].reshape(2, M + 1)
-            coef[k] = re + 1j * im
-            off += 2 * blk
-        return cls(coef)
+        parts = np.concatenate([vec[..., :blk], np.zeros(lead + (blk,)),
+                                vec[..., blk:]], axis=-1)
+        parts = parts.reshape(lead + (N + 1, 2, 2, M + 1))
+        return cls(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
 
 
 def inner_product(v: FourierField, w: FourierField, h) -> float:
@@ -142,6 +172,7 @@ class OperatorContext:
     F: np.ndarray      # antiderivative of 1/a on nodes
     E1: np.ndarray     # exp of antiderivative of b1/a
     E2: np.ndarray
+    b_u: tuple[Expr, ...]   # exact partials of b in u1..u4, for the tangent
 
 
 def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
@@ -153,18 +184,19 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
         b3=coeffs.nodes("b3"), b4=coeffs.nodes("b4"),
-        F=kern.F_nodes, E1=np.exp(kern.logE1_nodes), E2=np.exp(kern.logE2_nodes))
+        F=kern.F_nodes, E1=np.exp(kern.logE1_nodes), E2=np.exp(kern.logE2_nodes),
+        b_u=tuple(spec.b.diff(u) for u in _UVARS))
 
 
 def apply_C(v: FourierField, omega: float, ctx: OperatorContext) -> FourierField:
     """Boundary-transport part: values carried along characteristics from
     the opposite edge, with per-harmonic phase factors for the time shift."""
     ks = np.arange(v.N + 1)[:, None]
-    phase = np.exp(1j * omega * ks * ctx.F[None, :])        # e^{ik w F(x)}
+    phase = np.exp(1j * omega * ks * ctx.F)                  # e^{ik w F(x)}
     out = np.empty_like(v.coef)
-    out[:, 0, :] = -(1.0 / ctx.E1)[None, :] * phase * v.coef[:, 1, 0][:, None]
-    tail_phase = np.exp(-1j * omega * ks * (ctx.F[None, :] - ctx.F[-1]))
-    out[:, 1, :] = (ctx.E2 / ctx.E2[-1])[None, :] * tail_phase * v.coef[:, 0, -1][:, None]
+    out[..., 0, :] = -(1.0 / ctx.E1) * phase * v.coef[..., 1, 0][..., None]
+    tail_phase = np.exp(-1j * omega * ks * (ctx.F - ctx.F[-1]))
+    out[..., 1, :] = (ctx.E2 / ctx.E2[-1]) * tail_phase * v.coef[..., 0, -1][..., None]
     return FourierField(out).enforce_symmetry()
 
 
@@ -179,30 +211,91 @@ def apply_D(f: FourierField, omega: float, ctx: OperatorContext) -> FourierField
     (enforced by the kernel tests).
     """
     ks = np.arange(f.N + 1)[:, None]
-    ph = np.exp(1j * omega * ks * ctx.F[None, :])            # (N+1, M+1)
-    g1 = ctx.E1[None, :] / ph * f.coef[:, 0, :] / ctx.a[None, :]
+    ph = np.exp(1j * omega * ks * ctx.F)                     # (N+1, M+1)
+    g1 = ctx.E1 / ph * f.coef[..., 0, :] / ctx.a
     cum1 = cumulative_integral(g1, ctx.h)
     out = np.empty_like(f.coef)
-    out[:, 0, :] = -(ph / ctx.E1[None, :]) * cum1
-    g2 = ph / ctx.E2[None, :] * f.coef[:, 1, :] / ctx.a[None, :]
+    out[..., 0, :] = -(ph / ctx.E1) * cum1
+    g2 = ph / ctx.E2 * f.coef[..., 1, :] / ctx.a
     cum2 = cumulative_integral(g2, ctx.h)
-    out[:, 1, :] = -(ctx.E2[None, :] / ph) * (cum2[:, -1][:, None] - cum2)
+    out[..., 1, :] = -(ctx.E2 / ph) * (cum2[..., -1][..., None] - cum2)
     return FourierField(out).enforce_symmetry()
+
+
+def _transport_domega(v: FourierField, f: FourierField, omega: float,
+                      ctx: OperatorContext) -> np.ndarray:
+    """Coefficients of d/domega (C(omega) v + D(omega) f) at fixed v, f.
+
+    Output component 0 (1) picks up e^{+-ik omega (F(x) - F(xi))} from its
+    source point xi, so the derivative is the commutator
+    ik s_c [F (Cv + Df) - C(F v) - D(F f)] with s = (+1, -1).
+    """
+    Fv, Ff = FourierField(v.coef * ctx.F), FourierField(f.coef * ctx.F)
+    Tv = apply_C(v, omega, ctx).coef + apply_D(f, omega, ctx).coef
+    TF = apply_C(Fv, omega, ctx).coef + apply_D(Ff, omega, ctx).coef
+    iks = 1j * np.arange(v.N + 1)[:, None, None] * np.array([1.0, -1.0])[:, None]
+    return iks * (ctx.F * Tv - TF)
+
+
+def _displacement(coef, ctx: OperatorContext):
+    """Harmonics of u = int_0^x (v1 - v2) / (2a), shape (..., N+1, M+1)."""
+    return 0.5 * cumulative_integral((coef[..., 0, :] - coef[..., 1, :]) / ctx.a,
+                                     ctx.h)
+
+
+def _delay_phase(N, omega, tau):
+    """e^{-ik omega tau}: the delay u(t - tau) on harmonic k, shape (N+1, 1)."""
+    return np.exp(-1j * omega * tau * np.arange(N + 1))[:, None]
 
 
 def apply_JK(v: FourierField, omega: float, tau: float,
              ctx: OperatorContext) -> FourierField:
     """Linearization of B at v = 0: partial-integral part plus the
     off-diagonal pointwise part. Used for cross-checks and basin probes."""
-    ks = np.arange(v.N + 1)
-    J = 0.5 * cumulative_integral((v.coef[:, 0, :] - v.coef[:, 1, :]) / ctx.a[None, :],
-                                  ctx.h)
-    mix = (ctx.b3[None, :] + ctx.b4[None, :]
-           * np.exp(-1j * omega * tau * ks)[:, None]) * J
+    J = _displacement(v.coef, ctx)
+    mix = (ctx.b3 + ctx.b4 * _delay_phase(v.N, omega, tau)) * J
     out = np.empty_like(v.coef)
-    out[:, 0, :] = mix + ctx.b2[None, :] * v.coef[:, 1, :]
-    out[:, 1, :] = mix + ctx.b1[None, :] * v.coef[:, 0, :]
+    out[..., 0, :] = mix + ctx.b2 * v.coef[..., 1, :]
+    out[..., 1, :] = mix + ctx.b1 * v.coef[..., 0, :]
     return FourierField(out).enforce_symmetry()
+
+
+def _collocate(coef, omega, tau, ctx: OperatorContext):
+    """v1, v2 and the arguments u1..u4 of b on the 4N+1 collocation times.
+
+    The displacement harmonics come from one cumulative x-quadrature, the
+    delay is a phase factor on them, and all four fields are synthesized
+    together. Returns (v1, v2, (u1, u2, u3, u4)), each (..., 4N+1, M+1).
+    """
+    N = coef.shape[-3] - 1
+    J = _displacement(coef, ctx)
+    hats = np.stack([coef[..., 0, :], coef[..., 1, :], J,
+                     J * _delay_phase(N, omega, tau)], axis=-2)
+    vals = harmonic_synthesis(hats.reshape(hats.shape[:-2] + (-1,)),
+                              _collocation_times(N))
+    vals = vals.reshape(vals.shape[:-1] + hats.shape[-2:])
+    v1, v2, u1, u2 = (vals[..., j, :] for j in range(4))
+    return v1, v2, (u1, u2, 0.5 * (v1 + v2), 0.5 * (v1 - v2) / ctx.a)
+
+
+def _source(bvals, v1, v2, N, ctx: OperatorContext) -> FourierField:
+    """Harmonics of the source (b - a_x (v1 - v2)/2 - b_j v_j)_j from values
+    on the collocation times; linear in (bvals, v1, v2)."""
+    Bfull = bvals - 0.5 * ctx.ax * (v1 - v2)
+    vals = np.stack([Bfull - ctx.b1 * v1, Bfull - ctx.b2 * v2], axis=-2)
+    return FourierField.analyze(vals, N)
+
+
+def _b_env(u, ctx: OperatorContext):
+    return {"x": ctx.x, "lambda": ctx.lam, **dict(zip(_UVARS, u))}
+
+
+def _tangent_B(dv: FourierField, partials, omega, tau,
+               ctx: OperatorContext) -> FourierField:
+    """Linearization of apply_B in the direction dv at fixed (omega, tau),
+    given the partials b_{u_j} on the collocation grid of the base state."""
+    dv1, dv2, du = _collocate(dv.coef, omega, tau, ctx)
+    return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, dv.N, ctx)
 
 
 def apply_B(v: FourierField, omega: float, tau: float,
@@ -214,33 +307,8 @@ def apply_B(v: FourierField, omega: float, tau: float,
     times, the coefficient expression is evaluated pointwise, and the
     result is analyzed back to harmonics 0..N.
     """
-    N, M = v.N, v.M
-    ks = np.arange(N + 1)
-    Jhat = 0.5 * cumulative_integral(
-        (v.coef[:, 0, :] - v.coef[:, 1, :]) / ctx.a[None, :], ctx.h)
-    Jdel = Jhat * np.exp(-1j * omega * tau * ks)[:, None]
-
-    T = 4 * N + 1
-    t = 2.0 * np.pi * np.arange(T) / T
-    w = np.where(ks == 0, 1.0, 2.0)
-    phases = np.exp(1j * np.outer(t, ks)) * w                # (T, N+1)
-
-    def synth(hats):
-        return (phases @ hats).real                          # (T, M+1)
-
-    v1 = synth(v.coef[:, 0, :])
-    v2 = synth(v.coef[:, 1, :])
-    u1 = synth(Jhat)
-    u2 = synth(Jdel)
-    u3 = 0.5 * (v1 + v2)
-    u4 = 0.5 * (v1 - v2) / ctx.a[None, :]
-    env = {"x": ctx.x[None, :], "lambda": ctx.lam,
-           "u1": u1, "u2": u2, "u3": u3, "u4": u4}
-    bvals = np.broadcast_to(ctx.spec.b.eval(env), v1.shape)
-    Bfull = bvals - 0.5 * ctx.ax[None, :] * (v1 - v2)
-    vals = np.stack([Bfull - ctx.b1[None, :] * v1,
-                     Bfull - ctx.b2[None, :] * v2], axis=1)  # (T, 2, M+1)
-    return FourierField.analyze(vals, N)
+    v1, v2, u = _collocate(v.coef, omega, tau, ctx)
+    return _source(ctx.spec.b.eval(_b_env(u, ctx)), v1, v2, v.N, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +333,9 @@ class ModeBasis:
     nrm: float          # <v0^1, v0^1> = int sum|v0_j|^2 dx / 2
     tau0: float
 
-    def projection(self, v: FourierField, h) -> complex:
-        return complex(integral(np.sum(v.coef[1] * np.conj(self.v0), axis=0), h))
+    def projection(self, v: FourierField, h):
+        """int sum_j v^1_j conj(v0_j) dx, one complex value per batch entry."""
+        return integral(np.sum(v.coef[..., 1, :, :] * np.conj(self.v0), axis=-2), h)
 
 
 def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
@@ -296,17 +365,94 @@ def predictor(cert, eps, N, ctx: OperatorContext) -> PeriodicOrbit:
     return PeriodicOrbit(v=v, omega=1.0, tau=basis.tau0, eps=eps, lam=ctx.lam)
 
 
+def _defect(v: FourierField, f: FourierField, omega, ctx) -> np.ndarray:
+    """Packed v - C v - D f (the fixed-point rows, batch-aware)."""
+    lhs = v.coef - apply_C(v, omega, ctx).coef - apply_D(f, omega, ctx).coef
+    return FourierField(lhs).flatten()
+
+
 def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
              basis: ModeBasis) -> np.ndarray:
     """Stacked fixed-point residual plus the amplitude and phase rows."""
     v = orbit.v
     Bv = apply_B(v, orbit.omega, orbit.tau, ctx)
-    lhs = v.coef - apply_C(v, orbit.omega, ctx).coef \
-        - apply_D(Bv, orbit.omega, ctx).coef
     proj = basis.projection(v, ctx.h)
     rows = np.array([proj.real / basis.nrm - orbit.eps,
                      proj.imag / basis.nrm])
-    return np.concatenate([FourierField(lhs).enforce_symmetry().flatten(), rows])
+    return np.concatenate([_defect(v, Bv, orbit.omega, ctx), rows])
+
+
+def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
+    """Exact derivative of `residual` at orbit, Fortran-ordered, and its 1-norm.
+
+    The v-columns apply the tangent I - C - D dB to unit inputs, one block
+    of M+1 columns (one harmonic, real or imaginary part, and component) at
+    a time. dB is the linearization of apply_B from the exact partials
+    b_{u_j} on the same collocation grid. The unit inputs and the outputs go
+    through the residual's own packing, so rows and columns cannot disagree
+    on the order. The (omega, tau) columns differentiate the phase factors
+    analytically; the amplitude and phase rows are linear, hence exact.
+    """
+    v, omega, tau = orbit.v, orbit.omega, orbit.tau
+    N, M = v.N, v.M
+    n_v = 2 * (M + 1) * (2 * N + 1)
+    J = np.empty((n_v + 2, n_v + 2), order="F")
+    col_norms = np.empty(n_v + 2)
+
+    v1, v2, u = _collocate(v.coef, omega, tau, ctx)
+    env = _b_env(u, ctx)
+    partials = [d.eval(env) for d in ctx.b_u]
+
+    unit = np.zeros((M + 1, n_v))
+    eye = np.eye(M + 1)
+    for j0 in range(0, n_v, M + 1):
+        cols = slice(j0, j0 + M + 1)
+        unit[:, cols] = eye
+        dv = FourierField.unflatten(unit, N, M)
+        unit[:, cols] = 0.0
+        J[:n_v, cols] = _defect(dv, _tangent_B(dv, partials, omega, tau, ctx),
+                                omega, ctx).T
+        proj = basis.projection(dv, ctx.h) / basis.nrm
+        J[n_v, cols] = proj.real
+        J[n_v + 1, cols] = proj.imag
+        col_norms[cols] = np.abs(J[:, cols]).sum(axis=0)
+
+    # (omega, tau) enter B only through the delayed argument u2, whose
+    # harmonics carry e^{-ik omega tau}; omega also moves C and D
+    Bv = _source(ctx.spec.b.eval(env), v1, v2, N, ctx)
+    dJdel = (-1j * np.arange(N + 1)[:, None] * _displacement(v.coef, ctx)
+             * _delay_phase(N, omega, tau) * np.array([tau, omega])[:, None, None])
+    du2 = harmonic_synthesis(dJdel, _collocation_times(N))
+    dB = _source(partials[1] * du2, 0.0, 0.0, N, ctx)
+    dT = apply_D(dB, omega, ctx).coef
+    dT[0] += _transport_domega(v, Bv, omega, ctx)
+    J[:n_v, n_v:] = -FourierField(dT).flatten().T
+    J[n_v:, n_v:] = 0.0
+    col_norms[n_v:] = np.abs(J[:, n_v:]).sum(axis=0)
+    return J, float(np.max(col_norms))
+
+
+def _factor_checked(J, anorm, rank_rcond):
+    """LU factors of J (overwritten), refused when J is numerically singular.
+
+    The reciprocal 1-norm condition number is estimated by LAPACK gecon
+    from the factors; a zero pivot or an estimate below rank_rcond raises
+    JacobianSingular.
+    """
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below as JacobianSingular
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(J, overwrite_a=True)
+    if not np.all(np.diagonal(lu)):
+        raise JacobianSingular(
+            "Newton matrix has a zero pivot; resonant mode or failed certificate")
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, anorm, norm="1")
+    if not rcond >= rank_rcond:
+        raise JacobianSingular(
+            f"Newton matrix reciprocal condition {rcond:.2e} below "
+            f"{rank_rcond:.0e}; resonant mode or failed certificate")
+    return lu, piv
 
 
 @dataclass
@@ -315,7 +461,6 @@ class SolverOptions:
     newton_target: float = 1e-11
     max_iter: int = 30
     max_jacobians: int = 4
-    fd_step: float = 1e-7
     rank_rcond: float = 1e-12
 
 
@@ -331,61 +476,62 @@ def _unpack(z, N, M, eps, lam):
 
 def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
                  basis: ModeBasis, opts: SolverOptions = None) -> PeriodicOrbit:
-    """Damped Newton with a dense finite-difference Jacobian.
+    """Damped Newton with the exact Jacobian.
 
-    The Jacobian is built columnwise by forward differences, rank-checked
-    once (rank deficiency raises JacobianSingular: a resonance or a failed
-    certificate), then LU-factored and reused chord-style until progress
-    stalls. Unknowns are the packed real harmonics plus (omega, tau).
+    Each Jacobian is condition-checked on its LU factors (near-singularity
+    raises JacobianSingular: a resonance or a failed certificate) and then
+    reused chord-style until progress stalls. A trial step on which b
+    leaves its domain counts as a failed step and is halved. Unknowns are
+    the packed real harmonics plus (omega, tau).
     """
     opts = opts or SolverOptions()
     N, M = guess.v.N, guess.v.M
     z = _pack(replace(guess, eps=eps))
 
+    def orbit_at(zv):
+        return _unpack(zv, N, M, eps, ctx.lam)
+
     def res(zv):
-        return residual(_unpack(zv, N, M, eps, ctx.lam), ctx, basis)
+        return residual(orbit_at(zv), ctx, basis)
 
     r = res(z)
     rn = float(np.max(np.abs(r)))
     if eps == 0.0 and guess.v.max_abs() == 0.0 and rn <= opts.tol_orbit:
         # the trivial orbit; at the bifurcation point itself the Jacobian
         # is legitimately singular, so skip the uniqueness check
-        out = _unpack(z, N, M, eps, ctx.lam)
+        out = orbit_at(z)
         out.residual_norm = rn
         return out
-    n_jac = 0
+    n_jac = n_iter = 0
+    limit = f"iteration limit {opts.max_iter}"
     lu = None
-    for it in range(opts.max_iter):
-        # the rank check below doubles as the local-uniqueness certificate,
+    while n_iter < opts.max_iter:
+        # the condition check doubles as the local-uniqueness certificate,
         # so the first Jacobian is built even if the guess already meets
         # the tolerance
         if rn <= opts.newton_target and n_jac > 0:
             break
         if lu is None:
             if n_jac >= opts.max_jacobians:
+                limit = f"Jacobian limit {opts.max_jacobians}"
                 break
-            J = np.empty((len(r), len(z)))
-            for j in range(len(z)):
-                dz = opts.fd_step * (1.0 + abs(z[j]))
-                zp = z.copy()
-                zp[j] += dz
-                J[:, j] = (res(zp) - r) / dz
+            J, anorm = jacobian(orbit_at(z), ctx, basis)
             n_jac += 1
-            _, _, rank = scipy.linalg.lstsq(J, -r, cond=opts.rank_rcond,
-                                            lapack_driver="gelsy")[:3]
-            if rank < len(z):
-                raise JacobianSingular(
-                    f"Newton matrix rank {rank} < {len(z)}; "
-                    "resonant mode or failed certificate")
-            lu = scipy.linalg.lu_factor(J)
+            lu = _factor_checked(J, anorm, opts.rank_rcond)
+            del J   # lu owns the buffer now; a rebuild must be able to free it
         if rn <= opts.newton_target:
             break
+        n_iter += 1
         step = scipy.linalg.lu_solve(lu, -r)
         t = 1.0
         improved = False
         for _ in range(12):
             z_new = z + t * step
-            r_new = res(z_new)
+            try:
+                r_new = res(z_new)
+            except EvalDomainError:
+                t *= 0.5    # b is not finite there: a failed trial
+                continue
             rn_new = float(np.max(np.abs(r_new)))
             if rn_new < rn:
                 improved = True
@@ -400,10 +546,10 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
             lu = None
     if rn > opts.tol_orbit:
         raise NoConvergence(
-            f"orbit residual {rn:.3e} above {opts.tol_orbit:.1e} "
-            f"after {opts.max_iter} iterations",
+            f"orbit residual {rn:.3e} above {opts.tol_orbit:.1e}: stopped by "
+            f"the {limit} after {n_iter} iterations and {n_jac} Jacobians",
             last_good=None)
-    out = _unpack(z, N, M, eps, ctx.lam)
+    out = orbit_at(z)
     out.residual_norm = rn
     return out
 
@@ -428,7 +574,10 @@ def _fit_slope_curvature(eps, values, base):
 def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
                     opts: SolverOptions = None) -> BranchResult:
     """March the orbit family over increasing eps, Newton from the previous
-    point, then fit the delay and frequency laws on the three smallest eps."""
+    point, then fit the delay and frequency laws on the three smallest eps.
+
+    A solver error carries the last converged amplitude as `last_good`.
+    """
     opts = opts or SolverOptions()
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3 or any(e <= 0 for e in eps_grid) \
@@ -440,7 +589,7 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     for eps in eps_grid:
         try:
             orbit = newton_solve(guess, eps, ctx, basis, opts)
-        except NoConvergence as err:
+        except HopfwaveError as err:
             err.last_good = orbits[-1].eps if orbits else None
             raise
         orbits.append(orbit)
@@ -486,18 +635,13 @@ def reconstruct_u(orbit: PeriodicOrbit, ctx: OperatorContext,
     omega u_t = (v1 + v2)/2 and u_x = (v1 - v2)/(2a).
     """
     v = orbit.v
-    N = v.N
-    T = n_times or (4 * N + 1)
+    T = n_times or (4 * v.N + 1)
     t = 2.0 * np.pi * np.arange(T) / T
-    u_hat = 0.5 * cumulative_integral(
-        (v.coef[:, 0, :] - v.coef[:, 1, :]) / ctx.a[None, :], ctx.h)
-    ks = np.arange(N + 1)
-    w = np.where(ks == 0, 1.0, 2.0)
-    phases = np.exp(1j * np.outer(t, ks)) * w
-    u = (phases @ u_hat).real
+    u_hat = _displacement(v.coef, ctx)
+    u = harmonic_synthesis(u_hat, t)
     vals = v.synthesize(t)
     u_t = 0.5 * (vals[:, 0, :] + vals[:, 1, :]) / orbit.omega
-    u_x = 0.5 * (vals[:, 0, :] - vals[:, 1, :]) / ctx.a[None, :]
+    u_x = 0.5 * (vals[:, 0, :] - vals[:, 1, :]) / ctx.a
     return ReconstructedField(times=t, x=ctx.x, u=u, u_t=u_t, u_x=u_x,
                               u_hat=u_hat)
 
@@ -511,14 +655,11 @@ def pde_residual_check(orbit: PeriodicOrbit, ctx: OperatorContext) -> float:
     """
     rec = reconstruct_u(orbit, ctx)
     N = orbit.v.N
-    T = len(rec.times)
-    ks = np.arange(N + 1)
-    w = np.where(ks == 0, 1.0, 2.0)
-    phases = np.exp(1j * np.outer(rec.times, ks)) * w
-    u_tt = (phases @ (-(ks ** 2)[:, None] * rec.u_hat)).real
-    u_del = (phases @ (np.exp(-1j * orbit.omega * orbit.tau * ks)[:, None]
-                       * rec.u_hat)).real
-    u_t = (phases @ (1j * ks[:, None] * rec.u_hat)).real
+    ks = np.arange(N + 1)[:, None]
+    u_tt = harmonic_synthesis(-(ks ** 2) * rec.u_hat, rec.times)
+    u_del = harmonic_synthesis(
+        _delay_phase(N, orbit.omega, orbit.tau) * rec.u_hat, rec.times)
+    u_t = harmonic_synthesis(1j * ks * rec.u_hat, rec.times)
     h = ctx.h
     u = rec.u
     u_x = (-u[:, 4:] + 8 * u[:, 3:-1] - 8 * u[:, 1:-3] + u[:, :-4]) / (12 * h)

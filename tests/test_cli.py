@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hopfwave import cli
+from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -207,3 +208,39 @@ def test_repo_benchmark_configs_load():
     assert settings.tau_guess == 1.4
     spec2, settings2 = cli.load_problem(str(BRANCH))
     assert settings2.eps_grid[0] == 0.005
+
+
+def test_branch_survives_domain_error(tmp_path):
+    # past eps = 0.03 Newton trial steps leave the domain of the square
+    # root; the line search halves them, and the command reports the
+    # convergence failure with the partial document instead of a traceback
+    cfg = write_config(
+        tmp_path, b="-u2 - u3 + 0.01*(sqrt(1 + 50*u1) - 1 - 25*u1)",
+        solver={"N": 8, "M": 256, "M_solve": 64,
+                "eps_grid": [0.01, 0.02, 0.03, 0.04, 0.05]})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == 5
+    doc = json.loads(out.read_text())
+    assert doc["last_good_eps"] == 0.03
+    assert "Jacobian limit" in doc["error"]
+    assert "certificate" in doc
+
+
+@pytest.mark.parametrize("error, code", [
+    (JacobianSingular("singular"), 3),
+    (EvalDomainError("not finite"), 5),
+    (NoConvergence("stalled", last_good=0.02), 5),
+])
+def test_branch_error_exit_codes(tmp_path, monkeypatch, error, code):
+    def failing(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli.periodic, "continue_branch", failing)
+    cfg = write_config(
+        tmp_path, solver={"M": 128, "M_solve": 32, "N": 4, "K_max": 4,
+                          "eps_grid": [0.02, 0.03, 0.04]})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == code
+    doc = json.loads(out.read_text())
+    assert doc["error"] == str(error)
+    assert doc["last_good_eps"] == getattr(error, "last_good", None)
+    assert "certificate" in doc and "direction" in doc

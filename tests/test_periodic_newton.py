@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hopfwave import eigen, periodic
+from hopfwave.errors import NoConvergence
 from hopfwave.model import ProblemSpec
 
 
@@ -153,3 +154,53 @@ def test_negative_delay_branch():
                                   0.02, ctx, basis)
     assert orbit.tau == pytest.approx(tau_neg, abs=1e-3)
     assert orbit.residual_norm <= 1e-9
+
+
+def test_no_convergence_names_iteration_limit(cert_down, ctx_down):
+    basis = periodic.mode_basis(cert_down, ctx_down)
+    guess = periodic.predictor(cert_down, 0.3, 4, ctx_down)
+    with pytest.raises(NoConvergence,
+                       match=r"iteration limit 1 after 1 iterations and 1 Jacobians"):
+        periodic.newton_solve(guess, 0.3, ctx_down, basis,
+                              periodic.SolverOptions(max_iter=1))
+
+
+def test_no_convergence_names_jacobian_limit():
+    # past eps = 0.03 the displacement leaves the domain 1 + 50 u1 > 0 of
+    # the square root: trial steps there fail, the line search halves them
+    # and Newton runs out of Jacobians
+    spec = ProblemSpec.from_expressions(
+        a="2/pi", b="-u2 - u3 + 0.01*(sqrt(1 + 50*u1) - 1 - 25*u1)")
+    cert = eigen.certify(spec, 1.4, M=128, K_max=4)
+    ctx = periodic.operator_context(spec, 0.0, 32)
+    with pytest.raises(NoConvergence,
+                       match=r"Jacobian limit 4 after \d+ iterations and 4 Jacobians"
+                       ) as info:
+        periodic.continue_branch(cert, [0.01, 0.02, 0.03, 0.04], ctx, 4)
+    assert info.value.last_good == 0.03
+
+
+def test_jacobian_matches_central_differences():
+    # a non-polynomial b in x, lambda and all four u_j, at lambda != 0
+    lam, eps, N, M = 0.02, 0.1, 4, 32
+    spec = ProblemSpec.from_expressions(
+        a="2/pi", b="-u2 - u3 + 0.1*sin(u1)*u4 + lambda*exp(x)*u1^2", lam=lam)
+    cert = eigen.certify(spec, 1.4, M=128, K_max=4)
+    ctx = periodic.operator_context(spec, lam, M)
+    basis = periodic.mode_basis(cert, ctx)
+    orbit = periodic.newton_solve(periodic.predictor(cert, eps, N, ctx),
+                                  eps, ctx, basis)
+    J, anorm = periodic.jacobian(orbit, ctx, basis)
+    assert J.flags.f_contiguous
+    assert anorm == pytest.approx(np.max(np.sum(np.abs(J), axis=0)), rel=1e-12)
+    z = periodic._pack(orbit)
+    J_cd = np.empty_like(J)
+    for j in range(len(z)):        # includes the omega and tau columns
+        dz = np.zeros(len(z))
+        dz[j] = 1e-6 * (1.0 + abs(z[j]))
+        r_plus, r_minus = (
+            periodic.residual(periodic._unpack(z + dz_s, N, M, eps, lam), ctx, basis)
+            for dz_s in (dz, -dz))
+        J_cd[:, j] = (r_plus - r_minus) / (2.0 * dz[j])
+    assert np.max(np.abs(J - J_cd)) <= 1e-8 * np.max(np.abs(J))
+    assert np.max(np.abs(J[:, -2:] - J_cd[:, -2:])) <= 1e-8 * np.max(np.abs(J))

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hopfwave import eigen, periodic
 from hopfwave.model import ProblemSpec, kernels, linearize
@@ -260,3 +263,46 @@ def test_omega_sensitivity_matches_unit_imaginary(cert_up, ctx_up):
     d_source = (jk_k1(1.0 + d) - jk_k1(1.0 - d)) / (2 * d)
     dH = project(1j * 0.5 * basis.v0 - d_source)
     assert dH == pytest.approx(1j, abs=2e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(0, 4), M=st.integers(3, 9), data=st.data())
+def test_packing_round_trip(N, M, data):
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    n = 2 * (M + 1) * (2 * N + 1)
+    z = data.draw(hnp.arrays(np.float64, n, elements=finite))
+    assert np.array_equal(FourierField.flatten(FourierField.unflatten(z, N, M)), z)
+    shape = (N + 1, 2, M + 1)
+    v = FourierField(data.draw(hnp.arrays(np.float64, shape, elements=finite))
+                     + 1j * data.draw(hnp.arrays(np.float64, shape, elements=finite)))
+    back = FourierField.unflatten(v.flatten(), N, M)
+    assert np.array_equal(back.coef, v.copy().enforce_symmetry().coef)
+    assert np.all(back.coef[0].imag == 0.0)
+
+
+def test_packing_order():
+    # Re v_0, then Re v_k and Im v_k per harmonic, each (component, node)
+    N, M = 2, 3
+    v = FourierField.zeros(N, M)
+    v.coef[2, 1, 3] = 2.0 - 5.0j
+    z = v.flatten()
+    blk = 2 * (M + 1)
+    assert z[blk + 2 * blk + 1 * (M + 1) + 3] == 2.0
+    assert z[blk + 2 * blk + blk + 1 * (M + 1) + 3] == -5.0
+    assert np.count_nonzero(z) == 2
+
+
+def test_operators_accept_batch_axis(gctx):
+    rng = np.random.default_rng(41)
+    fields = [random_field(rng, 5, 64) for _ in range(3)]
+    batch = FourierField(np.stack([f.coef for f in fields]))
+    omega, tau = 1.07, 0.9
+    for op in (lambda v: periodic.apply_C(v, omega, gctx),
+               lambda v: periodic.apply_D(v, omega, gctx),
+               lambda v: periodic.apply_JK(v, omega, tau, gctx)):
+        out = op(batch).coef
+        for i, f in enumerate(fields):
+            assert np.allclose(out[i], op(f).coef, rtol=0, atol=1e-13)
+    flat = batch.flatten()
+    for i, f in enumerate(fields):
+        assert np.array_equal(flat[i], f.flatten())
