@@ -17,9 +17,12 @@ Unknown keys are rejected. Outputs are UTF-8 JSON (complex numbers as
 command is deterministic given the file and the seed, which is recorded
 in the output.
 
-Exit codes: 0 ok, 2 input error, 3 certification failure (for branch
-also a singular Newton matrix), 4 structure error, 5 continuation
-failure, 6 simulation error.
+Exit codes: 0 ok, 2 input error (including a or b not evaluable or not
+differentiable at the trivial state), 3 certification failure (for
+branch also a singular Newton matrix), 4 structure error (including b
+not evaluable for the cubic-structure check), 5 continuation failure
+(including the PDE residual check), 6 simulation error (including a
+solution that leaves the domain of b).
 """
 from __future__ import annotations
 
@@ -32,9 +35,9 @@ import numpy as np
 
 from . import direction as direction_mod
 from . import eigen, periodic, timedomain
-from .errors import (HopfwaveError, JacobianSingular, NegativeDelayUnsupported,
-                     NoOscillationDetected, NotSeparable, ParseError,
-                     QuadraticTermPresent, RhoZero, SpecInvalid)
+from .errors import (EvalDomainError, ExprError, HopfwaveError, JacobianSingular,
+                     NotSeparable, ParseError, QuadraticTermPresent, RhoZero,
+                     SpecInvalid)
 from .model import ProblemSpec
 
 EXIT_OK = 0
@@ -89,7 +92,7 @@ def load_problem(path):
         spec = ProblemSpec.from_expressions(
             a=doc["a"], b=doc.get("b"), betas=doc.get("beta"),
             lam=doc.get("lambda", 0.0))
-    except (ParseError, SpecInvalid) as err:
+    except (ExprError, SpecInvalid) as err:
         raise ConfigError(f"{path}: {err}") from err
     settings = SimpleNamespace(tau_guess=float(doc["tau_guess"]), **solver)
     return spec, settings
@@ -188,6 +191,22 @@ def _write_json(path, doc):
         fh.write(text)
 
 
+def _emit(args, doc):
+    """The document to --out, or to stdout without it."""
+    if args.out:
+        _write_json(args.out, doc)
+    else:
+        print(json.dumps(doc, indent=2))
+
+
+def _fail(args, doc, err, code):
+    """Report err, write the partial document to --out if given, return code."""
+    if args.out:
+        _write_json(args.out, doc)
+    print(f"error: {err}", file=sys.stderr)
+    return code
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -198,59 +217,46 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # commands
 
+def _certify(spec, settings, seed):
+    """eigen.certify with the file's settings; b or a that cannot be
+    linearized at the trivial state is an input error."""
+    try:
+        return eigen.certify(spec, settings.tau_guess, M=settings.M,
+                             K_max=settings.K_max, seed=seed,
+                             tol_eig=settings.tol_eig,
+                             tol_resonance=settings.tol_resonance,
+                             tol_rho=settings.tol_rho)
+    except EvalDomainError as err:
+        raise ConfigError(f"cannot linearize at u = 0: {err}") from err
+
+
 def cmd_certificate(args):
     spec, settings = load_problem(args.file)
-    cert = eigen.certify(spec, settings.tau_guess, M=settings.M,
-                         K_max=settings.K_max, seed=args.seed,
-                         tol_eig=settings.tol_eig,
-                         tol_resonance=settings.tol_resonance,
-                         tol_rho=settings.tol_rho)
-    doc = certificate_document(cert)
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(json.dumps(doc, indent=2))
+    cert = _certify(spec, settings, args.seed)
+    _emit(args, certificate_document(cert))
     return EXIT_OK if cert.passed else EXIT_CERTIFICATION
 
 
 def cmd_direction(args):
     spec, settings = load_problem(args.file)
-    cert = eigen.certify(spec, settings.tau_guess, M=settings.M,
-                         K_max=settings.K_max, seed=args.seed,
-                         tol_eig=settings.tol_eig,
-                         tol_resonance=settings.tol_resonance,
-                         tol_rho=settings.tol_rho)
+    cert = _certify(spec, settings, args.seed)
     doc = certificate_document(cert)
     try:
         cubic = direction_mod.check_structure(spec, cert.coeffs.x)
         result = direction_mod.compute_direction(cert, cubic)
-    except (NotSeparable, QuadraticTermPresent) as err:
+    except (NotSeparable, QuadraticTermPresent, EvalDomainError,
+            RhoZero) as err:
         doc["direction_error"] = str(err)
-        if args.out:
-            _write_json(args.out, doc)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except RhoZero as err:
-        doc["direction_error"] = str(err)
-        if args.out:
-            _write_json(args.out, doc)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        code = EXIT_CERTIFICATION if isinstance(err, RhoZero) else EXIT_STRUCTURE
+        return _fail(args, doc, err, code)
     doc["direction"] = direction_document(result)
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(json.dumps(doc, indent=2))
+    _emit(args, doc)
     return EXIT_OK
 
 
 def cmd_branch(args):
     spec, settings = load_problem(args.file)
-    cert = eigen.certify(spec, settings.tau_guess, M=settings.M,
-                         K_max=settings.K_max, seed=args.seed,
-                         tol_eig=settings.tol_eig,
-                         tol_resonance=settings.tol_resonance,
-                         tol_rho=settings.tol_rho)
+    cert = _certify(spec, settings, args.seed)
     if cert.eigenpair is None or cert.adjoint is None:
         print("error: no certified critical mode; cannot continue a branch",
               file=sys.stderr)
@@ -270,19 +276,16 @@ def cmd_branch(args):
     try:
         branch = periodic.continue_branch(cert, settings.eps_grid, ctx,
                                           settings.N, opts)
+        pde_res = [periodic.pde_residual_check(o, ctx) for o in branch.orbits]
     except HopfwaveError as err:
         # a singular Newton matrix is a resonance or a failed certificate;
         # every other solver error is a continuation failure
         summary["error"] = str(err)
         summary["last_good_eps"] = getattr(err, "last_good", None)
-        if args.out:
-            _write_json(args.out, summary)
-        print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, JacobianSingular):
-            return EXIT_CERTIFICATION
-        return EXIT_CONVERGENCE
+        code = (EXIT_CERTIFICATION if isinstance(err, JacobianSingular)
+                else EXIT_CONVERGENCE)
+        return _fail(args, summary, err, code)
     rows = [(o.eps, o.omega, o.tau, o.residual_norm) for o in branch.orbits]
-    pde_res = [periodic.pde_residual_check(o, ctx) for o in branch.orbits]
     summary.update({
         "eps": [o.eps for o in branch.orbits],
         "omega": [o.omega for o in branch.orbits],
@@ -298,14 +301,12 @@ def cmd_branch(args):
         summary["direction_d2tau"] = d2tau_formula
         summary["relative_gap"] = abs(
             branch.fit_tau_curvature - d2tau_formula) / abs(d2tau_formula)
+    _emit(args, summary)
     if args.out:
-        _write_json(args.out, summary)
         stem = args.out.rsplit(".", 1)[0]
         _write_csv(stem + ".csv", ["eps", "omega", "tau", "residual_norm"], rows)
         _write_json(stem + "_orbits.json",
                     {"orbits": [orbit_document(o) for o in branch.orbits]})
-    else:
-        print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -323,17 +324,16 @@ def cmd_simulate(args):
         state = sim.initial_state(v1=kick, v2=kick)
         period, ts, ys, _ = timedomain.run_to_orbit(
             spec, args.tau, T_end, initial=state, sim=sim)
-    except (NegativeDelayUnsupported, NoOscillationDetected) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SIMULATION
+    except HopfwaveError as err:
+        doc = {"tau": args.tau, "T_end": T_end, "seed": args.seed,
+               "error": str(err)}
+        return _fail(args, doc, err, EXIT_SIMULATION)
     summary = {"tau": args.tau, "T_end": T_end, "period_estimate": period,
                "amplitude": float(np.max(np.abs(ys))), "seed": args.seed}
+    _emit(args, summary)
     if args.out:
-        _write_json(args.out, summary)
-        csv_path = args.out.rsplit(".", 1)[0] + ".csv"
-        _write_csv(csv_path, ["t", "u_probe"], zip(ts, ys))
-    else:
-        print(json.dumps(summary, indent=2))
+        _write_csv(args.out.rsplit(".", 1)[0] + ".csv", ["t", "u_probe"],
+                   zip(ts, ys))
     return EXIT_OK
 
 

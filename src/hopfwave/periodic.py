@@ -237,10 +237,15 @@ def _transport_domega(v: FourierField, f: FourierField, omega: float,
     return iks * (ctx.F * Tv - TF)
 
 
+def displacement(v1, v2, a, h):
+    """u = int_0^x (v1 - v2) / (2a) along the last axis: the one displacement
+    rule, shared by the harmonic operators and the time stepper."""
+    return 0.5 * cumulative_integral((v1 - v2) / a, h)
+
+
 def _displacement(coef, ctx: OperatorContext):
-    """Harmonics of u = int_0^x (v1 - v2) / (2a), shape (..., N+1, M+1)."""
-    return 0.5 * cumulative_integral((coef[..., 0, :] - coef[..., 1, :]) / ctx.a,
-                                     ctx.h)
+    """Harmonics of u, shape (..., N+1, M+1)."""
+    return displacement(coef[..., 0, :], coef[..., 1, :], ctx.a, ctx.h)
 
 
 def _delay_phase(N, omega, tau):

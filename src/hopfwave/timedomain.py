@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import CFLViolation, NegativeDelayUnsupported, NoOscillationDetected
 from .model import ProblemSpec, linearize
-from .quadrature import cumulative_integral
+from .periodic import displacement, harmonic_synthesis
+from .quadrature import cubic_interp
 
 CFL_LIMIT = 0.9
 
@@ -31,37 +32,37 @@ class SimState:
     v2: np.ndarray
     t: float
     dt: float
-    x: np.ndarray
-    history: np.ndarray      # ring buffer of u rows, oldest overwritten
-    history_t: np.ndarray
-    head: int                # index of the most recent history row
-
-    def displacement(self):
-        return self.history[self.head].copy()
+    history: np.ndarray      # ring buffer of u rows dt apart, oldest overwritten
+    head: int                # index of the row of u(t), the most recent one
 
 
 class Simulator:
-    """Holds the sampled coefficients and advances SimState."""
+    """Holds the sampled coefficients and advances SimState.
+
+    tau and dt are fixed, so u(t - tau) always lies lag and lag + 1 rows
+    behind the head of the history, with the same interpolation weight.
+    """
 
     def __init__(self, spec: ProblemSpec, tau: float, M: int = 256,
-                 cfl: float = CFL_LIMIT, lam: float = None):
+                 cfl: float = CFL_LIMIT):
         if tau <= 0.0:
             raise NegativeDelayUnsupported(
                 "time stepping needs tau > 0; the periodic solver handles "
                 "negative delays")
         self.spec = spec
-        self.lam = spec.lam if lam is None else float(lam)
-        coeffs = linearize(spec, self.lam, M)
+        coeffs = linearize(spec, spec.lam, M)
         self.a = coeffs.nodes("a")
         self.ax = coeffs.nodes("ax")
         self.x = coeffs.x
         self.h = coeffs.h
         self.tau = float(tau)
-        a_max = float(np.max(self.a))
+        self.a_max = float(np.max(self.a))
         if cfl > CFL_LIMIT + 1e-12:
             raise CFLViolation(f"requested CFL {cfl} exceeds {CFL_LIMIT}")
-        self.dt = cfl * self.h / a_max
-        self.n_hist = int(np.ceil(self.tau / self.dt)) + 2
+        self.dt = cfl * self.h / self.a_max
+        lag, self.w = divmod(self.tau / self.dt, 1.0)
+        self.lag = int(lag)
+        self.n_hist = self.lag + 2
 
     def initial_state(self, v1=None, v2=None, history_fn=None) -> SimState:
         """Initial fields with the displacement history over [-tau, 0].
@@ -69,51 +70,46 @@ class Simulator:
         Without history_fn the history is the constant extension of the
         initial displacement (standard delay-equation practice; the
         transient is discarded anyway). history_fn(t) -> u row overrides
-        it, e.g. to seed exactly on a computed orbit.
+        it for t < 0, e.g. to seed exactly on a computed orbit; the row at
+        t = 0 is always the displacement of (v1, v2).
         """
         M = len(self.x) - 1
         v1 = np.zeros(M + 1) if v1 is None else np.array(v1, dtype=float)
         v2 = np.zeros(M + 1) if v2 is None else np.array(v2, dtype=float)
-        ts = -self.dt * np.arange(self.n_hist - 1, -1, -1.0)
+        u0 = displacement(v1, v2, self.a, self.h)
         if history_fn is None:
-            u0 = self._displacement_of(v1, v2)
             hist = np.tile(u0, (self.n_hist, 1))
         else:
-            hist = np.stack([np.asarray(history_fn(t), dtype=float) for t in ts])
-        return SimState(v1=v1, v2=v2, t=0.0, dt=self.dt, x=self.x,
-                        history=hist, history_t=ts, head=self.n_hist - 1)
-
-    def _displacement_of(self, v1, v2):
-        return cumulative_integral(0.5 * (v1 - v2) / self.a, self.h)
+            ts = -self.dt * np.arange(self.n_hist - 1, 0, -1.0)
+            hist = np.stack([np.asarray(history_fn(t), dtype=float) for t in ts]
+                            + [u0])
+        return SimState(v1=v1, v2=v2, t=0.0, dt=self.dt, history=hist,
+                        head=self.n_hist - 1)
 
     def _delayed_displacement(self, state: SimState):
-        """Linear interpolation of the history at t - tau."""
-        target = state.t - self.tau
-        ts = state.history_t
-        idx = np.searchsorted(ts, target)
-        idx = np.clip(idx, 1, len(ts) - 1)
-        t0, t1 = ts[idx - 1], ts[idx]
-        w = 0.0 if t1 == t0 else (target - t0) / (t1 - t0)
-        rows = state.history
-        i0 = (state.head + 1 + (idx - 1)) % self.n_hist
-        i1 = (state.head + 1 + idx) % self.n_hist
-        return (1.0 - w) * rows[i0] + w * rows[i1]
+        """u(t - tau), linear between the two history rows around it."""
+        rows, i0 = state.history, state.head - self.lag
+        return (1.0 - self.w) * rows[i0 % self.n_hist] \
+            + self.w * rows[(i0 - 1) % self.n_hist]
 
     def step(self, state: SimState) -> SimState:
         """One upwind step; boundary rows are imposed exactly.
 
+        u(t) is the head row of the history, written by the previous step.
         The history ring buffer is shared with the returned state and
         advanced in place, so treat the input state as consumed.
         """
-        if np.max(self.a) * state.dt / self.h > CFL_LIMIT + 1e-12:
-            raise CFLViolation("step size violates the advective limit")
-        v1, v2, h, dt = state.v1, state.v2, self.h, state.dt
-        u = self._displacement_of(v1, v2)
-        u_del = self._delayed_displacement(state)
-        u3 = 0.5 * (v1 + v2)
+        if state.dt != self.dt:
+            if self.a_max * state.dt / self.h > CFL_LIMIT + 1e-12:
+                raise CFLViolation("step size violates the advective limit")
+            raise ValueError(f"state dt {state.dt} is not the simulator's "
+                             f"{self.dt}, which fixes the delay offsets")
+        v1, v2, h, dt = state.v1, state.v2, self.h, self.dt
         u4 = 0.5 * (v1 - v2) / self.a
-        env = {"x": self.x, "lambda": self.lam,
-               "u1": u, "u2": u_del, "u3": u3, "u4": u4}
+        env = {"x": self.x, "lambda": self.spec.lam,
+               "u1": state.history[state.head],
+               "u2": self._delayed_displacement(state),
+               "u3": 0.5 * (v1 + v2), "u4": u4}
         B = np.broadcast_to(self.spec.b.eval(env), self.x.shape) \
             - 0.5 * self.ax * (v1 - v2)
         new_v1 = v1.copy()
@@ -124,18 +120,10 @@ class Simulator:
         new_v2[1:] = v2[1:] + dt * (-self.a[1:] * (v2[1:] - v2[:-1]) / h + B[1:])
         new_v1[-1] = new_v2[-1]
         new_v2[0] = -new_v1[0]
-        t_new = state.t + dt
         head = (state.head + 1) % self.n_hist
-        state.history[head] = self._displacement_of(new_v1, new_v2)
-        # history_t is strictly increasing ending at t_new
-        hist_t = np.roll(state.history_t, -1)
-        hist_t[-1] = t_new
-        return SimState(v1=new_v1, v2=new_v2, t=t_new, dt=dt, x=self.x,
-                        history=state.history, history_t=hist_t, head=head)
-
-
-def step(state: SimState, sim: Simulator) -> SimState:
-    return sim.step(state)
+        state.history[head] = displacement(new_v1, new_v2, self.a, h)
+        return SimState(v1=new_v1, v2=new_v2, t=state.t + dt, dt=dt,
+                        history=state.history, head=head)
 
 
 def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
@@ -145,30 +133,13 @@ def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
     harmonics are interpolated onto the simulation grid and the delay
     history is synthesized from the orbit itself, u_phys(t) = u(omega t).
     """
-    from .quadrature import cubic_interp
-    from .periodic import reconstruct_u
-
-    rec = reconstruct_u(orbit, ctx)
-    N = orbit.v.N
-
-    def interp_rows(rows):
-        return np.stack([cubic_interp(row, 0.0, ctx.h, sim.x) for row in rows])
-
-    u_hat = interp_rows(rec.u_hat)
-    v1_hat = interp_rows(orbit.v.coef[:, 0, :])
-    v2_hat = interp_rows(orbit.v.coef[:, 1, :])
-    ks = np.arange(N + 1)
-    wts = np.where(ks == 0, 1.0, 2.0)
-
-    def synth(hats, t_scaled):
-        ph = np.exp(1j * t_scaled * ks) * wts
-        return (ph @ hats).real
-
-    v1 = synth(v1_hat, 0.0)
-    v2 = synth(v2_hat, 0.0)
+    v_hat = cubic_interp(orbit.v.coef, 0.0, ctx.h, sim.x)    # (N+1, 2, M+1)
+    v1_hat, v2_hat = v_hat[:, 0], v_hat[:, 1]
+    u_hat = displacement(v1_hat, v2_hat, sim.a, sim.h)
+    v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0])[:, 0]
     return sim.initial_state(
         v1=v1, v2=v2,
-        history_fn=lambda t: synth(u_hat, orbit.omega * t))
+        history_fn=lambda t: harmonic_synthesis(u_hat, [orbit.omega * t])[0])
 
 
 def _period_from_crossings(ts, ys):
@@ -185,8 +156,7 @@ def _period_from_crossings(ts, ys):
 
 def run_to_orbit(spec: ProblemSpec, tau: float, T_end: float,
                  initial: SimState = None, sim: Simulator = None,
-                 M: int = 256, probe_index: int = None,
-                 noise_floor: float = 1e-9, settle_tol: float = 0.05):
+                 M: int = 256, noise_floor: float = 1e-9, settle_tol: float = 0.05):
     """Integrate, drop the leading 80 percent, estimate the period.
 
     Returns (period, tail_times, tail_probe, final_state). Raises
@@ -198,7 +168,7 @@ def run_to_orbit(spec: ProblemSpec, tau: float, T_end: float,
     """
     sim = sim or Simulator(spec, tau, M=M)
     state = initial if initial is not None else sim.initial_state()
-    probe = probe_index if probe_index is not None else (len(sim.x) * 2) // 3
+    probe = (len(sim.x) * 2) // 3
     n_steps = int(np.ceil(T_end / sim.dt))
     ts = np.empty(n_steps)
     ys = np.empty(n_steps)

@@ -244,3 +244,66 @@ def test_branch_error_exit_codes(tmp_path, monkeypatch, error, code):
     assert doc["error"] == str(error)
     assert doc["last_good_eps"] == getattr(error, "last_good", None)
     assert "certificate" in doc and "direction" in doc
+
+
+def test_certificate_wave_speed_not_evaluable(tmp_path):
+    # a = 1/x is not finite at x = 0: rejected while loading, exit 2
+    cfg = write_config(tmp_path, a="1/x")
+    assert run_cli("certificate", cfg) == 2
+
+
+def test_direction_b_not_differentiable_at_zero(tmp_path):
+    # u1*sqrt(u1^2) = u1*|u1| has no finite derivative formula at u = 0,
+    # so the linearization inside certify fails: an input error
+    cfg = write_config(tmp_path, b="-u2 - u3 - u1*sqrt(u1^2)",
+                       solver={"M": 64, "K_max": 5})
+    out = tmp_path / "dir.json"
+    assert run_cli("direction", cfg, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_direction_structure_check_not_evaluable(tmp_path):
+    # the certificate passes, but the cubic-structure check evaluates b
+    # where sqrt(1 + 5*u1) is undefined: a structure error, exit 4
+    cfg = write_config(tmp_path, b="-u2 - u3 + u1^2*u3*sqrt(1 + 5*u1)",
+                       solver={"M": 64, "K_max": 5})
+    out = tmp_path / "dir.json"
+    assert run_cli("direction", cfg, "--out", str(out)) == 4
+    doc = json.loads(out.read_text())
+    assert "not finite" in doc["direction_error"]
+    assert doc["flags"]["pass"] is True
+
+
+def test_simulate_blow_up_exit(tmp_path):
+    # the anti-damped cubic drives the solution past the float range
+    cfg = write_config(tmp_path, b="u1^3 + 3*u2 + u3",
+                       solver={"M": 64, "K_max": 5})
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", cfg, "--tau", "3.0", "--T", "100",
+                   "--out", str(out)) == 6
+    doc = json.loads(out.read_text())
+    assert doc["tau"] == 3.0 and doc["T_end"] == 100.0 and doc["seed"] == 0
+    assert "not finite" in doc["error"]
+
+
+def test_branch_pde_residual_error_exit(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise EvalDomainError("not finite")
+    monkeypatch.setattr(cli.periodic, "pde_residual_check", failing)
+    cfg = write_config(
+        tmp_path, solver={"M": 128, "M_solve": 32, "N": 6, "K_max": 4,
+                          "eps_grid": [0.02, 0.03, 0.04]})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == 5
+    doc = json.loads(out.read_text())
+    assert doc["error"] == "not finite"
+    assert "certificate" in doc
+
+
+def test_stdout_matches_out_file(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cert.json"
+    assert run_cli("certificate", cfg, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("certificate", cfg) == 0
+    assert capsys.readouterr().out == out.read_text()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hopfwave import eigen, periodic
-from hopfwave.errors import NoConvergence
-from hopfwave.model import ProblemSpec
+from hopfwave.errors import JacobianSingular, NoConvergence
+from hopfwave.model import ProblemSpec, linearize
 
 
 def test_newton_near_hopf_point(cert_up, ctx_up):
@@ -204,3 +204,34 @@ def test_jacobian_matches_central_differences():
         J_cd[:, j] = (r_plus - r_minus) / (2.0 * dz[j])
     assert np.max(np.abs(J - J_cd)) <= 1e-8 * np.max(np.abs(J))
     assert np.max(np.abs(J[:, -2:] - J_cd[:, -2:])) <= 1e-8 * np.max(np.abs(J))
+
+
+def test_resonance_detected_with_live_delay_column():
+    # u_tt = a^2 u_xx - u + u(t - tau) at tau = 2 pi: the delay cancels the
+    # restoring term on every integer harmonic, so +-i and +-3i are both
+    # eigenvalues. Unlike b = 0*u1, b_u2 = 1 keeps the tau column nonzero,
+    # so the singular Newton matrix can only come from the k = 3 resonance.
+    spec = ProblemSpec.from_expressions(a="2/pi", b="u2 - u1")
+    co = linearize(spec, 0.0, 128)
+    tau0 = 2 * np.pi
+    assert abs(eigen.shoot_evp(3j, tau0, co).D) < 1e-6
+    shot = eigen.shoot_evp(1j, tau0, co)
+    eig = eigen.Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
+    cert = eigen.HopfCertificate(
+        tau0=tau0, eigenpair=eig, adjoint=eigen.solve_adjoint(tau0, co),
+        sigma=1.0, sigma_raw=1.0, rho=0.0, fredholm=0.0, a2_scan=[],
+        flags={"pass": False}, coeffs=co)
+    ctx = periodic.operator_context(spec, 0.0, 32)
+    basis = periodic.mode_basis(cert, ctx)
+    guess = periodic.predictor(cert, 0.01, 4, ctx)
+    J, _ = periodic.jacobian(guess, ctx, basis)
+    assert np.max(np.abs(J[:, -1])) > 1e-3
+    # the numerical null space lives on harmonic 3 alone
+    _, s, vh = np.linalg.svd(J)
+    assert s[-1] < 1e-12 * s[0] and s[-2] < 1e-12 * s[0]
+    for vec in vh[-2:]:
+        energy = np.sum(np.abs(periodic.FourierField.unflatten(
+            vec[:-2], 4, 32).coef) ** 2, axis=(1, 2))
+        assert energy[3] > (1 - 1e-12) * np.sum(np.abs(vec) ** 2)
+    with pytest.raises(JacobianSingular):
+        periodic.newton_solve(guess, 0.01, ctx, basis)

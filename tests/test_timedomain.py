@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hopfwave import timedomain
+from hopfwave import cli, periodic, timedomain
 from hopfwave.errors import (CFLViolation, NegativeDelayUnsupported,
                              NoOscillationDetected)
 from hopfwave.model import ProblemSpec
@@ -112,3 +115,52 @@ def test_history_interpolation_accuracy(spec_cubic_down):
     state = sim.initial_state(history_fn=lambda t: np.full(65, np.cos(3 * t)))
     u_del = sim._delayed_displacement(state)
     assert np.max(np.abs(u_del - np.cos(3 * (-1.3)))) < 5e-4
+
+
+def test_delay_on_exact_multiple_of_dt_reads_stored_row(spec_cubic_down):
+    # 32 dt is exact in binary, so tau / dt = 32 with zero weight and the
+    # delayed displacement is the stored row itself, not a blend
+    dt = timedomain.Simulator(spec_cubic_down, tau=1.0, M=64).dt
+    sim = timedomain.Simulator(spec_cubic_down, tau=32 * dt, M=64)
+    assert (sim.lag, sim.w) == (32, 0.0)
+    x = sim.x
+    state = sim.initial_state(v1=0.01 * np.sin(np.pi * x / 2),
+                              history_fn=lambda t: np.cos(3 * t) + x)
+    assert np.array_equal(sim._delayed_displacement(state),
+                          np.cos(3 * -sim.tau) + x)
+    for _ in range(40):
+        stored = state.history[(state.head - 32) % sim.n_hist].copy()
+        assert np.array_equal(sim._delayed_displacement(state), stored)
+        state = sim.step(state)
+
+
+def test_head_row_is_displacement_of_fields(spec_cubic_down):
+    # step reads u(t) from the head row instead of integrating again
+    sim = timedomain.Simulator(spec_cubic_down, tau=1.3, M=64)
+    kick = 0.01 * np.sin(np.pi * sim.x / 2)
+    state = sim.initial_state(v1=kick, v2=0.5 * kick,
+                              history_fn=lambda t: np.zeros(65))
+    for _ in range(100):
+        assert np.array_equal(
+            state.history[state.head],
+            periodic.displacement(state.v1, state.v2, sim.a, sim.h))
+        state = sim.step(state)
+
+
+def test_step_refuses_foreign_dt(spec_cubic_down):
+    # the ring offsets are fixed by the simulator's dt
+    sim = timedomain.Simulator(spec_cubic_down, tau=1.0, M=64)
+    state = sim.initial_state()
+    state.dt = 0.5 * sim.dt
+    with pytest.raises(ValueError):
+        sim.step(state)
+
+
+def test_benchmark_period_pinned(tmp_path):
+    # value of the stepper before the delay lookup moved to fixed offsets
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_super.json"
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", str(config), "--tau", "1.6", "--T", "200",
+                     "--out", str(out)]) == 0
+    period = json.loads(out.read_text())["period_estimate"]
+    assert period == pytest.approx(6.330693643560994, rel=1e-9)
