@@ -18,11 +18,12 @@ command is deterministic given the file and the seed, which is recorded
 in the output.
 
 Exit codes: 0 ok, 2 input error (including a or b not evaluable or not
-differentiable at the trivial state), 3 certification failure (for
-branch also a singular Newton matrix), 4 structure error (including b
-not evaluable for the cubic-structure check), 5 continuation failure
-(including the PDE residual check), 6 simulation error (including a
-solution that leaves the domain of b).
+differentiable at the trivial state, in every command), 3 certification
+failure (for branch also a missing critical mode or a singular Newton
+matrix), 4 structure error (including b not evaluable for the
+cubic-structure check), 5 continuation failure (including the PDE
+residual check), 6 simulation error (including a solution that leaves
+the domain of b).
 """
 from __future__ import annotations
 
@@ -257,14 +258,13 @@ def cmd_direction(args):
 def cmd_branch(args):
     spec, settings = load_problem(args.file)
     cert = _certify(spec, settings, args.seed)
+    summary = {"seed": args.seed, "certificate": certificate_document(cert)}
     if cert.eigenpair is None or cert.adjoint is None:
-        print("error: no certified critical mode; cannot continue a branch",
-              file=sys.stderr)
-        return EXIT_CERTIFICATION
+        summary["error"] = "no certified critical mode; cannot continue a branch"
+        return _fail(args, summary, summary["error"], EXIT_CERTIFICATION)
     ctx = periodic.operator_context(spec, spec.lam, settings.M_solve)
     opts = periodic.SolverOptions(tol_orbit=settings.tol_orbit,
                                   max_iter=settings.max_iter)
-    summary = {"seed": args.seed, "certificate": certificate_document(cert)}
     try:
         cubic = direction_mod.check_structure(spec, cert.coeffs.x)
         dres = direction_mod.compute_direction(cert, cubic)
@@ -316,6 +316,7 @@ def cmd_simulate(args):
         print("error: simulate needs --tau", file=sys.stderr)
         return EXIT_INPUT
     T_end = args.T if args.T is not None else 200.0
+    sim = None
     try:
         sim = timedomain.Simulator(spec, args.tau, M=settings.M)
         # deterministic small kick along the half-sine profile; the
@@ -325,6 +326,9 @@ def cmd_simulate(args):
         period, ts, ys, _ = timedomain.run_to_orbit(
             spec, args.tau, T_end, initial=state, sim=sim)
     except HopfwaveError as err:
+        if sim is None and isinstance(err, EvalDomainError):
+            # b cannot be linearized at u = 0: an input error, as in _certify
+            raise ConfigError(f"cannot linearize at u = 0: {err}") from err
         doc = {"tau": args.tau, "T_end": T_end, "seed": args.seed,
                "error": str(err)}
         return _fail(args, doc, err, EXIT_SIMULATION)

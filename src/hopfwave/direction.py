@@ -134,17 +134,17 @@ def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: CubicCoeffs,
     in the tests.
     """
     x, h = coeffs.x, coeffs.h
-    a0n, b30n = coeffs.nodes("a0"), coeffs.nodes("b30")
-    b40n, b50n, b60n = coeffs.nodes("b40"), coeffs.nodes("b50"), coeffs.nodes("b60")
-    if (np.max(np.abs(coeffs.nodes("a0x"))) > 1e-12
-            or np.max(np.abs(b30n)) > 1e-12 or np.max(np.abs(b60n)) > 1e-12
-            or np.max(np.abs(b40n - b50n)) > 1e-12):
+    b3n, b4n = coeffs.nodes("b3"), coeffs.nodes("b4")
+    b5n, b6n = coeffs.nodes("b5"), coeffs.nodes("b6")
+    if (np.max(np.abs(coeffs.nodes("ax"))) > 1e-12
+            or np.max(np.abs(b3n)) > 1e-12 or np.max(np.abs(b6n)) > 1e-12
+            or np.max(np.abs(b4n - b5n)) > 1e-12):
         raise NotSeparable("closed form needs constant a, b3 = b6 = 0, b4 = b5")
     if np.max(np.abs(cubic.beta4)) > 1e-12:
         raise NotSeparable("closed form needs beta4 = 0")
     s2 = np.sin(np.pi * x / 2.0) ** 2
     s4 = s2 * s2
-    c = b40n
+    c = b4n
     S = integral(c * s2, h)
     W = integral((2.0 - np.pi / 2.0 * c) * s2, h)
     P1 = integral(cubic.beta1 * s4, h)

@@ -11,8 +11,9 @@ is automatic in this scalar formulation (the IVP solution space is
 one-dimensional), so the first certificate condition reduces to
 |D(i, tau0)| below tolerance.
 
-All eigen-side quantities are evaluated at lambda = 0, i.e. on the
-suffix-0 arrays of LinearizedCoeffs.
+Every function here reads the coefficient table it is given; callers
+pass one linearized at lambda = 0, the parameter value of the Hopf
+point, and certify does so.
 """
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ TOL_SIGMA = 1e-10
 TOL_FREDHOLM = 1e-6
 TOL_ADJOINT = 1e-6
 TOL_RICHARDSON = 1e-8
+TAU_MAX_ITER = 100      # Gauss-Newton iterations per start in find_tau0
+TAU_RESTARTS = 8        # seeded random restarts after the given start
 
 
 @dataclass(frozen=True)
@@ -104,20 +107,19 @@ def _rk4_second_order(rhs_coeff, M):
 
 def shoot_evp(mu, tau, coeffs: LinearizedCoeffs) -> ShootResult:
     """Shooting mismatch D(mu, tau) = u'(1) for the eigenvalue ODE."""
-    a2 = coeffs.a0 * coeffs.a0
+    a2 = coeffs.a * coeffs.a
     ed = cmath.exp(-mu * tau)
-    q = mu * mu - coeffs.b50 * mu - coeffs.b40 * ed - coeffs.b30
+    q = mu * mu - coeffs.b5 * mu - coeffs.b4 * ed - coeffs.b3
 
     def rhs(idx, u, up):
-        return (q[idx] * u - coeffs.b60[idx] * up) / a2[idx]
+        return (q[idx] * u - coeffs.b6[idx] * up) / a2[idx]
 
     u, up = _rk4_second_order(rhs, coeffs.M)
     return ShootResult(D=complex(up[-1]), u=u, u_prime=up)
 
 
-def find_tau0(tau_guess, coeffs, mu_target=1j, tol=TOL_EIG,
-              max_iter=100, restarts=8, seed=0):
-    """Locate tau0 with D(mu_target, tau0) = 0 by damped Gauss-Newton.
+def find_tau0(tau_guess, coeffs, tol=TOL_EIG, seed=0):
+    """Locate tau0 with D(i, tau0) = 0 by damped Gauss-Newton.
 
     Minimizes |D|^2 as a least-squares problem in the single real unknown
     tau (two real equations, one unknown). Deterministic given the seed:
@@ -125,17 +127,17 @@ def find_tau0(tau_guess, coeffs, mu_target=1j, tol=TOL_EIG,
     [tau_guess - pi, tau_guess + pi].
     """
     rng = np.random.default_rng(seed)
-    starts = [float(tau_guess)] + list(tau_guess + rng.uniform(-np.pi, np.pi, restarts))
+    starts = [float(tau_guess)] + list(tau_guess + rng.uniform(-np.pi, np.pi, TAU_RESTARTS))
     best_tau, best_absD, best_stationary = None, np.inf, False
     for start in starts:
         tau = start
-        D = shoot_evp(mu_target, tau, coeffs).D
-        for _ in range(max_iter):
+        D = shoot_evp(1j, tau, coeffs).D
+        for _ in range(TAU_MAX_ITER):
             if abs(D) < tol:
                 return float(tau)
             dh = 1e-7 * (1.0 + abs(tau))
-            Dp = (shoot_evp(mu_target, tau + dh, coeffs).D
-                  - shoot_evp(mu_target, tau - dh, coeffs).D) / (2 * dh)
+            Dp = (shoot_evp(1j, tau + dh, coeffs).D
+                  - shoot_evp(1j, tau - dh, coeffs).D) / (2 * dh)
             grad = (Dp.conjugate() * D).real  # half-gradient of |D|^2
             if abs(Dp) ** 2 < 1e-30 or abs(grad) < 1e-14 * (1 + abs(D)) ** 2:
                 # stationary: cannot descend further from here
@@ -145,7 +147,7 @@ def find_tau0(tau_guess, coeffs, mu_target=1j, tol=TOL_EIG,
             step = -grad / abs(Dp) ** 2
             t = 1.0
             for _ in range(30):
-                D_new = shoot_evp(mu_target, tau + t * step, coeffs).D
+                D_new = shoot_evp(1j, tau + t * step, coeffs).D
                 if abs(D_new) < abs(D):
                     break
                 t *= 0.5
@@ -192,28 +194,28 @@ def solve_adjoint(tau0, coeffs: LinearizedCoeffs) -> AdjointPair:
     row a(1)^2 u'(1) + (2 a(1) a'(1) - b6(1)) u(1) = 0 must then hold
     automatically; a large residual signals a bad tau0 or grid.
     """
-    a, apx, apxx = coeffs.a0, coeffs.a0x, coeffs.a0xx
+    a, apx, apxx = coeffs.a, coeffs.ax, coeffs.axx
     a2 = a * a
     ed = cmath.exp(1j * tau0)
-    kappa = -1.0 + 1j * coeffs.b50 - coeffs.b40 * ed - coeffs.b30
-    c_up = 4.0 * a * apx - coeffs.b60
-    c_u = 2.0 * apx * apx + 2.0 * a * apxx - coeffs.b60x - kappa
+    kappa = -1.0 + 1j * coeffs.b5 - coeffs.b4 * ed - coeffs.b3
+    c_up = 4.0 * a * apx - coeffs.b6
+    c_u = 2.0 * apx * apx + 2.0 * a * apxx - coeffs.b6x - kappa
 
     def rhs(idx, u, up):
         return -(c_up[idx] * up + c_u[idx] * u) / a2[idx]
 
     u, up = _rk4_second_order(rhs, coeffs.M)
     scale = max(1.0, float(np.max(np.abs(u))))
-    a1, ax1, b61 = a[-1], apx[-1], coeffs.b60[-1]
+    a1, ax1, b61 = a[-1], apx[-1], coeffs.b6[-1]
     robin = a1 * a1 * up[-1] + (2.0 * a1 * ax1 - b61) * u[-1]
     if abs(robin) > TOL_ADJOINT * scale:
         raise AdjointInconsistent(
             f"adjoint Robin residual {abs(robin):.3e} too large; "
             "tau0 or the grid resolution is off")
 
-    an, axn, b6n, b3n, b4n = (coeffs.nodes("a0"), coeffs.nodes("a0x"),
-                              coeffs.nodes("b60"), coeffs.nodes("b30"),
-                              coeffs.nodes("b40"))
+    an, axn, b6n, b3n, b4n = (coeffs.nodes("a"), coeffs.nodes("ax"),
+                              coeffs.nodes("b6"), coeffs.nodes("b3"),
+                              coeffs.nodes("b4"))
     h = coeffs.h
     integrand = (b3n + b4n * ed) * u
     cum = cumulative_integral(integrand, h)
@@ -224,7 +226,7 @@ def solve_adjoint(tau0, coeffs: LinearizedCoeffs) -> AdjointPair:
 
 def _sigma_rho_values(eig, adj, coeffs):
     h = coeffs.h
-    b4n, b5n = coeffs.nodes("b40"), coeffs.nodes("b50")
+    b4n, b5n = coeffs.nodes("b4"), coeffs.nodes("b5")
     tau0 = eig.tau
     ed = cmath.exp(-1j * tau0)
     w = eig.u0 * np.conj(adj.u_star)
@@ -236,8 +238,7 @@ def _sigma_rho_values(eig, adj, coeffs):
     return sigma, rho
 
 
-def compute_sigma_rho(eig: Eigenpair, adj: AdjointPair, coeffs: LinearizedCoeffs,
-                      tol_sigma=TOL_SIGMA, tol_rho=TOL_RHO):
+def compute_sigma_rho(eig: Eigenpair, adj: AdjointPair, coeffs: LinearizedCoeffs):
     """Transversality pairing sigma and crossing speed rho.
 
     sigma = int (2i - b5 + tau0 e^{-i tau0} b4) u0 conj(u*) dx
@@ -247,10 +248,10 @@ def compute_sigma_rho(eig: Eigenpair, adj: AdjointPair, coeffs: LinearizedCoeffs
     invariant under rescaling of either eigenfunction.
     """
     sigma, rho = _sigma_rho_values(eig, adj, coeffs)
-    if abs(sigma) < tol_sigma:
-        raise SigmaZero(f"|sigma| = {abs(sigma):.3e} below {tol_sigma:.1e}")
-    if abs(rho) < tol_rho:
-        raise RhoZero(f"|rho| = {abs(rho):.3e} below {tol_rho:.1e}")
+    if abs(sigma) < TOL_SIGMA:
+        raise SigmaZero(f"|sigma| = {abs(sigma):.3e} below {TOL_SIGMA:.1e}")
+    if abs(rho) < TOL_RHO:
+        raise RhoZero(f"|rho| = {abs(rho):.3e} below {TOL_RHO:.1e}")
     return sigma, rho
 
 
@@ -268,7 +269,7 @@ def normalize(eig: Eigenpair, adj: AdjointPair, sigma):
 
 def certify(spec, tau_guess, M=256, K_max=50, seed=0,
             tol_eig=TOL_EIG, tol_resonance=TOL_RESONANCE,
-            tol_rho=TOL_RHO, tol_fred=TOL_FREDHOLM) -> HopfCertificate:
+            tol_rho=TOL_RHO) -> HopfCertificate:
     """Run the full certification pipeline at lambda = 0.
 
     Failures of individual conditions are recorded in flags rather than
@@ -280,7 +281,7 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0,
     coeffs = linearize(spec, 0.0, M)
     fred = fredholm_integral(coeffs)
     flags = {"a1": False, "a2": False, "a3_sigma": False, "a3_rho": False,
-             "fredholm": abs(fred) > tol_fred, "adjoint": False}
+             "fredholm": abs(fred) > TOL_FREDHOLM, "adjoint": False}
     tau0 = float("nan")
     eig = adj = None
     sigma_raw = sigma = complex("nan")

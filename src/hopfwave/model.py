@@ -2,8 +2,8 @@
 
 Holds the wave-equation data (a, b) and produces everything the rest of
 the toolkit consumes: the linearization coefficients b_3..b_6 at a given
-parameter value and at 0, the characteristic combinations b_1, b_2, the
-transport kernels c_1, c_2, A, and the Fredholm integral.
+parameter value, the characteristic combinations b_1, b_2, the transport
+kernels c_1, c_2, A, and the Fredholm integral.
 
 Conventions (x from 0 to 1, uniform grid):
     b_j(x, lam) = d b / d u_{j-2} at (x, lam, 0, 0, 0, 0), j = 3..6
@@ -47,12 +47,10 @@ class ProblemSpec:
 
     a: exprlang.Expr
     b: exprlang.Expr
-    betas: tuple | None = None
     lam: float = 0.0
-    delay_sign_allowed: bool = True
 
     @classmethod
-    def from_expressions(cls, a, b=None, betas=None, lam=0.0, delay_sign_allowed=True):
+    def from_expressions(cls, a, b=None, betas=None, lam=0.0):
         if isinstance(a, str):
             a = exprlang.parse(a)
         if betas is not None:
@@ -74,8 +72,7 @@ class ProblemSpec:
             raise SpecInvalid("problem needs b or beta")
         elif isinstance(b, str):
             b = exprlang.parse(b)
-        spec = cls(a=a, b=b, betas=betas, lam=float(lam),
-                   delay_sign_allowed=bool(delay_sign_allowed))
+        spec = cls(a=a, b=b, lam=float(lam))
         spec.validate()
         return spec
 
@@ -101,8 +98,8 @@ class LinearizedCoeffs:
 
     Arrays live on the refined grid xx (nodes plus midpoints, 2M+1 points)
     so the fixed-step RK4 shooting can evaluate at half steps; the public
-    node views slice every other point. Fields with suffix 0 are at
-    lambda = 0; the rest at the stored lam.
+    node views slice every other point. Every field is sampled at the
+    stored lam.
     """
 
     lam: float
@@ -118,16 +115,6 @@ class LinearizedCoeffs:
     b6x: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    a0: np.ndarray
-    a0x: np.ndarray
-    a0xx: np.ndarray
-    b30: np.ndarray
-    b40: np.ndarray
-    b50: np.ndarray
-    b60: np.ndarray
-    b60x: np.ndarray
-    b10: np.ndarray
-    b20: np.ndarray
 
     @property
     def x(self):
@@ -152,30 +139,17 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
     if M < 16:
         raise ValueError("M must be at least 16")
     xx = np.linspace(0.0, 1.0, 2 * M + 1)
+    env = _sampled_env(xx, lam)
 
-    def fields(at_lam):
-        env = _sampled_env(xx, at_lam)
-        a = np.broadcast_to(spec.a.eval(env), xx.shape).astype(float)
-        ax = np.broadcast_to(spec.a.diff("x").eval(env), xx.shape).astype(float)
-        axx = np.broadcast_to(spec.a.diff("x", 2).eval(env), xx.shape).astype(float)
-        bj = [np.broadcast_to(spec.b.diff(u).eval(env), xx.shape).astype(float)
-              for u in _UVARS]
-        b6x = np.broadcast_to(
-            spec.b.diff("u4").diff("x").eval(env), xx.shape).astype(float)
-        b1 = 0.5 * (-ax + bj[2] + bj[3] / a)
-        b2 = 0.5 * (ax + bj[2] - bj[3] / a)
-        return a, ax, axx, bj, b6x, b1, b2
+    def sample(expr):
+        return np.broadcast_to(expr.eval(env), xx.shape).astype(float)
 
-    a, ax, axx, bj, b6x, b1, b2 = fields(lam)
-    a0, a0x, a0xx, bj0, b60x, b10, b20 = fields(0.0)
+    a, ax, axx = sample(spec.a), sample(spec.a.diff("x")), sample(spec.a.diff("x", 2))
+    b3, b4, b5, b6 = (sample(spec.b.diff(u)) for u in _UVARS)
     return LinearizedCoeffs(
-        lam=float(lam), M=M, xx=xx,
-        a=a, ax=ax, axx=axx,
-        b3=bj[0], b4=bj[1], b5=bj[2], b6=bj[3], b6x=b6x, b1=b1, b2=b2,
-        a0=a0, a0x=a0x, a0xx=a0xx,
-        b30=bj0[0], b40=bj0[1], b50=bj0[2], b60=bj0[3], b60x=b60x,
-        b10=b10, b20=b20,
-    )
+        lam=float(lam), M=M, xx=xx, a=a, ax=ax, axx=axx,
+        b3=b3, b4=b4, b5=b5, b6=b6, b6x=sample(spec.b.diff("u4").diff("x")),
+        b1=0.5 * (-ax + b5 + b6 / a), b2=0.5 * (ax + b5 - b6 / a))
 
 
 @dataclass(frozen=True)
@@ -232,6 +206,6 @@ def kernels(coeffs: LinearizedCoeffs) -> CharKernels:
 
 
 def fredholm_integral(coeffs: LinearizedCoeffs) -> float:
-    """integral of b5^0 / a_0 over [0, 1]; nonzero keeps small divisors away."""
+    """integral of b5 / a over [0, 1]; nonzero keeps small divisors away."""
     hh = coeffs.xx[1] - coeffs.xx[0]
-    return float(integral(coeffs.b50 / coeffs.a0, hh))
+    return float(integral(coeffs.b5 / coeffs.a, hh))

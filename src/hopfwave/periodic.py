@@ -355,8 +355,8 @@ def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
     stride = Mc // Ms
     u0 = cert.eigenpair.u0[::stride]
     u0p = cert.eigenpair.u0_prime[::stride]
-    a0 = cert.coeffs.nodes("a0")[::stride]
-    v0 = np.stack([1j * u0 + a0 * u0p, 1j * u0 - a0 * u0p])
+    a = cert.coeffs.nodes("a")[::stride]
+    v0 = np.stack([1j * u0 + a * u0p, 1j * u0 - a * u0p])
     nrm = 0.5 * float(integral(np.sum(np.abs(v0) ** 2, axis=0), ctx.h))
     return ModeBasis(v0=v0, nrm=nrm, tau0=cert.tau0)
 
@@ -437,11 +437,16 @@ def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
     return J, float(np.max(col_norms))
 
 
-def _factor_checked(J, anorm, rank_rcond):
+NEWTON_TARGET = 1e-11   # residual at which Newton stops iterating
+MAX_JACOBIANS = 4       # Jacobian builds per Newton solve
+RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of J
+
+
+def _factor_checked(J, anorm):
     """LU factors of J (overwritten), refused when J is numerically singular.
 
     The reciprocal 1-norm condition number is estimated by LAPACK gecon
-    from the factors; a zero pivot or an estimate below rank_rcond raises
+    from the factors; a zero pivot or an estimate below RANK_RCOND raises
     JacobianSingular.
     """
     with warnings.catch_warnings():
@@ -453,20 +458,17 @@ def _factor_checked(J, anorm, rank_rcond):
             "Newton matrix has a zero pivot; resonant mode or failed certificate")
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm, norm="1")
-    if not rcond >= rank_rcond:
+    if not rcond >= RANK_RCOND:
         raise JacobianSingular(
             f"Newton matrix reciprocal condition {rcond:.2e} below "
-            f"{rank_rcond:.0e}; resonant mode or failed certificate")
+            f"{RANK_RCOND:.0e}; resonant mode or failed certificate")
     return lu, piv
 
 
 @dataclass
 class SolverOptions:
     tol_orbit: float = 1e-9
-    newton_target: float = 1e-11
     max_iter: int = 30
-    max_jacobians: int = 4
-    rank_rcond: float = 1e-12
 
 
 def _pack(orbit):
@@ -514,17 +516,17 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
         # the condition check doubles as the local-uniqueness certificate,
         # so the first Jacobian is built even if the guess already meets
         # the tolerance
-        if rn <= opts.newton_target and n_jac > 0:
+        if rn <= NEWTON_TARGET and n_jac > 0:
             break
         if lu is None:
-            if n_jac >= opts.max_jacobians:
-                limit = f"Jacobian limit {opts.max_jacobians}"
+            if n_jac >= MAX_JACOBIANS:
+                limit = f"Jacobian limit {MAX_JACOBIANS}"
                 break
             J, anorm = jacobian(orbit_at(z), ctx, basis)
             n_jac += 1
-            lu = _factor_checked(J, anorm, opts.rank_rcond)
+            lu = _factor_checked(J, anorm)
             del J   # lu owns the buffer now; a rebuild must be able to free it
-        if rn <= opts.newton_target:
+        if rn <= NEWTON_TARGET:
             break
         n_iter += 1
         step = scipy.linalg.lu_solve(lu, -r)

@@ -71,6 +71,21 @@ def test_certificate_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_certificate_reads_lambda_zero_table(tmp_path):
+    # certification linearizes at lambda = 0 whatever the file's lambda,
+    # so a lambda-dependent problem certifies identically at 0.01 and 0
+    a, b = "2/pi*(1 + lambda*x)", "-u1^3/6 - u2 - u3 + lambda*sin(3*x)*u1"
+    solver = {"M": 64, "K_max": 5}
+    docs = []
+    for lam in (0.01, 0.0):
+        cfg = write_config(tmp_path, name=f"lam{lam}.json", a=a, b=b,
+                           solver=solver, **{"lambda": lam})
+        out = tmp_path / f"cert{lam}.json"
+        assert run_cli("certificate", cfg, "--out", str(out)) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+
+
 def test_direction_command_and_roundtrip(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "dir.json"
@@ -286,6 +301,17 @@ def test_simulate_blow_up_exit(tmp_path):
     assert "not finite" in doc["error"]
 
 
+def test_simulate_b_not_differentiable_at_zero(tmp_path):
+    # the stepper linearizes b at u = 0 before any step: an input error,
+    # as for the other commands
+    cfg = write_config(tmp_path, b="-u2 - u3 - u1*sqrt(u1^2)",
+                       solver={"M": 64, "K_max": 5})
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", cfg, "--tau", "1.6", "--T", "20",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_branch_pde_residual_error_exit(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise EvalDomainError("not finite")
@@ -298,6 +324,19 @@ def test_branch_pde_residual_error_exit(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["error"] == "not finite"
     assert "certificate" in doc
+
+
+def test_branch_without_critical_mode_writes_summary(tmp_path):
+    # no pure-imaginary eigenvalue: nothing to continue, but the summary
+    # with the failed certificate is still written
+    cfg = write_config(tmp_path, b="-u2", solver={"M": 64, "K_max": 5})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == 3
+    doc = json.loads(out.read_text())
+    assert doc["seed"] == 0
+    assert "no certified critical mode" in doc["error"]
+    assert doc["certificate"]["flags"]["a1"] is False
+    assert doc["certificate"]["flags"]["pass"] is False
 
 
 def test_stdout_matches_out_file(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_adjoint_benchmark(co_up):
     x = co_up.x
     target = (2 / np.pi) * np.sin(np.pi * x / 2)
     assert np.max(np.abs(adj.u_star - target)) < 1e-9
-    a1 = co_up.a0[-1]
+    a1 = co_up.a[-1]
     robin = a1 * a1 * adj.u_star_prime[-1]
     assert abs(robin) < 1e-7
     # transported adjoint: closed form for this configuration
@@ -142,7 +142,7 @@ def test_adjoint_tail_free_case():
     spec = ProblemSpec.from_expressions(a="2/pi", b="0*u1")
     co = linearize(spec, 0.0, 256)
     adj = eigen.solve_adjoint(0.9, co)
-    an, axn, b6n = co.nodes("a0"), co.nodes("a0x"), co.nodes("b60")
+    an, axn, b6n = co.nodes("a"), co.nodes("ax"), co.nodes("b6")
     direct = (b6n / an - 2 * axn) * adj.u_star - an * adj.u_star_prime
     assert np.max(np.abs(adj.U_star - direct)) < 1e-12
 

@@ -15,10 +15,10 @@ SMOOTH_SPECS = [
 
 def test_benchmark_linearization(spec_cubic_up):
     co = linearize(spec_cubic_up, 0.0, 64)
-    assert np.allclose(co.b30, 0.0)
-    assert np.allclose(co.b40, 1.0)
-    assert np.allclose(co.b50, 1.0)
-    assert np.allclose(co.b60, 0.0)
+    assert np.allclose(co.b3, 0.0)
+    assert np.allclose(co.b4, 1.0)
+    assert np.allclose(co.b5, 1.0)
+    assert np.allclose(co.b6, 0.0)
     # a = 2/pi, b5 = 1, b6 = 0 -> b1 = b2 = 1/2
     assert np.allclose(co.b1, 0.5)
     assert np.allclose(co.b2, 0.5)
@@ -96,9 +96,9 @@ def test_beta_form_builds_joint_b():
     spec = ProblemSpec.from_expressions(
         a="2/pi", betas=["-u1^3/6", "-u2", "-u3", "0*u4"])
     co = linearize(spec, 0.0, 32)
-    assert np.allclose(co.b40, -1.0)
-    assert np.allclose(co.b50, -1.0)
-    assert np.allclose(co.b30, 0.0)
+    assert np.allclose(co.b4, -1.0)
+    assert np.allclose(co.b5, -1.0)
+    assert np.allclose(co.b3, 0.0)
 
 
 def test_m_floor():
