@@ -8,14 +8,17 @@ Problem files are single JSON documents:
       "lambda": 0.0,                     // optional, default 0
       "tau_guess": 1.4,
       "solver": { "N": 8, "M": 256, "M_solve": 64, "K_max": 50,
-                  "eps_grid": [...], "tol_eig": 1e-8, "tol_resonance": 1e-6,
-                  "tol_rho": 1e-8, "tol_orbit": 1e-9, "max_iter": 30 }
+                  "eps_grid": [...], "max_iter": 30 }
     }
 
-Unknown keys are rejected. Outputs are UTF-8 JSON (complex numbers as
-[re, im] pairs) and CSV with a header row and LF line endings. Every
-command is deterministic given the file and the seed, which is recorded
-in the output.
+Unknown keys are rejected, and so are values of the wrong type: a, b and
+the beta entries are strings; lambda, tau_guess and the eps_grid entries
+real numbers; N >= 1, M >= 16, M_solve >= 16 (a divisor of M), K_max >= 2
+and max_iter >= 1 integers. The certification and orbit tolerances are
+fixed (eigen.TOL_*, periodic.TOL_ORBIT). Outputs are UTF-8 JSON (complex
+numbers as [re, im] pairs) and CSV with a header row and LF line endings.
+Every command is deterministic given the file and the seed, which is
+recorded in the output.
 
 Exit codes: 0 ok, 2 input error (including a or b not evaluable or not
 differentiable at the trivial state, in every command), 3 certification
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from types import SimpleNamespace
 
@@ -50,15 +54,52 @@ EXIT_SIMULATION = 6
 
 _SOLVER_DEFAULTS = {
     "N": 8, "M": 256, "M_solve": 64, "K_max": 50,
-    "eps_grid": [0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.05],
-    "tol_eig": eigen.TOL_EIG, "tol_resonance": eigen.TOL_RESONANCE,
-    "tol_rho": eigen.TOL_RHO, "tol_orbit": 1e-9, "max_iter": 30,
+    "eps_grid": [0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.05], "max_iter": 30,
 }
+_SOLVER_INT_MIN = {"N": 1, "M": 16, "M_solve": 16, "K_max": 2, "max_iter": 1}
 _TOP_KEYS = {"a", "b", "beta", "lambda", "tau_guess", "solver"}
 
 
 class ConfigError(SpecInvalid):
     pass
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_types(path, doc, solver):
+    """Raise ConfigError on the first value of the wrong type or range."""
+    strings = [("a", doc["a"])]
+    if doc.get("b") is not None:
+        strings.append(("b", doc["b"]))
+    if doc.get("beta") is not None:
+        if not isinstance(doc["beta"], list):
+            raise ConfigError(f"{path}: 'beta' must be a list of strings")
+        strings += [("beta", e) for e in doc["beta"]]
+    for key, value in strings:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: '{key}' must be a string")
+    for key in ("tau_guess", "lambda"):
+        if key in doc and not _is_real(doc[key]):
+            raise ConfigError(f"{path}: '{key}' must be a real number")
+    for key, low in _SOLVER_INT_MIN.items():
+        if not (_is_int(solver[key]) and solver[key] >= low):
+            raise ConfigError(f"{path}: solver '{key}' must be an integer >= {low}")
+    if solver["M"] % solver["M_solve"]:
+        raise ConfigError(f"{path}: solver 'M_solve' must divide 'M'")
+    eps = solver["eps_grid"]
+    if (not isinstance(eps, list) or len(eps) < 3
+            or not all(_is_real(e) for e in eps)
+            or any(e <= 0 for e in eps)
+            or any(b <= a for a, b in zip(eps, eps[1:]))):
+        raise ConfigError(
+            f"{path}: eps_grid must be at least 3 increasing positive values")
 
 
 def load_problem(path):
@@ -83,12 +124,7 @@ def load_problem(path):
     if unknown:
         raise ConfigError(f"{path}: unknown solver keys {sorted(unknown)}")
     solver.update(extra)
-    eps = solver["eps_grid"]
-    if (not isinstance(eps, list) or len(eps) < 3
-            or any(e <= 0 for e in eps)
-            or any(b <= a for a, b in zip(eps, eps[1:]))):
-        raise ConfigError(
-            f"{path}: eps_grid must be at least 3 increasing positive values")
+    _check_types(path, doc, solver)
     try:
         spec = ProblemSpec.from_expressions(
             a=doc["a"], b=doc.get("b"), betas=doc.get("beta"),
@@ -223,10 +259,7 @@ def _certify(spec, settings, seed):
     linearized at the trivial state is an input error."""
     try:
         return eigen.certify(spec, settings.tau_guess, M=settings.M,
-                             K_max=settings.K_max, seed=seed,
-                             tol_eig=settings.tol_eig,
-                             tol_resonance=settings.tol_resonance,
-                             tol_rho=settings.tol_rho)
+                             K_max=settings.K_max, seed=seed)
     except EvalDomainError as err:
         raise ConfigError(f"cannot linearize at u = 0: {err}") from err
 
@@ -263,8 +296,7 @@ def cmd_branch(args):
         summary["error"] = "no certified critical mode; cannot continue a branch"
         return _fail(args, summary, summary["error"], EXIT_CERTIFICATION)
     ctx = periodic.operator_context(spec, spec.lam, settings.M_solve)
-    opts = periodic.SolverOptions(tol_orbit=settings.tol_orbit,
-                                  max_iter=settings.max_iter)
+    opts = periodic.SolverOptions(max_iter=settings.max_iter)
     try:
         cubic = direction_mod.check_structure(spec, cert.coeffs.x)
         dres = direction_mod.compute_direction(cert, cubic)

@@ -6,7 +6,9 @@ The delayed eigenvalue problem
 
 is solved by complex shooting: integrate the initial value problem with
 u(0) = 0, u'(0) = 1 by fixed-step RK4 and read off the mismatch
-D(mu, tau) := u'(1). Eigenvalues are the roots of D. Geometric simplicity
+D(mu, tau) := u'(1). The eigenvalue ODE and its adjoint are both linear,
+u'' = P u + Q u', and share one kernel (_shoot) that marches RK4 step
+matrices. Eigenvalues are the roots of D. Geometric simplicity
 is automatic in this scalar formulation (the IVP solution space is
 one-dimensional), so the first certificate condition reduces to
 |D(i, tau0)| below tolerance.
@@ -82,43 +84,73 @@ class HopfCertificate:
         return bool(self.flags.get("pass", False))
 
 
-def _rk4_second_order(rhs_coeff, M):
-    """Integrate u'' = rhs_coeff(idx) applied to (u, u') over M steps.
+def _shoot(P, Q, M):
+    """Integrate the linear ODE u'' = P u + Q u' over [0, 1] by M RK4 steps
+    from u(0) = 0, u'(0) = 1; return the node arrays u, u'.
 
-    rhs_coeff(idx, u, up) returns u'' using refined-grid index idx
-    (nodes at even indices, midpoints at odd). Returns node arrays.
+    P and Q are sampled on the refined grid (nodes at even indices,
+    midpoints at odd). The ODE is linear, so each RK4 step is one 2x2
+    matrix T_j, built from A = [[0, 1], [P, Q]] at the step's start,
+    midpoint and end; the march is y_{j+1} = T_j y_j.
     """
     h = 1.0 / M
-    u = np.empty(M + 1, dtype=complex)
-    up = np.empty(M + 1, dtype=complex)
-    y1, y2 = 0.0 + 0.0j, 1.0 + 0.0j
-    u[0], up[0] = y1, y2
-    for j in range(M):
-        i0, i1, i2 = 2 * j, 2 * j + 1, 2 * j + 2
-        k1a, k1b = y2, rhs_coeff(i0, y1, y2)
-        k2a, k2b = y2 + 0.5 * h * k1b, rhs_coeff(i1, y1 + 0.5 * h * k1a, y2 + 0.5 * h * k1b)
-        k3a, k3b = y2 + 0.5 * h * k2b, rhs_coeff(i1, y1 + 0.5 * h * k2a, y2 + 0.5 * h * k2b)
-        k4a, k4b = y2 + h * k3b, rhs_coeff(i2, y1 + h * k3a, y2 + h * k3b)
-        y1 = y1 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        y2 = y2 + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        u[j + 1], up[j + 1] = y1, y2
+    A = np.zeros((2 * M + 1, 2, 2), dtype=complex)
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = P
+    A[:, 1, 1] = Q
+    A0, Ah, A1 = A[:-1:2], A[1::2], A[2::2]
+    eye = np.eye(2)
+    K1 = A0
+    K2 = Ah @ (eye + 0.5 * h * K1)
+    K3 = Ah @ (eye + 0.5 * h * K2)
+    K4 = A1 @ (eye + h * K3)
+    T = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    y = [(0j, 1 + 0j)]
+    for (t00, t01), (t10, t11) in T.tolist():   # Python scalars are cheaper here
+        u, up = y[-1]
+        y.append((t00 * u + t01 * up, t10 * u + t11 * up))
+    u, up = np.array(y).T
     return u, up
 
 
 def shoot_evp(mu, tau, coeffs: LinearizedCoeffs) -> ShootResult:
     """Shooting mismatch D(mu, tau) = u'(1) for the eigenvalue ODE."""
     a2 = coeffs.a * coeffs.a
-    ed = cmath.exp(-mu * tau)
-    q = mu * mu - coeffs.b5 * mu - coeffs.b4 * ed - coeffs.b3
-
-    def rhs(idx, u, up):
-        return (q[idx] * u - coeffs.b6[idx] * up) / a2[idx]
-
-    u, up = _rk4_second_order(rhs, coeffs.M)
+    q = mu * mu - coeffs.b5 * mu - coeffs.b4 * cmath.exp(-mu * tau) - coeffs.b3
+    u, up = _shoot(q / a2, -coeffs.b6 / a2, coeffs.M)
     return ShootResult(D=complex(up[-1]), u=u, u_prime=up)
 
 
-def find_tau0(tau_guess, coeffs, tol=TOL_EIG, seed=0):
+def _descend(tau, coeffs):
+    """Damped Gauss-Newton on |D(i, tau)|^2 from one start.
+
+    Returns (tau, D, stalled): stalled when no descent step was found,
+    not stalled when converged or stopped by TAU_MAX_ITER.
+    """
+    D = shoot_evp(1j, tau, coeffs).D
+    for _ in range(TAU_MAX_ITER):
+        if abs(D) < TOL_EIG:
+            break
+        dh = 1e-7 * (1.0 + abs(tau))
+        Dp = (shoot_evp(1j, tau + dh, coeffs).D
+              - shoot_evp(1j, tau - dh, coeffs).D) / (2 * dh)
+        grad = (Dp.conjugate() * D).real  # half-gradient of |D|^2
+        if abs(Dp) ** 2 < 1e-30 or abs(grad) < 1e-14 * (1 + abs(D)) ** 2:
+            return tau, D, True     # stationary: cannot descend from here
+        step = -grad / abs(Dp) ** 2
+        t = 1.0
+        for _ in range(30):
+            D_new = shoot_evp(1j, tau + t * step, coeffs).D
+            if abs(D_new) < abs(D):
+                break
+            t *= 0.5
+        else:
+            return tau, D, True
+        tau, D = tau + t * step, D_new
+    return tau, D, False
+
+
+def find_tau0(tau_guess, coeffs, seed=0):
     """Locate tau0 with D(i, tau0) = 0 by damped Gauss-Newton.
 
     Minimizes |D|^2 as a least-squares problem in the single real unknown
@@ -130,53 +162,25 @@ def find_tau0(tau_guess, coeffs, tol=TOL_EIG, seed=0):
     starts = [float(tau_guess)] + list(tau_guess + rng.uniform(-np.pi, np.pi, TAU_RESTARTS))
     best_tau, best_absD, best_stationary = None, np.inf, False
     for start in starts:
-        tau = start
-        D = shoot_evp(1j, tau, coeffs).D
-        for _ in range(TAU_MAX_ITER):
-            if abs(D) < tol:
-                return float(tau)
-            dh = 1e-7 * (1.0 + abs(tau))
-            Dp = (shoot_evp(1j, tau + dh, coeffs).D
-                  - shoot_evp(1j, tau - dh, coeffs).D) / (2 * dh)
-            grad = (Dp.conjugate() * D).real  # half-gradient of |D|^2
-            if abs(Dp) ** 2 < 1e-30 or abs(grad) < 1e-14 * (1 + abs(D)) ** 2:
-                # stationary: cannot descend further from here
-                if abs(D) < best_absD:
-                    best_tau, best_absD, best_stationary = tau, abs(D), True
-                break
-            step = -grad / abs(Dp) ** 2
-            t = 1.0
-            for _ in range(30):
-                D_new = shoot_evp(1j, tau + t * step, coeffs).D
-                if abs(D_new) < abs(D):
-                    break
-                t *= 0.5
-            else:
-                if abs(D) < best_absD:
-                    best_tau, best_absD, best_stationary = tau, abs(D), True
-                break
-            tau, D = tau + t * step, D_new
-        else:
-            if abs(D) < best_absD:
-                best_tau, best_absD, best_stationary = tau, abs(D), False
-        if abs(D) < tol:
+        tau, D, stalled = _descend(start, coeffs)
+        if abs(D) < TOL_EIG:
             return float(tau)
         if abs(D) < best_absD:
-            best_tau, best_absD, best_stationary = tau, abs(D), True
+            best_tau, best_absD, best_stationary = tau, abs(D), stalled
     if best_stationary:
         raise ResidualAboveTolerance(
-            f"min |D| = {best_absD:.3e} at tau = {best_tau} exceeds {tol:.1e}; "
+            f"min |D| = {best_absD:.3e} at tau = {best_tau} exceeds {TOL_EIG:.1e}; "
             "no pure-imaginary eigenvalue certified")
     raise NoConvergence(f"tau iteration cap hit; best |D| = {best_absD:.3e}",
                         last_good=best_tau)
 
 
-def check_A2(tau0, K_max, coeffs, tol=TOL_RESONANCE):
+def check_A2(tau0, K_max, coeffs):
     """Resonance scan: |D(ik, tau0)| for k in {0, +-2, ..., +-K_max}.
 
     k = +-1 is the critical pair and is excluded by definition. The scan
-    passes when every recorded value exceeds tol; it covers only finitely
-    many k, which the certificate records as a caveat.
+    passes when every recorded value exceeds TOL_RESONANCE; it covers only
+    finitely many k, which the certificate records as a caveat.
     """
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
@@ -200,11 +204,7 @@ def solve_adjoint(tau0, coeffs: LinearizedCoeffs) -> AdjointPair:
     kappa = -1.0 + 1j * coeffs.b5 - coeffs.b4 * ed - coeffs.b3
     c_up = 4.0 * a * apx - coeffs.b6
     c_u = 2.0 * apx * apx + 2.0 * a * apxx - coeffs.b6x - kappa
-
-    def rhs(idx, u, up):
-        return -(c_up[idx] * up + c_u[idx] * u) / a2[idx]
-
-    u, up = _rk4_second_order(rhs, coeffs.M)
+    u, up = _shoot(-c_u / a2, -c_up / a2, coeffs.M)
     scale = max(1.0, float(np.max(np.abs(u))))
     a1, ax1, b61 = a[-1], apx[-1], coeffs.b6[-1]
     robin = a1 * a1 * up[-1] + (2.0 * a1 * ax1 - b61) * u[-1]
@@ -267,9 +267,7 @@ def normalize(eig: Eigenpair, adj: AdjointPair, sigma):
                             U_star=adj.U_star / s)
 
 
-def certify(spec, tau_guess, M=256, K_max=50, seed=0,
-            tol_eig=TOL_EIG, tol_resonance=TOL_RESONANCE,
-            tol_rho=TOL_RHO) -> HopfCertificate:
+def certify(spec, tau_guess, M=256, K_max=50, seed=0) -> HopfCertificate:
     """Run the full certification pipeline at lambda = 0.
 
     Failures of individual conditions are recorded in flags rather than
@@ -290,7 +288,7 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0,
     low_conf = True
 
     try:
-        tau0 = find_tau0(tau_guess, coeffs, tol=tol_eig, seed=seed)
+        tau0 = find_tau0(tau_guess, coeffs, seed=seed)
         flags["a1"] = True
     except (ResidualAboveTolerance, NoConvergence):
         pass
@@ -298,15 +296,15 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0,
     if flags["a1"]:
         try:
             tau0_fine = find_tau0(tau0, coeffs=linearize(spec, 0.0, 2 * M),
-                                  tol=tol_eig, seed=seed)
+                                  seed=seed)
             low_conf = abs(tau0_fine - tau0) > TOL_RICHARDSON
         except (ResidualAboveTolerance, NoConvergence):
             low_conf = True
 
         shot = shoot_evp(1j, tau0, coeffs)
         eig = Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
-        scan = check_A2(tau0, K_max, coeffs, tol=tol_resonance)
-        flags["a2"] = min(d for _, d in scan) > tol_resonance
+        scan = check_A2(tau0, K_max, coeffs)
+        flags["a2"] = min(d for _, d in scan) > TOL_RESONANCE
         try:
             adj = solve_adjoint(tau0, coeffs)
             flags["adjoint"] = True
@@ -315,7 +313,7 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0,
         if adj is not None:
             sigma_raw, rho = _sigma_rho_values(eig, adj, coeffs)
             flags["a3_sigma"] = abs(sigma_raw) >= TOL_SIGMA
-            flags["a3_rho"] = flags["a3_sigma"] and abs(rho) >= tol_rho
+            flags["a3_rho"] = flags["a3_sigma"] and abs(rho) >= TOL_RHO
             if flags["a3_sigma"]:
                 eig, adj = normalize(eig, adj, sigma_raw)
                 sigma, rho = _sigma_rho_values(eig, adj, coeffs)

@@ -440,6 +440,7 @@ def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
 NEWTON_TARGET = 1e-11   # residual at which Newton stops iterating
 MAX_JACOBIANS = 4       # Jacobian builds per Newton solve
 RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of J
+TOL_ORBIT = 1e-9        # residual a converged orbit must reach
 
 
 def _factor_checked(J, anorm):
@@ -467,7 +468,6 @@ def _factor_checked(J, anorm):
 
 @dataclass
 class SolverOptions:
-    tol_orbit: float = 1e-9
     max_iter: int = 30
 
 
@@ -503,7 +503,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
 
     r = res(z)
     rn = float(np.max(np.abs(r)))
-    if eps == 0.0 and guess.v.max_abs() == 0.0 and rn <= opts.tol_orbit:
+    if eps == 0.0 and guess.v.max_abs() == 0.0 and rn <= TOL_ORBIT:
         # the trivial orbit; at the bifurcation point itself the Jacobian
         # is legitimately singular, so skip the uniqueness check
         out = orbit_at(z)
@@ -551,9 +551,9 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
         z, r, rn = z_new, r_new, rn_new
         if slow and t < 1.0:
             lu = None
-    if rn > opts.tol_orbit:
+    if rn > TOL_ORBIT:
         raise NoConvergence(
-            f"orbit residual {rn:.3e} above {opts.tol_orbit:.1e}: stopped by "
+            f"orbit residual {rn:.3e} above {TOL_ORBIT:.1e}: stopped by "
             f"the {limit} after {n_iter} iterations and {n_jac} Jacobians",
             last_good=None)
     out = orbit_at(z)

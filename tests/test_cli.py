@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -195,13 +196,41 @@ def test_input_validation(tmp_path):
     assert run_cli("certificate", str(tmp_path / "missing.json")) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tau_guess", [1.4]), ("lambda", "0"), ("a", 2), ("b", 5),
+    ("beta", ["-u1^3/6", "-u2", "-u3", 0]),
+    ("M", "abc"), ("M", 100.5), ("M", 8), ("M_solve", 48), ("N", 0),
+    ("N", True), ("K_max", 3.5), ("K_max", 1), ("max_iter", "5"),
+    ("eps_grid", ["a", "b", "c"]),
+])
+def test_config_value_types(tmp_path, key, value):
+    # each of these once escaped load_problem as a traceback (or, for a
+    # non-dividing M_solve, as a ValueError after certification)
+    doc = json.loads(SUPER.read_text())
+    if key in doc["solver"] or key in cli._SOLVER_DEFAULTS:
+        doc["solver"][key] = value
+    else:
+        doc[key] = value
+    if key == "beta":
+        del doc["b"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.ConfigError):
+        cli.load_problem(str(path))
+    assert run_cli("branch", str(path)) == 2
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "cert.json"
+    # the subprocess imports hopfwave from the checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hopfwave.cli", "certificate", cfg,
          "--out", str(out)],
-        capture_output=True, text=True, cwd=str(REPO))
+        capture_output=True, text=True, cwd=str(REPO),
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["flags"]["pass"] is True
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopfwave import eigen
-from hopfwave.errors import ResidualAboveTolerance, RhoZero
+from hopfwave.errors import NoConvergence, ResidualAboveTolerance, RhoZero
 from hopfwave.model import ProblemSpec, linearize
 from hopfwave.quadrature import integral
 
@@ -50,6 +50,53 @@ def test_shoot_no_delay_constant():
     assert np.max(np.abs(res1.u - co1.x)) < 1e-12
 
 
+def rk4_reference(P, Q, M):
+    """Textbook RK4 for (u, u')' = (u', P u + Q u'), one stage at a time."""
+    def f(i, y):
+        return np.array([y[1], P[i] * y[0] + Q[i] * y[1]])
+
+    h = 1.0 / M
+    u, up = [0j], [1 + 0j]
+    for j in range(M):
+        y = np.array([u[-1], up[-1]])
+        k1 = f(2 * j, y)
+        k2 = f(2 * j + 1, y + 0.5 * h * k1)
+        k3 = f(2 * j + 1, y + 0.5 * h * k2)
+        k4 = f(2 * j + 2, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        u.append(y[0])
+        up.append(y[1])
+    return np.array(u), np.array(up)
+
+
+def test_shoot_matches_stagewise_rk4():
+    # the step-matrix kernel regroups the RK4 arithmetic; it must agree with
+    # the stage-by-stage form to rounding, for coefficients that differ
+    # at every node and midpoint
+    rng = np.random.default_rng(5)
+    M = 64
+    P = rng.uniform(-20, 5, 2 * M + 1) + 1j * rng.uniform(-5, 5, 2 * M + 1)
+    Q = rng.uniform(-2, 2, 2 * M + 1) + 1j * rng.uniform(-2, 2, 2 * M + 1)
+    u, up = eigen._shoot(P, Q, M)
+    u_ref, up_ref = rk4_reference(P, Q, M)
+    scale = max(np.max(np.abs(u_ref)), np.max(np.abs(up_ref)))
+    assert np.max(np.abs(u - u_ref)) < 1e-13 * scale
+    assert np.max(np.abs(up - up_ref)) < 1e-13 * scale
+
+
+def test_shoot_fourth_order_variable_coefficients():
+    # every coefficient varies in x, so sampling the step's midpoint at
+    # its start or end would show up as a lower observed order
+    spec = ProblemSpec.from_expressions(
+        a="(2/pi)*(1 + 0.3*x^2)",
+        b="-u1^3 - (1 + 0.5*sin(3*x))*u2 - (1+x)*u3 + 0.2*exp(x)*u1 + 0.1*x*u4")
+    D = [eigen.shoot_evp(1j, 1.3, linearize(spec, 0.0, M)).D
+         for M in (32, 64, 128, 256)]
+    for d0, d1, d2 in zip(D, D[1:], D[2:]):
+        order = np.log2(abs(d0 - d1) / abs(d1 - d2))
+        assert 3.8 < order < 4.2
+
+
 def test_characteristic_symmetries(co_up):
     rng = np.random.default_rng(3)
     for tau in rng.uniform(0.5, 3.0, 4):
@@ -76,6 +123,15 @@ def test_find_tau0(co_up):
     assert shifted == pytest.approx(TAU0 + 2 * np.pi, abs=1e-8)
     assert eigen.shoot_evp(1j, shifted, co_up).D == pytest.approx(
         eigen.shoot_evp(1j, tau0, co_up).D, abs=1e-10)
+
+
+def test_find_tau0_iteration_cap(co_up, monkeypatch):
+    # one Gauss-Newton step from 0.3 descends but cannot reach TOL_EIG
+    monkeypatch.setattr(eigen, "TAU_MAX_ITER", 1)
+    monkeypatch.setattr(eigen, "TAU_RESTARTS", 0)
+    with pytest.raises(NoConvergence, match="tau iteration cap hit") as info:
+        eigen.find_tau0(0.3, co_up)
+    assert np.isfinite(info.value.last_good)
 
 
 def test_find_tau0_no_delay_dependence():
