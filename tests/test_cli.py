@@ -207,7 +207,7 @@ def test_config_value_types(tmp_path, key, value):
     # each of these once escaped load_problem as a traceback (or, for a
     # non-dividing M_solve, as a ValueError after certification)
     doc = json.loads(SUPER.read_text())
-    if key in doc["solver"] or key in cli._SOLVER_DEFAULTS:
+    if key in cli._SOLVER_DEFAULTS:
         doc["solver"][key] = value
     else:
         doc[key] = value
