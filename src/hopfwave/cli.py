@@ -296,7 +296,6 @@ def cmd_branch(args):
         summary["error"] = "no certified critical mode; cannot continue a branch"
         return _fail(args, summary, summary["error"], EXIT_CERTIFICATION)
     ctx = periodic.operator_context(spec, spec.lam, settings.M_solve)
-    opts = periodic.SolverOptions(max_iter=settings.max_iter)
     try:
         cubic = direction_mod.check_structure(spec, cert.coeffs.x)
         dres = direction_mod.compute_direction(cert, cubic)
@@ -307,7 +306,7 @@ def cmd_branch(args):
         d2tau_formula = None
     try:
         branch = periodic.continue_branch(cert, settings.eps_grid, ctx,
-                                          settings.N, opts)
+                                          settings.N, settings.max_iter)
         pde_res = [periodic.pde_residual_check(o, ctx) for o in branch.orbits]
     except HopfwaveError as err:
         # a singular Newton matrix is a resonance or a failed certificate;
@@ -347,7 +346,10 @@ def cmd_simulate(args):
     if args.tau is None:
         print("error: simulate needs --tau", file=sys.stderr)
         return EXIT_INPUT
-    T_end = args.T if args.T is not None else 200.0
+    if not math.isfinite(args.tau):
+        raise ConfigError(f"--tau must be a finite number, got {args.tau}")
+    if not (math.isfinite(args.T) and args.T > 0.0):
+        raise ConfigError(f"--T must be a finite positive number, got {args.T}")
     sim = None
     try:
         sim = timedomain.Simulator(spec, args.tau, M=settings.M)
@@ -356,15 +358,15 @@ def cmd_simulate(args):
         kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
         state = sim.initial_state(v1=kick, v2=kick)
         period, ts, ys, _ = timedomain.run_to_orbit(
-            spec, args.tau, T_end, initial=state, sim=sim)
+            spec, args.tau, args.T, initial=state, sim=sim)
     except HopfwaveError as err:
         if sim is None and isinstance(err, EvalDomainError):
             # b cannot be linearized at u = 0: an input error, as in _certify
             raise ConfigError(f"cannot linearize at u = 0: {err}") from err
-        doc = {"tau": args.tau, "T_end": T_end, "seed": args.seed,
+        doc = {"tau": args.tau, "T_end": args.T, "seed": args.seed,
                "error": str(err)}
         return _fail(args, doc, err, EXIT_SIMULATION)
-    summary = {"tau": args.tau, "T_end": T_end, "period_estimate": period,
+    summary = {"tau": args.tau, "T_end": args.T, "period_estimate": period,
                "amplitude": float(np.max(np.abs(ys))), "seed": args.seed}
     _emit(args, summary)
     if args.out:
@@ -389,7 +391,7 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=0)
         if name == "simulate":
             p.add_argument("--tau", type=float, default=None)
-            p.add_argument("--T", type=float, default=None)
+            p.add_argument("--T", type=float, default=200.0)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -82,6 +82,10 @@ class NegativeDelayUnsupported(HopfwaveError):
     """Time integration is an initial value problem; it needs tau > 0."""
 
 
+class HistoryTooLong(HopfwaveError):
+    """The delay spans more time steps than the history ring may hold."""
+
+
 class NoOscillationDetected(HopfwaveError):
     """Simulation tail has no usable limit-cycle signal."""
 

@@ -12,8 +12,9 @@ kernels.
 The nonlinear operator B is evaluated pseudo-spectrally on 4N+1 equispaced
 times, which de-aliases cubic products exactly. Newton treats the stacked
 harmonic coefficients plus (omega, tau) as unknowns, with an amplitude
-projection on the critical mode and a phase condition closing the system,
-and uses the exact derivative of that residual.
+projection on the critical mode and a phase condition closing the system.
+Each step is GMRES on the exact derivative of that residual, preconditioned
+by the LU factors of one Jacobian per branch.
 
 Fields and operators accept leading batch axes: coefficient arrays have
 shape (..., N+1, 2, M+1), which lets the Jacobian apply the tangent to a
@@ -295,14 +296,6 @@ def _b_env(u, ctx: OperatorContext):
     return {"x": ctx.x, "lambda": ctx.lam, **dict(zip(_UVARS, u))}
 
 
-def _tangent_B(dv: FourierField, partials, omega, tau,
-               ctx: OperatorContext) -> FourierField:
-    """Linearization of apply_B in the direction dv at fixed (omega, tau),
-    given the partials b_{u_j} on the collocation grid of the base state."""
-    dv1, dv2, du = _collocate(dv.coef, omega, tau, ctx)
-    return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, dv.N, ctx)
-
-
 def apply_B(v: FourierField, omega: float, tau: float,
             ctx: OperatorContext) -> FourierField:
     """Full nonlinear source, pseudo-spectral with a cubic de-aliasing margin.
@@ -387,40 +380,20 @@ def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
     return np.concatenate([_defect(v, Bv, orbit.omega, ctx), rows])
 
 
-def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
-    """Exact derivative of `residual` at orbit, Fortran-ordered, and its 1-norm.
+def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
+    """Exact derivative of `residual` at orbit, as a map on packed
+    directions of shape (..., n), in the residual's own packing.
 
-    The v-columns apply the tangent I - C - D dB to unit inputs, one block
-    of M+1 columns (one harmonic, real or imaginary part, and component) at
-    a time. dB is the linearization of apply_B from the exact partials
-    b_{u_j} on the same collocation grid. The unit inputs and the outputs go
-    through the residual's own packing, so rows and columns cannot disagree
-    on the order. The (omega, tau) columns differentiate the phase factors
-    analytically; the amplitude and phase rows are linear, hence exact.
+    The harmonic part applies I - C - D dB, with dB the linearization of
+    apply_B from the exact partials b_{u_j} on the same collocation grid;
+    the amplitude and phase rows are linear. Two fixed columns carry the
+    analytic (omega, tau) derivatives of the phase factors.
     """
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
     N, M = v.N, v.M
-    n_v = 2 * (M + 1) * (2 * N + 1)
-    J = np.empty((n_v + 2, n_v + 2), order="F")
-    col_norms = np.empty(n_v + 2)
-
     v1, v2, u = _collocate(v.coef, omega, tau, ctx)
     env = _b_env(u, ctx)
     partials = [d.eval(env) for d in ctx.b_u]
-
-    unit = np.zeros((M + 1, n_v))
-    eye = np.eye(M + 1)
-    for j0 in range(0, n_v, M + 1):
-        cols = slice(j0, j0 + M + 1)
-        unit[:, cols] = eye
-        dv = FourierField.unflatten(unit, N, M)
-        unit[:, cols] = 0.0
-        J[:n_v, cols] = _defect(dv, _tangent_B(dv, partials, omega, tau, ctx),
-                                omega, ctx).T
-        proj = basis.projection(dv, ctx.h) / basis.nrm
-        J[n_v, cols] = proj.real
-        J[n_v + 1, cols] = proj.imag
-        col_norms[cols] = np.abs(J[:, cols]).sum(axis=0)
 
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
@@ -431,25 +404,53 @@ def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
     dB = _source(partials[1] * du2, 0.0, 0.0, N, ctx)
     dT = apply_D(dB, omega, ctx).coef
     dT[0] += _transport_domega(v, Bv, omega, ctx)
-    J[:n_v, n_v:] = -FourierField(dT).flatten().T
-    J[n_v:, n_v:] = 0.0
-    col_norms[n_v:] = np.abs(J[:, n_v:]).sum(axis=0)
+    omega_tau = np.concatenate([-FourierField(dT).flatten(), np.zeros((2, 2))],
+                               axis=-1)
+
+    def apply(dz):
+        dv = FourierField.unflatten(dz[..., :-2], N, M)
+        dv1, dv2, du = _collocate(dv.coef, omega, tau, ctx)
+        dBv = _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, N, ctx)
+        proj = basis.projection(dv, ctx.h) / basis.nrm
+        rows = np.stack([proj.real, proj.imag], axis=-1)
+        return (np.concatenate([_defect(dv, dBv, omega, ctx), rows], axis=-1)
+                + dz[..., -2:] @ omega_tau)
+
+    return apply
+
+
+def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
+    """Exact derivative of `residual` at orbit, Fortran-ordered, and its 1-norm.
+
+    The columns are `_tangent` applied to unit inputs, one block of M+1
+    columns (one harmonic, real or imaginary part, and component) at a
+    time, the (omega, tau) pair last; column norms are taken per block.
+    """
+    tangent = _tangent(orbit, ctx, basis)
+    n = len(_pack(orbit))
+    J = np.empty((n, n), order="F")
+    col_norms = np.empty(n)
+    for j0 in range(0, n, orbit.v.M + 1):
+        cols = slice(j0, min(j0 + orbit.v.M + 1, n))
+        J[:, cols] = tangent(np.eye(cols.stop - j0, n, j0)).T
+        col_norms[cols] = np.abs(J[:, cols]).sum(axis=0)
     return J, float(np.max(col_norms))
 
 
-NEWTON_TARGET = 1e-11   # residual at which Newton stops iterating
-MAX_JACOBIANS = 4       # Jacobian builds per Newton solve
 RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of J
 TOL_ORBIT = 1e-9        # residual a converged orbit must reach
+GMRES_RTOL = 1e-12      # relative residual of each Newton step's linear solve
+GMRES_RESTART = 40      # Krylov dimension per GMRES cycle
+GMRES_MAXITER = 2       # GMRES cycles before the preconditioner is rebuilt
 
 
-def _factor_checked(J, anorm):
-    """LU factors of J (overwritten), refused when J is numerically singular.
-
-    The reciprocal 1-norm condition number is estimated by LAPACK gecon
-    from the factors; a zero pivot or an estimate below RANK_RCOND raises
-    JacobianSingular.
+def _factor_checked(orbit, ctx, basis):
+    """LU solve with the Jacobian at orbit as a LinearOperator: the Newton
+    preconditioner. A zero pivot or a LAPACK gecon estimate of the
+    reciprocal 1-norm condition below RANK_RCOND raises JacobianSingular.
     """
+    import scipy.sparse.linalg  # here, not at the top: only branch needs its ~4 MB
+    J, anorm = jacobian(orbit, ctx, basis)
     with warnings.catch_warnings():
         # an exactly zero pivot is reported below as JacobianSingular
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -463,12 +464,8 @@ def _factor_checked(J, anorm):
         raise JacobianSingular(
             f"Newton matrix reciprocal condition {rcond:.2e} below "
             f"{RANK_RCOND:.0e}; resonant mode or failed certificate")
-    return lu, piv
-
-
-@dataclass
-class SolverOptions:
-    max_iter: int = 30
+    return scipy.sparse.linalg.LinearOperator(
+        lu.shape, dtype=float, matvec=lambda r: scipy.linalg.lu_solve((lu, piv), r))
 
 
 def _pack(orbit):
@@ -482,16 +479,19 @@ def _unpack(z, N, M, eps, lam):
 
 
 def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
-                 basis: ModeBasis, opts: SolverOptions = None) -> PeriodicOrbit:
-    """Damped Newton with the exact Jacobian.
+                 basis: ModeBasis, max_iter: int = 30,
+                 precond=None) -> PeriodicOrbit:
+    """Damped Newton-Krylov on the exact tangent, iterated to roundoff.
 
-    Each Jacobian is condition-checked on its LU factors (near-singularity
-    raises JacobianSingular: a resonance or a failed certificate) and then
-    reused chord-style until progress stalls. A trial step on which b
-    leaves its domain counts as a failed step and is halved. Unknowns are
-    the packed real harmonics plus (omega, tau).
+    Each step solves the `_tangent` system by GMRES, preconditioned by
+    `precond`, the `_factor_checked` LU of one Jacobian (built at the guess
+    if not given, rebuilt at the current point if GMRES fails above
+    TOL_ORBIT). A trial step on which b leaves its domain fails and is
+    halved. The solve stops when a full step no longer lowers a residual
+    at or below TOL_ORBIT; otherwise NoConvergence names the line search
+    or the iteration limit. Unknowns are the harmonics plus (omega, tau).
     """
-    opts = opts or SolverOptions()
+    import scipy.sparse.linalg
     N, M = guess.v.N, guess.v.M
     z = _pack(replace(guess, eps=eps))
 
@@ -503,54 +503,40 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
 
     r = res(z)
     rn = float(np.max(np.abs(r)))
-    if eps == 0.0 and guess.v.max_abs() == 0.0 and rn <= TOL_ORBIT:
-        # the trivial orbit; at the bifurcation point itself the Jacobian
-        # is legitimately singular, so skip the uniqueness check
-        out = orbit_at(z)
-        out.residual_norm = rn
-        return out
     n_jac = n_iter = 0
-    limit = f"iteration limit {opts.max_iter}"
-    lu = None
-    while n_iter < opts.max_iter:
-        # the condition check doubles as the local-uniqueness certificate,
-        # so the first Jacobian is built even if the guess already meets
-        # the tolerance
-        if rn <= NEWTON_TARGET and n_jac > 0:
-            break
-        if lu is None:
-            if n_jac >= MAX_JACOBIANS:
-                limit = f"Jacobian limit {MAX_JACOBIANS}"
-                break
-            J, anorm = jacobian(orbit_at(z), ctx, basis)
-            n_jac += 1
-            lu = _factor_checked(J, anorm)
-            del J   # lu owns the buffer now; a rebuild must be able to free it
-        if rn <= NEWTON_TARGET:
-            break
+    if precond is None and (eps != 0.0 or guess.v.max_abs() != 0.0):
+        # the condition check doubles as the local-uniqueness certificate;
+        # only at the trivial orbit, the bifurcation point itself, is the
+        # Jacobian legitimately singular
+        precond = _factor_checked(orbit_at(z), ctx, basis)
+        n_jac += 1
+    limit = f"iteration limit {max_iter}"
+    while n_iter < max_iter:
         n_iter += 1
-        step = scipy.linalg.lu_solve(lu, -r)
-        t = 1.0
-        improved = False
-        for _ in range(12):
-            z_new = z + t * step
-            try:
-                r_new = res(z_new)
-            except EvalDomainError:
-                t *= 0.5    # b is not finite there: a failed trial
-                continue
-            rn_new = float(np.max(np.abs(r_new)))
-            if rn_new < rn:
-                improved = True
+        tangent = scipy.sparse.linalg.LinearOperator(
+            (len(z), len(z)), dtype=float, matvec=_tangent(orbit_at(z), ctx, basis))
+        for attempt in range(2):
+            step, info = scipy.sparse.linalg.gmres(
+                tangent, -r, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                maxiter=GMRES_MAXITER, M=precond)
+            # at the roundoff floor GMRES may miss its relative target
+            # although the step is as good as the residual allows
+            if info == 0 or attempt or rn <= TOL_ORBIT:
                 break
-            t *= 0.5
-        if not improved:
-            lu = None   # stale Jacobian; rebuild
-            continue
-        slow = rn_new > 0.5 * rn
-        z, r, rn = z_new, r_new, rn_new
-        if slow and t < 1.0:
-            lu = None
+            precond = _factor_checked(orbit_at(z), ctx, basis)
+            n_jac += 1
+        for t in 0.5 ** np.arange(12):
+            try:
+                r_new = res(z + t * step)
+                rn_new = float(np.max(np.abs(r_new)))
+            except EvalDomainError:
+                rn_new = np.inf     # b is not finite there: a failed trial
+            if rn_new < rn or rn <= TOL_ORBIT:
+                break
+        if not rn_new < rn:
+            limit = "line search"
+            break
+        z, r, rn = z + t * step, r_new, rn_new
     if rn > TOL_ORBIT:
         raise NoConvergence(
             f"orbit residual {rn:.3e} above {TOL_ORBIT:.1e}: stopped by "
@@ -579,13 +565,13 @@ def _fit_slope_curvature(eps, values, base):
 
 
 def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
-                    opts: SolverOptions = None) -> BranchResult:
+                    max_iter: int = 30) -> BranchResult:
     """March the orbit family over increasing eps, Newton from the previous
     point, then fit the delay and frequency laws on the three smallest eps.
 
-    A solver error carries the last converged amplitude as `last_good`.
+    One Jacobian, condition-checked at the first predictor, preconditions
+    every solve. A solver error carries the last good amplitude as `last_good`.
     """
-    opts = opts or SolverOptions()
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3 or any(e <= 0 for e in eps_grid) \
             or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
@@ -593,14 +579,14 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     basis = mode_basis(cert, ctx)
     orbits = []
     guess = predictor(cert, eps_grid[0], N, ctx)
-    for eps in eps_grid:
-        try:
-            orbit = newton_solve(guess, eps, ctx, basis, opts)
-        except HopfwaveError as err:
-            err.last_good = orbits[-1].eps if orbits else None
-            raise
-        orbits.append(orbit)
-        guess = orbit
+    try:
+        precond = _factor_checked(guess, ctx, basis)
+        for eps in eps_grid:
+            guess = newton_solve(guess, eps, ctx, basis, max_iter, precond)
+            orbits.append(guess)
+    except HopfwaveError as err:
+        err.last_good = orbits[-1].eps if orbits else None
+        raise
     smallest = orbits[:3]
     taus = [o.tau for o in smallest]
     omegas = [o.omega for o in smallest]

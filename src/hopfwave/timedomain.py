@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLViolation, NegativeDelayUnsupported, NoOscillationDetected
+from .errors import (CFLViolation, HistoryTooLong, NegativeDelayUnsupported,
+                     NoOscillationDetected)
 from .model import ProblemSpec, linearize
 from .periodic import displacement, harmonic_synthesis
 from .quadrature import cubic_interp
 
 CFL_LIMIT = 0.9
+MAX_HISTORY_BYTES = 2 ** 30     # largest delay history ring a simulator allocates
 
 
 @dataclass
@@ -63,6 +65,10 @@ class Simulator:
         lag, self.w = divmod(self.tau / self.dt, 1.0)
         self.lag = int(lag)
         self.n_hist = self.lag + 2
+        if self.n_hist * len(self.x) * 8 > MAX_HISTORY_BYTES:
+            raise HistoryTooLong(
+                f"tau = {self.tau:g} spans {self.tau / self.dt:.3g} steps; its "
+                f"history ring would exceed {MAX_HISTORY_BYTES} bytes")
 
     def initial_state(self, v1=None, v2=None, history_fn=None) -> SimState:
         """Initial fields with the displacement history over [-tau, 0].

@@ -266,7 +266,7 @@ def test_branch_survives_domain_error(tmp_path):
     assert run_cli("branch", cfg, "--out", str(out)) == 5
     doc = json.loads(out.read_text())
     assert doc["last_good_eps"] == 0.03
-    assert "Jacobian limit" in doc["error"]
+    assert "line search" in doc["error"]
     assert "certificate" in doc
 
 
@@ -339,6 +339,35 @@ def test_simulate_b_not_differentiable_at_zero(tmp_path):
     assert run_cli("simulate", cfg, "--tau", "1.6", "--T", "20",
                    "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--tau", "1.6", "--T", "inf"], "--T"),
+    (["--tau", "1.6", "--T", "0"], "--T"),
+    (["--tau", "1.6", "--T", "-5"], "--T"),
+    (["--tau", "nan"], "--tau"),
+    (["--tau", "inf"], "--tau"),
+])
+def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flags, flag):
+    # these once ended in an OverflowError traceback or in numpy-internal
+    # messages; each is now an input error naming the flag
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", write_config(tmp_path), *flags,
+                   "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_delay_beyond_history_ring(tmp_path):
+    # a delay of 1e300 time units cannot be held in the history ring: the
+    # simulator refuses it before allocating, and the command writes the
+    # partial document
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", write_config(tmp_path), "--tau", "1e300",
+                   "--out", str(out)) == 6
+    doc = json.loads(out.read_text())
+    assert doc["tau"] == 1e300 and doc["T_end"] == 200.0
+    assert "history ring" in doc["error"]
 
 
 def test_branch_pde_residual_error_exit(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from hopfwave import eigen, periodic
 from hopfwave.errors import JacobianSingular, NoConvergence
@@ -9,8 +11,7 @@ from hopfwave.model import ProblemSpec, linearize
 def test_newton_near_hopf_point(cert_up, ctx_up):
     basis = periodic.mode_basis(cert_up, ctx_up)
     guess = periodic.predictor(cert_up, 1e-3, 8, ctx_up)
-    opts = periodic.SolverOptions(max_iter=5)
-    orbit = periodic.newton_solve(guess, 1e-3, ctx_up, basis, opts)
+    orbit = periodic.newton_solve(guess, 1e-3, ctx_up, basis, max_iter=5)
     assert orbit.residual_norm <= 1e-9
     assert abs(orbit.omega - 1.0) <= 1e-5
     assert abs(orbit.tau - cert_up.tau0) <= 1e-5
@@ -161,23 +162,92 @@ def test_no_convergence_names_iteration_limit(cert_down, ctx_down):
     guess = periodic.predictor(cert_down, 0.3, 4, ctx_down)
     with pytest.raises(NoConvergence,
                        match=r"iteration limit 1 after 1 iterations and 1 Jacobians"):
-        periodic.newton_solve(guess, 0.3, ctx_down, basis,
-                              periodic.SolverOptions(max_iter=1))
+        periodic.newton_solve(guess, 0.3, ctx_down, basis, max_iter=1)
 
 
-def test_no_convergence_names_jacobian_limit():
+def test_no_convergence_names_line_search():
     # past eps = 0.03 the displacement leaves the domain 1 + 50 u1 > 0 of
     # the square root: trial steps there fail, the line search halves them
-    # and Newton runs out of Jacobians
+    # and finds no descent
     spec = ProblemSpec.from_expressions(
         a="2/pi", b="-u2 - u3 + 0.01*(sqrt(1 + 50*u1) - 1 - 25*u1)")
     cert = eigen.certify(spec, 1.4, M=128, K_max=4)
     ctx = periodic.operator_context(spec, 0.0, 32)
     with pytest.raises(NoConvergence,
-                       match=r"Jacobian limit 4 after \d+ iterations and 4 Jacobians"
+                       match=r"line search after \d+ iterations and \d+ Jacobians"
                        ) as info:
         periodic.continue_branch(cert, [0.01, 0.02, 0.03, 0.04], ctx, 4)
     assert info.value.last_good == 0.03
+
+
+def test_dissipative_branch_converges(cert_down, ctx_down):
+    # the configs/benchmark_super.json branch: at eps = 0.02 a step with a
+    # stale Jacobian barely lowers the residual (3.7e-8 -> 3.3e-8)
+    br = periodic.continue_branch(cert_down, [0.01, 0.02, 0.03, 0.04, 0.05],
+                                  ctx_down, 8)
+    assert all(o.residual_norm <= periodic.TOL_ORBIT for o in br.orbits)
+
+
+def test_newton_resolves_tau_near_hopf_point(cert_up, ctx_up):
+    # at eps = 1e-3 the predictor's residual is already small; Newton must
+    # still iterate to roundoff to resolve tau - tau0 ~ d2tau eps^2 / 2
+    eps = 1e-3
+    basis = periodic.mode_basis(cert_up, ctx_up)
+    guess = periodic.predictor(cert_up, eps, 8, ctx_up)
+    orbit = periodic.newton_solve(guess, eps, ctx_up, basis)
+    assert orbit.residual_norm <= 1e-14
+    d2tau = (3 / 16) * (2 / np.pi) ** 2
+    assert (orbit.tau - cert_up.tau0) / (d2tau * eps ** 2 / 2) \
+        == pytest.approx(1.0, abs=0.15)
+
+
+def _count_lu_factor(monkeypatch):
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    return calls
+
+
+def test_flagship_branch_factors_once(cert_up, ctx_up, monkeypatch):
+    calls = _count_lu_factor(monkeypatch)
+    eps_grid = [0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.05]
+    periodic.continue_branch(cert_up, eps_grid, ctx_up, 8)
+    assert len(calls) == 1
+
+
+def test_gmres_failure_rebuilds_preconditioner_once(cert_down, ctx_down,
+                                                    monkeypatch):
+    # an identity preconditioner leaves GMRES short of its tolerance; the
+    # solve rebuilds the LU at the current point once and converges
+    calls = _count_lu_factor(monkeypatch)
+    infos = []
+    gmres = scipy.sparse.linalg.gmres
+
+    def recording(*args, **kwargs):
+        step, info = gmres(*args, **kwargs)
+        infos.append(info)
+        return step, info
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording)
+    basis = periodic.mode_basis(cert_down, ctx_down)
+    guess = periodic.predictor(cert_down, 0.02, 8, ctx_down)
+    n = len(periodic._pack(guess))
+    identity = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda r: r,
+                                                  dtype=float)
+    orbit = periodic.newton_solve(guess, 0.02, ctx_down, basis, precond=identity)
+    assert infos[0] > 0
+    assert len(calls) == 1
+    assert orbit.residual_norm <= periodic.TOL_ORBIT
+    # at the roundoff floor a GMRES shortfall is no reason to rebuild
+    again = periodic.newton_solve(orbit, 0.02, ctx_down, basis, precond=identity)
+    assert infos[-1] > 0
+    assert len(calls) == 1
+    assert again.residual_norm <= orbit.residual_norm
 
 
 def test_jacobian_matches_central_differences():
