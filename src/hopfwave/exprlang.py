@@ -15,6 +15,10 @@ Expressions are immutable trees; `eval` accepts floats or numpy arrays and
 broadcasts, `diff` returns a new tree (orders up to 3 stay small thanks to
 constant folding on construction). No stronger simplification is attempted:
 only evaluation equivalence is guaranteed.
+
+Each node is compiled once, on its first `eval`, into a Python function of
+straight-line numpy code cached on the node. Integer powers are evaluated by
+square-and-multiply, so a result may differ from `pow` in the last bits.
 """
 from __future__ import annotations
 
@@ -28,19 +32,39 @@ from .errors import EvalDomainError, ParseError, UnknownIdentifier
 VARIABLES = ("x", "lambda", "u1", "u2", "u3", "u4")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "tanh")
 
-_NP_FUN = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-}
+
+class _Emitter:
+    """Straight-line source of one expression: each node appends a statement
+    `t<i> = ...` and returns its value's name, so no source nests deeper."""
+
+    def __init__(self):
+        self.lines = []
+        self.ns = {name: getattr(np, name) for name in FUNCTIONS}
+
+    def tmp(self, rhs):
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def const(self, value):
+        # bound by value: repr(1e400) would be the undefined name inf
+        name = f"k{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def power(self, base, n):
+        """base^n, n >= 1, by square-and-multiply: log2(n) deep, not n."""
+        if n == 1:
+            return base
+        half = self.power(base, n // 2)
+        sq = self.tmp(f"{half} * {half}")
+        return self.tmp(f"{sq} * {base}") if n % 2 else sq
 
 
 class Expr:
     """Base node. Subclasses are frozen dataclasses; trees are shareable."""
 
-    __slots__ = ()
+    __slots__ = ("_fn",)    # the compiled evaluator, set by the first eval
 
     def eval(self, env):
         """Evaluate at a binding of the free variables.
@@ -49,14 +73,30 @@ class Expr:
         EvalDomainError when the result is not finite (division by zero,
         sqrt of a negative number, overflow).
         """
+        fn = getattr(self, "_fn", None) or self._compile()
         try:
             with np.errstate(all="ignore"):
-                val = self._ev(env)
+                val = fn(env)
+        except KeyError as err:
+            raise EvalDomainError(f"unbound variable {err.args[0]!r}") from None
         except (ZeroDivisionError, OverflowError) as err:
             raise EvalDomainError(f"{err} in: {self}") from None
-        if not np.all(np.isfinite(val)):
+        if not np.isfinite(val).all():
             raise EvalDomainError(f"expression not finite at the given point: {self}")
         return val
+
+    def _compile(self):
+        em = _Emitter()
+        out = self._src(em)
+        if em.lines:
+            body = "".join(f"    {line}\n" for line in em.lines)
+            exec(compile(f"def fn(env):\n{body}    return {out}\n", "<exprlang>",
+                         "exec"), em.ns)
+            fn = em.ns.pop("fn")    # so em.ns, fn's globals, holds no cycle back
+        else:   # a constant: no statements, so no code to compile
+            fn = lambda env, value=em.ns[out]: value
+        object.__setattr__(self, "_fn", fn)
+        return fn
 
     def diff(self, var, order=1):
         """Exact partial derivative of the given order."""
@@ -79,8 +119,8 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def _ev(self, env):
-        return self.value
+    def _src(self, em):
+        return em.const(self.value)
 
     def _d(self, var):
         return Num(0.0)
@@ -96,11 +136,8 @@ class Num(Expr):
 class Var(Expr):
     name: str
 
-    def _ev(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise EvalDomainError(f"unbound variable {self.name!r}") from None
+    def _src(self, em):
+        return em.tmp(f"env[{self.name!r}]")
 
     def _d(self, var):
         return Num(1.0) if self.name == var else Num(0.0)
@@ -111,8 +148,8 @@ class Var(Expr):
 
 @dataclass(frozen=True, slots=True)
 class Pi(Expr):
-    def _ev(self, env):
-        return math.pi
+    def _src(self, em):
+        return em.const(math.pi)
 
     def _d(self, var):
         return Num(0.0)
@@ -126,8 +163,8 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def _ev(self, env):
-        return self.a._ev(env) + self.b._ev(env)
+    def _src(self, em):
+        return em.tmp(f"{self.a._src(em)} + {self.b._src(em)}")
 
     def _d(self, var):
         return add(self.a._d(var), self.b._d(var))
@@ -142,8 +179,8 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def _ev(self, env):
-        return self.a._ev(env) - self.b._ev(env)
+    def _src(self, em):
+        return em.tmp(f"{self.a._src(em)} - {self.b._src(em)}")
 
     def _d(self, var):
         return sub(self.a._d(var), self.b._d(var))
@@ -158,8 +195,8 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def _ev(self, env):
-        return self.a._ev(env) * self.b._ev(env)
+    def _src(self, em):
+        return em.tmp(f"{self.a._src(em)} * {self.b._src(em)}")
 
     def _d(self, var):
         return add(mul(self.a._d(var), self.b), mul(self.a, self.b._d(var)))
@@ -174,8 +211,8 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def _ev(self, env):
-        return self.a._ev(env) / self.b._ev(env)
+    def _src(self, em):
+        return em.tmp(f"{self.a._src(em)} / {self.b._src(em)}")
 
     def _d(self, var):
         # (a/b)' = a'/b - a b'/b^2
@@ -192,9 +229,10 @@ class Pow(Expr):
     base: Expr
     n: int
 
-    def _ev(self, env):
-        b = self.base._ev(env)
-        return b ** self.n if self.n >= 0 else 1.0 / b ** (-self.n)
+    def _src(self, em):
+        base = self.base._src(em)
+        p = em.power(base, abs(self.n)) if self.n else em.tmp(f"{base} ** 0")
+        return p if self.n >= 0 else em.tmp(f"1.0 / {p}")
 
     def _d(self, var):
         if self.n == 0:
@@ -211,8 +249,8 @@ class Pow(Expr):
 class Neg(Expr):
     a: Expr
 
-    def _ev(self, env):
-        return -self.a._ev(env)
+    def _src(self, em):
+        return em.tmp(f"-{self.a._src(em)}")
 
     def _d(self, var):
         return neg(self.a._d(var))
@@ -227,8 +265,8 @@ class Fun(Expr):
     name: str
     arg: Expr
 
-    def _ev(self, env):
-        return _NP_FUN[self.name](self.arg._ev(env))
+    def _src(self, em):
+        return em.tmp(f"{self.name}({self.arg._src(em)})")
 
     def _d(self, var):
         da = self.arg._d(var)
@@ -312,7 +350,10 @@ def powi(base, n):
     if n == 1:
         return base
     if _const(base):
-        return Num(base.value ** n if n >= 0 else 1.0 / base.value ** (-n))
+        try:
+            return Num(base.value ** n if n >= 0 else 1.0 / base.value ** (-n))
+        except (ZeroDivisionError, OverflowError):
+            pass    # left unfolded, so eval reports the domain error
     return Pow(base, n)
 
 

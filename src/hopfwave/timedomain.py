@@ -62,6 +62,11 @@ class Simulator:
         if cfl > CFL_LIMIT + 1e-12:
             raise CFLViolation(f"requested CFL {cfl} exceeds {CFL_LIMIT}")
         self.dt = cfl * self.h / self.a_max
+        # per-node constants of step: upwind gains dt a / h, factors of B and u4
+        self.gain_v1 = self.dt * self.a[:-1] / self.h
+        self.gain_v2 = self.dt * self.a[1:] / self.h
+        self.half_ax = 0.5 * self.ax
+        self.half_inv_a = 0.5 / self.a
         lag, self.w = divmod(self.tau / self.dt, 1.0)
         self.lag = int(lag)
         self.n_hist = self.lag + 2
@@ -110,24 +115,25 @@ class Simulator:
                 raise CFLViolation("step size violates the advective limit")
             raise ValueError(f"state dt {state.dt} is not the simulator's "
                              f"{self.dt}, which fixes the delay offsets")
-        v1, v2, h, dt = state.v1, state.v2, self.h, self.dt
-        u4 = 0.5 * (v1 - v2) / self.a
+        v1, v2, dt = state.v1, state.v2, self.dt
+        diff = v1 - v2
         env = {"x": self.x, "lambda": self.spec.lam,
                "u1": state.history[state.head],
                "u2": self._delayed_displacement(state),
-               "u3": 0.5 * (v1 + v2), "u4": u4}
-        B = np.broadcast_to(self.spec.b.eval(env), self.x.shape) \
-            - 0.5 * self.ax * (v1 - v2)
-        new_v1 = v1.copy()
-        new_v2 = v2.copy()
+               "u3": 0.5 * (v1 + v2), "u4": diff * self.half_inv_a}
+        # a fresh grid array even when b is constant in x
+        dtB = self.spec.b.eval(env) - self.half_ax * diff
+        dtB *= dt
+        new_v1 = v1 + dtB
+        new_v2 = v2 + dtB
         # v1 rides leftward characteristics: upwind from the right
-        new_v1[:-1] = v1[:-1] + dt * (self.a[:-1] * (v1[1:] - v1[:-1]) / h + B[:-1])
+        new_v1[:-1] += self.gain_v1 * (v1[1:] - v1[:-1])
         # v2 rides rightward characteristics: upwind from the left
-        new_v2[1:] = v2[1:] + dt * (-self.a[1:] * (v2[1:] - v2[:-1]) / h + B[1:])
+        new_v2[1:] -= self.gain_v2 * (v2[1:] - v2[:-1])
         new_v1[-1] = new_v2[-1]
         new_v2[0] = -new_v1[0]
         head = (state.head + 1) % self.n_hist
-        state.history[head] = displacement(new_v1, new_v2, self.a, h)
+        state.history[head] = displacement(new_v1, new_v2, self.a, self.h)
         return SimState(v1=new_v1, v2=new_v2, t=state.t + dt, dt=dt,
                         history=state.history, head=head)
 
@@ -166,11 +172,11 @@ def run_to_orbit(spec: ProblemSpec, tau: float, T_end: float,
     """Integrate, drop the leading 80 percent, estimate the period.
 
     Returns (period, tail_times, tail_probe, final_state). Raises
-    NoOscillationDetected when the probe amplitude sinks below the noise
-    floor (decay to the trivial state) or when the amplitude envelope is
-    still drifting across the tail (no settled limit cycle: for instance
-    an undamped linear problem whose amplitude only reflects the scheme's
-    slow numerical dissipation).
+    NoOscillationDetected when the tail is too short to judge, when the
+    probe amplitude sinks below the noise floor (decay to the trivial
+    state) or when the amplitude envelope is still drifting across the
+    tail (no settled limit cycle: for instance an undamped linear problem
+    whose amplitude only reflects the scheme's slow numerical dissipation).
     """
     sim = sim or Simulator(spec, tau, M=M)
     state = initial if initial is not None else sim.initial_state()
@@ -184,6 +190,10 @@ def run_to_orbit(spec: ProblemSpec, tau: float, T_end: float,
         ys[i] = state.history[state.head][probe]
     cut = int(0.8 * n_steps)
     tail_t, tail_y = ts[cut:], ys[cut:]
+    if len(tail_y) < 2:
+        raise NoOscillationDetected(
+            f"run too short to judge: its tail holds {len(tail_y)} of "
+            f"{n_steps} steps", settled=False)
     amp = float(np.max(np.abs(tail_y)))
     if amp < noise_floor:
         raise NoOscillationDetected(

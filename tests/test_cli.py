@@ -192,6 +192,9 @@ def test_input_validation(tmp_path):
     assert run_cli("certificate",
                    write_config(tmp_path, solver={"Mx": 12})) == 2
     assert run_cli("certificate", write_config(tmp_path, b="u1 +")) == 2
+    # a constant power with no value once escaped parsing as a traceback
+    assert run_cli("certificate",
+                   write_config(tmp_path, b="-u1^3/6 - u2 - u3 + u1*0^-2")) == 2
     assert run_cli("certificate", write_config(tmp_path, tau_guess=None)) == 2
     assert run_cli("certificate", str(tmp_path / "missing.json")) == 2
 
@@ -356,6 +359,18 @@ def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flags, flag):
                    "--out", str(out)) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("T, n_steps", [("0.01", 2), ("0.001", 1)])
+def test_simulate_horizon_too_short_to_judge(tmp_path, T, n_steps):
+    # a run of one or two steps leaves a one-step tail with no halves to
+    # compare: once a numpy reduction error with no JSON written
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", str(SUPER), "--tau", "1.6", "--T", T,
+                   "--out", str(out)) == 6
+    doc = json.loads(out.read_text())
+    assert doc["T_end"] == float(T)
+    assert f"tail holds 1 of {n_steps} steps" in doc["error"]
 
 
 def test_simulate_delay_beyond_history_ring(tmp_path):

@@ -1,5 +1,10 @@
+import itertools
+import math
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfwave import exprlang
 from hopfwave.errors import EvalDomainError, ParseError, UnknownIdentifier
@@ -130,9 +135,166 @@ def test_domain_errors_raise():
         exprlang.parse("sqrt(x)").eval({"x": -1.0})
     with pytest.raises(EvalDomainError):
         exprlang.parse("sin(x)").eval({})   # unbound variable
+    # constant powers that cannot be folded stay in the tree for eval to
+    # report, instead of a bare ZeroDivisionError/OverflowError from parse
+    with pytest.raises(EvalDomainError):
+        exprlang.parse("u1 + 0^-1").eval({"u1": 1.0})
+    with pytest.raises(EvalDomainError):
+        exprlang.parse("1e200^2").eval({})
+    with pytest.raises(EvalDomainError):
+        exprlang.parse("u1*0^-1").diff("u1").eval({"u1": 1.0})
 
 
 def test_nodes_are_immutable():
     e = exprlang.parse("x + 1")
     with pytest.raises(Exception):
         e.a = exprlang.Num(2.0)
+
+
+# ---------------------------------------------------------------------------
+# limits of the compiled evaluator: source depth, exponent size, constants
+
+def test_long_sum_evaluates_on_arrays():
+    # a flat 600-term sum parses into a tree 600 deep; its compiled source
+    # must not nest that deep
+    e = exprlang.parse(" + ".join(f"{k}*u1*x" for k in range(1, 601)))
+    x = np.linspace(0.0, 1.0, 9)
+    u1 = np.linspace(-1.0, 1.0, 9)
+    assert np.allclose(e.eval({"x": x, "u1": u1}), 180300.0 * u1 * x,
+                       rtol=1e-13, atol=1e-10)
+
+
+def test_huge_integer_exponent():
+    e = exprlang.parse("x^100000")
+    assert e.eval({"x": 1.0}) == 1.0
+    with pytest.raises(EvalDomainError):
+        e.eval({"x": 2.0})
+
+
+def test_infinite_literal_raises_domain_error():
+    with pytest.raises(EvalDomainError):
+        exprlang.parse("1e400").eval({})
+    with pytest.raises(EvalDomainError):
+        exprlang.parse("u1 + 1e400").eval({"u1": np.zeros(3)})
+
+
+def test_third_derivatives_of_product_chain():
+    # d^3/du1^3 of prod_k (1 + k u1) at u1 = 0 is 6 e3(1..12), e3 the third
+    # elementary symmetric polynomial; the mixed third partial of a chain
+    # in all four u variables has a closed form too
+    chain = exprlang.parse("*".join(f"(1 + {k}*u1)" for k in range(1, 13)))
+    want = 6.0 * sum(i * j * k for i, j, k in itertools.combinations(range(1, 13), 3))
+    assert chain.diff("u1", 3).eval({"u1": 0.0}) == pytest.approx(want, rel=1e-13)
+    assert np.allclose(chain.diff("u1", 3).eval({"u1": np.zeros(4)}), want, rtol=1e-13)
+    mixed = exprlang.parse("u1*u2*u3*u4*sin(x)*exp(u1)").diff("u1").diff("u2").diff("u3")
+    env = {"x": 0.3, "u1": 0.2, "u2": -0.4, "u3": 0.7, "u4": 1.1}
+    assert mixed.eval(env) == pytest.approx((1 + 0.2) * np.exp(0.2) * 1.1 * np.sin(0.3),
+                                            rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# property tests: random trees against a tree-walk reference evaluator
+
+E = exprlang
+# product-versus-pow rounding: each power may differ from pow by a few
+# ulps; the bound leaves room for the rest of a depth-4 tree to amplify it
+RTOL, ATOL = 1e-9, 1e-12
+
+
+def _walk(e, env):
+    if isinstance(e, E.Num):
+        return e.value
+    if isinstance(e, E.Pi):
+        return math.pi
+    if isinstance(e, E.Var):
+        return env[e.name]
+    if isinstance(e, E.Neg):
+        return -_walk(e.a, env)
+    if isinstance(e, E.Fun):
+        return getattr(np, e.name)(_walk(e.arg, env))
+    if isinstance(e, E.Pow):
+        b = _walk(e.base, env)
+        return b ** e.n if e.n >= 0 else 1.0 / b ** (-e.n)
+    a, b = _walk(e.a, env), _walk(e.b, env)
+    return {E.Add: operator.add, E.Sub: operator.sub,
+            E.Mul: operator.mul, E.Div: operator.truediv}[type(e)](a, b)
+
+
+def reference_eval(e, env):
+    """Tree-walk evaluation with Expr.eval's domain contract."""
+    try:
+        with np.errstate(all="ignore"):
+            val = _walk(e, env)
+    except (KeyError, ZeroDivisionError, OverflowError):
+        raise EvalDomainError("reference") from None
+    if not np.all(np.isfinite(val)):
+        raise EvalDomainError("reference")
+    return val
+
+
+def _trees(depth):
+    leaf = st.one_of(st.builds(E.Num, st.floats(-3.0, 3.0)),
+                     st.builds(E.Var, st.sampled_from(exprlang.VARIABLES)),
+                     st.just(E.Pi()))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        *(st.builds(cls, sub, sub) for cls in (E.Add, E.Sub, E.Mul, E.Div)),
+        st.builds(E.Pow, sub, st.integers(-4, 7)),
+        st.builds(E.Neg, sub),
+        st.builds(E.Fun, st.sampled_from(exprlang.FUNCTIONS), sub))
+
+
+TREES = _trees(4)
+VALUE = st.floats(-2.0, 2.0)
+ENVS = st.one_of(
+    st.fixed_dictionaries({v: VALUE for v in exprlang.VARIABLES}),
+    st.fixed_dictionaries({v: st.lists(VALUE, min_size=3, max_size=3).map(np.array)
+                           for v in exprlang.VARIABLES}))
+PROPERTY = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+
+
+def _outcome(fn, e, env):
+    try:
+        return fn(e, env)
+    except EvalDomainError:
+        return None
+
+
+@PROPERTY
+@given(TREES, ENVS)
+def test_compiled_eval_matches_tree_walk(e, env):
+    want = _outcome(reference_eval, e, env)
+    got = _outcome(lambda e, env: e.eval(env), e, env)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.allclose(got, want, rtol=RTOL, atol=ATOL)
+
+
+@PROPERTY
+@given(TREES, st.sampled_from(exprlang.VARIABLES),
+       st.fixed_dictionaries({v: st.integers(-96, 96).map(lambda k: k / 64.0)
+                              for v in exprlang.VARIABLES}))
+def test_diff_matches_central_differences(e, var, env):
+    # points where the difference quotient cannot converge are skipped: its
+    # rounding noise eps |f| / h must be small, and the quotients at h and
+    # 2h must agree (no pole or kink nearby) before the derivative is
+    # judged against them
+    def quotient(h):
+        lo, hi = dict(env), dict(env)
+        lo[var] -= h
+        hi[var] += h
+        return (e.eval(hi) - e.eval(lo)) / (2 * h)
+
+    h = 1e-5
+    try:
+        f = e.eval(env)
+        ad = e.diff(var).eval(env)
+        fd, fd2 = quotient(h), quotient(2 * h)
+    except EvalDomainError:
+        assume(False)
+    scale = 1.0 + abs(fd)
+    assume(1e-16 * abs(f) / h <= 1e-8 * scale and abs(fd - fd2) <= 1e-6 * scale)
+    assert abs(ad - fd) <= 1e-5 * scale

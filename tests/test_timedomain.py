@@ -147,6 +147,40 @@ def test_head_row_is_displacement_of_fields(spec_cubic_down):
         state = sim.step(state)
 
 
+def _unfused_step(sim, state):
+    """The step written out term by term: B, both upwind updates and the
+    boundary rows, as they stood before the arithmetic was fused."""
+    v1, v2, a, h, dt = state.v1, state.v2, sim.a, sim.h, sim.dt
+    env = {"x": sim.x, "lambda": sim.spec.lam, "u1": state.history[state.head],
+           "u2": sim._delayed_displacement(state), "u3": 0.5 * (v1 + v2),
+           "u4": 0.5 * (v1 - v2) / a}
+    B = np.broadcast_to(sim.spec.b.eval(env), sim.x.shape) - 0.5 * sim.ax * (v1 - v2)
+    new_v1, new_v2 = v1.copy(), v2.copy()
+    new_v1[:-1] = v1[:-1] + dt * (a[:-1] * (v1[1:] - v1[:-1]) / h + B[:-1])
+    new_v2[1:] = v2[1:] + dt * (-a[1:] * (v2[1:] - v2[:-1]) / h + B[1:])
+    new_v1[-1] = new_v2[-1]
+    new_v2[0] = -new_v1[0]
+    return new_v1, new_v2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_step_matches_unfused_formula(seed):
+    # a(x) varies, so the ax term of B and the per-node upwind gains are
+    # exercised (benchmark_super has ax = 0); fields and history are random
+    spec = ProblemSpec.from_expressions(a="1 + x^2/2 + sin(3*x)/4",
+                                        b="-u1^3/6 - u2 - u3 + x*u4")
+    sim = timedomain.Simulator(spec, tau=0.7, M=64)
+    rng = np.random.default_rng(seed)
+    state = sim.initial_state(v1=rng.standard_normal(65),
+                              v2=rng.standard_normal(65),
+                              history_fn=lambda t: rng.standard_normal(65))
+    assert np.ptp(sim.ax) > 0.5
+    want_v1, want_v2 = _unfused_step(sim, state)
+    got = sim.step(state)
+    for got_v, want_v in ((got.v1, want_v1), (got.v2, want_v2)):
+        assert np.max(np.abs(got_v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
+
+
 def test_step_refuses_foreign_dt(spec_cubic_down):
     # the ring offsets are fixed by the simulator's dt
     sim = timedomain.Simulator(spec_cubic_down, tau=1.0, M=64)
