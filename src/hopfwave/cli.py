@@ -222,6 +222,24 @@ def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
     }
 
 
+def branch_diagnostics(branch: periodic.BranchResult) -> dict:
+    """Solver counts of a branch, per eps where they vary: preconditioner
+    builds, Newton iterations, tangent products inside GMRES, line-search
+    halvings, and the smallest block reciprocal condition with its
+    harmonic. Counts only, no timings, so the document stays
+    byte-identical for the same file and seed."""
+    rcond, harmonic = min((float(r[k]), k) for r in branch.rconds
+                          for k in range(len(r)))
+    return {
+        "preconditioner_builds": len(branch.rconds),
+        "newton_iterations": [o.stats.iterations for o in branch.orbits],
+        "gmres_matvecs": [o.stats.matvecs for o in branch.orbits],
+        "line_search_halvings": [o.stats.halvings for o in branch.orbits],
+        "min_block_rcond": rcond,
+        "min_block_rcond_harmonic": harmonic,
+    }
+
+
 def _write_json(path, doc):
     text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -327,6 +345,7 @@ def cmd_branch(args):
         "fit_tau_slope": branch.fit_tau_slope,
         "fit_omega_curvature": branch.fit_omega_curvature,
         "fit_omega_slope": branch.fit_omega_slope,
+        "diagnostics": branch_diagnostics(branch),
     })
     if d2tau_formula is not None:
         summary["direction_d2tau"] = d2tau_formula

@@ -14,11 +14,15 @@ times, which de-aliases cubic products exactly. Newton treats the stacked
 harmonic coefficients plus (omega, tau) as unknowns, with an amplitude
 projection on the critical mode and a phase condition closing the system.
 Each step is GMRES on the exact derivative of that residual, preconditioned
-by the LU factors of one Jacobian per branch.
+by one block build per branch. With the partials of b averaged over time
+(exact at v = 0) the derivative splits harmonic by harmonic; only k = 1 is
+singular at the Hopf point, and it is bordered by the amplitude and phase
+rows and the (omega, tau) columns, as in the Lyapunov-Schmidt reduction
+onto the critical mode. No dense matrix of the full system is formed.
 
 Fields and operators accept leading batch axes: coefficient arrays have
-shape (..., N+1, 2, M+1), which lets the Jacobian apply the tangent to a
-whole block of unit inputs at once.
+shape (..., N+1, 2, M+1), which lets the preconditioner build apply the
+tangent to a whole chunk of probe directions at once.
 """
 from __future__ import annotations
 
@@ -120,11 +124,6 @@ class FourierField:
         coef = harmonic_analysis(values.reshape(values.shape[:-2] + (-1,)), N)
         return cls(coef.reshape(coef.shape[:-1] + values.shape[-2:]))
 
-    def time_shifted(self, phi):
-        """Field t -> v(t + phi, x) (harmonic k picks up e^{ik phi})."""
-        ks = np.arange(self.N + 1)
-        return FourierField(self.coef * np.exp(1j * phi * ks)[:, None, None])
-
     # real packing for the Newton unknown vector -----------------------------
     # order: Re v_0, then Re v_k, Im v_k for k = 1..N, each block (component,
     # node); the always-zero Im v_0 block is dropped
@@ -143,15 +142,6 @@ class FourierField:
                                 vec[..., blk:]], axis=-1)
         parts = parts.reshape(lead + (N + 1, 2, 2, M + 1))
         return cls(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
-
-
-def inner_product(v: FourierField, w: FourierField, h) -> float:
-    """Time-averaged L2 pairing (1/2pi) int int sum_j v_j w_j dx dt."""
-    total = integral(np.sum(v.coef[0].real * w.coef[0].real, axis=0), h)
-    for k in range(1, v.N + 1):
-        total += 2.0 * integral(
-            np.sum(v.coef[k] * np.conj(w.coef[k]), axis=0), h).real
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +302,16 @@ def apply_B(v: FourierField, omega: float, tau: float,
 # ---------------------------------------------------------------------------
 # orbits, constraints, Newton
 
+@dataclass(frozen=True)
+class NewtonStats:
+    """Deterministic counts of one `newton_solve`."""
+
+    iterations: int         # Newton steps
+    matvecs: int            # tangent products inside GMRES
+    halvings: int           # line-search step halvings
+    rconds: tuple           # per-harmonic block rcond of each preconditioner built
+
+
 @dataclass
 class PeriodicOrbit:
     v: FourierField
@@ -320,6 +320,7 @@ class PeriodicOrbit:
     eps: float
     lam: float
     residual_norm: float = np.inf
+    stats: NewtonStats | None = None    # set on the orbits newton_solve returns
 
 
 @dataclass(frozen=True)
@@ -380,7 +381,8 @@ def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
     return np.concatenate([_defect(v, Bv, orbit.omega, ctx), rows])
 
 
-def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
+def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
+             harmonic_diagonal: bool = False):
     """Exact derivative of `residual` at orbit, as a map on packed
     directions of shape (..., n), in the residual's own packing.
 
@@ -388,6 +390,11 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
     apply_B from the exact partials b_{u_j} on the same collocation grid;
     the amplitude and phase rows are linear. Two fixed columns carry the
     analytic (omega, tau) derivatives of the phase factors.
+
+    With harmonic_diagonal, dB uses the time averages of the partials,
+    which map each harmonic to itself: the harmonic part is then
+    block-diagonal over harmonics, and the (omega, tau) columns stay
+    exact. At v = 0 the partials are constant in time and the two agree.
     """
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
     N, M = v.N, v.M
@@ -406,6 +413,8 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
     dT[0] += _transport_domega(v, Bv, omega, ctx)
     omega_tau = np.concatenate([-FourierField(dT).flatten(), np.zeros((2, 2))],
                                axis=-1)
+    if harmonic_diagonal:
+        partials = [p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials]
 
     def apply(dz):
         dv = FourierField.unflatten(dz[..., :-2], N, M)
@@ -419,53 +428,115 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
     return apply
 
 
-def jacobian(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis):
-    """Exact derivative of `residual` at orbit, Fortran-ordered, and its 1-norm.
-
-    The columns are `_tangent` applied to unit inputs, one block of M+1
-    columns (one harmonic, real or imaginary part, and component) at a
-    time, the (omega, tau) pair last; column norms are taken per block.
-    """
-    tangent = _tangent(orbit, ctx, basis)
-    n = len(_pack(orbit))
-    J = np.empty((n, n), order="F")
-    col_norms = np.empty(n)
-    for j0 in range(0, n, orbit.v.M + 1):
-        cols = slice(j0, min(j0 + orbit.v.M + 1, n))
-        J[:, cols] = tangent(np.eye(cols.stop - j0, n, j0)).T
-        col_norms[cols] = np.abs(J[:, cols]).sum(axis=0)
-    return J, float(np.max(col_norms))
-
-
-RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of J
+RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of a block
 TOL_ORBIT = 1e-9        # residual a converged orbit must reach
 GMRES_RTOL = 1e-12      # relative residual of each Newton step's linear solve
 GMRES_RESTART = 40      # Krylov dimension per GMRES cycle
 GMRES_MAXITER = 2       # GMRES cycles before the preconditioner is rebuilt
 
 
-def _factor_checked(orbit, ctx, basis):
-    """LU solve with the Jacobian at orbit as a LinearOperator: the Newton
-    preconditioner. A zero pivot or a LAPACK gecon estimate of the
-    reciprocal 1-norm condition below RANK_RCOND raises JacobianSingular.
+def _harmonic_slices(N, M):
+    """Packed rows (and columns) of harmonics 0..N: 2(M+1) real entries for
+    k = 0, 4(M+1) for each k >= 1 (real part, then imaginary part)."""
+    m = 2 * (M + 1)
+    return [slice(0, m)] + [slice((2 * k - 1) * m, (2 * k + 1) * m)
+                            for k in range(1, N + 1)]
+
+
+@dataclass(frozen=True)
+class BlockPreconditioner:
+    """Inverse of the harmonic-diagonal Newton matrix that
+    `block_preconditioner` builds, applied by `matvec` (the `M` of GMRES)."""
+
+    inv0: np.ndarray        # k = 0 block inverse, 2(M+1) square
+    inv1: np.ndarray        # bordered k = 1 block inverse, 4(M+1) + 2 square
+    inv_rest: np.ndarray    # k = 2..N block inverses, (N-1, 4(M+1), 4(M+1))
+    omega_tau: np.ndarray   # (2, n) exact (omega, tau) columns at the build point
+    rcond: np.ndarray       # reciprocal 1-norm condition per harmonic block
+    dtype = np.dtype(float)
+
+    @property
+    def shape(self):
+        n = self.omega_tau.shape[1]
+        return (n, n)
+
+    def matvec(self, r):
+        """Solve the bordered k = 1 block for (x_1, omega, tau), then every
+        other harmonic with those (omega, tau) columns moved to the right."""
+        m = len(self.inv0)
+        y = self.inv1 @ np.concatenate([r[m:3 * m], r[-2:]])
+        rest = r[:-2] - y[-2:] @ self.omega_tau[:, :-2]
+        x = np.empty(len(r))
+        x[:m] = self.inv0 @ rest[:m]
+        x[m:3 * m], x[-2:] = y[:-2], y[-2:]
+        x[3 * m:-2] = (self.inv_rest @ rest[3 * m:].reshape(-1, 2 * m, 1)).ravel()
+        return x
+
+
+def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
+                         basis: ModeBasis) -> BlockPreconditioner:
+    """The Newton preconditioner: the exact inverse of the harmonic-diagonal
+    tangent at orbit (`_tangent` with harmonic_diagonal), block by block.
+
+    That tangent maps each harmonic to itself: one 2(M+1) block for k = 0
+    and one 4(M+1) block for each k >= 1; at v = 0 it is the exact tangent.
+    A probe with a unit at the same local index in every harmonic therefore
+    yields a column of every block at once; the probes go through the
+    tangent in chunks of M+1. The k = 1 block is singular at the Hopf
+    point, so it is bordered by the amplitude and phase rows and by the
+    exact (omega, tau) columns at orbit (two more applications); the other
+    harmonics meet those columns below the diagonal only, so the solve is
+    block lower-triangular. In all, 4(M+1) + 2 directions per build.
+
+    Each block is LU-factored and inverted. A zero pivot or a LAPACK gecon
+    estimate of a block's reciprocal 1-norm condition below RANK_RCOND
+    raises JacobianSingular naming the harmonics: the bordered k = 1 block
+    means a failed certificate, any other k a resonance at ik.
     """
-    import scipy.sparse.linalg  # here, not at the top: only branch needs its ~4 MB
-    J, anorm = jacobian(orbit, ctx, basis)
-    with warnings.catch_warnings():
-        # an exactly zero pivot is reported below as JacobianSingular
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(J, overwrite_a=True)
-    if not np.all(np.diagonal(lu)):
+    N, M = orbit.v.N, orbit.v.M
+    n = len(_pack(orbit))
+    slices = _harmonic_slices(N, M)
+    sizes = [s.stop - s.start for s in slices]
+    tangent = _tangent(orbit, ctx, basis, harmonic_diagonal=True)
+    omega_tau = tangent(np.eye(2, n, n - 2))
+    blocks = [np.empty((m, m), order="F") for m in sizes]
+    blocks[1] = np.zeros((sizes[1] + 2,) * 2, order="F")
+    blocks[1][:-2, -2:] = omega_tau[:, slices[1]].T
+    width = M + 1
+    for j0 in range(0, sizes[1], width):
+        live = [k for k in range(N + 1) if sizes[k] > j0]
+        probe = np.zeros((width, n))
+        for k in live:
+            probe[:, slices[k].start + j0:slices[k].start + j0 + width] = np.eye(width)
+        out = tangent(probe)
+        for k in live:
+            blocks[k][:sizes[k], j0:j0 + width] = out[:, slices[k]].T
+        blocks[1][-2:, j0:j0 + width] = out[:, -2:].T
+    inverses, rcond = [], np.zeros(N + 1)
+    for k, blk in enumerate(blocks):
+        anorm = np.max(np.abs(blk).sum(axis=0))
+        with warnings.catch_warnings():
+            # an exactly zero pivot is reported below as JacobianSingular
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(blk, overwrite_a=True,
+                                             check_finite=False)
+        if np.all(np.diagonal(lu)):
+            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+            rcond[k] = gecon(lu, anorm, norm="1")[0]
+        if rcond[k] >= RANK_RCOND:
+            inverses.append(scipy.linalg.lu_solve((lu, piv), np.eye(len(lu))))
+    bad = [k for k in range(N + 1) if not rcond[k] >= RANK_RCOND]
+    if bad:
         raise JacobianSingular(
-            "Newton matrix has a zero pivot; resonant mode or failed certificate")
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm, norm="1")
-    if not rcond >= RANK_RCOND:
-        raise JacobianSingular(
-            f"Newton matrix reciprocal condition {rcond:.2e} below "
-            f"{RANK_RCOND:.0e}; resonant mode or failed certificate")
-    return scipy.sparse.linalg.LinearOperator(
-        lu.shape, dtype=float, matvec=lambda r: scipy.linalg.lu_solve((lu, piv), r))
+            f"Newton matrix singular, block reciprocal condition below "
+            f"{RANK_RCOND:.0e}: " + "; ".join(
+                f"harmonic {k} ({rcond[k]:.2e}, "
+                + ("failed certificate" if k == 1 else f"resonance at {k}i") + ")"
+                for k in bad))
+    return BlockPreconditioner(
+        inv0=inverses[0], inv1=inverses[1],
+        inv_rest=np.reshape(inverses[2:], (N - 1, sizes[1], sizes[1])),
+        omega_tau=omega_tau, rcond=rcond)
 
 
 def _pack(orbit):
@@ -484,14 +555,15 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     """Damped Newton-Krylov on the exact tangent, iterated to roundoff.
 
     Each step solves the `_tangent` system by GMRES, preconditioned by
-    `precond`, the `_factor_checked` LU of one Jacobian (built at the guess
-    if not given, rebuilt at the current point if GMRES fails above
-    TOL_ORBIT). A trial step on which b leaves its domain fails and is
-    halved. The solve stops when a full step no longer lowers a residual
-    at or below TOL_ORBIT; otherwise NoConvergence names the line search
-    or the iteration limit. Unknowns are the harmonics plus (omega, tau).
+    `precond`, a `block_preconditioner` (built at the guess if not given,
+    rebuilt at the current point if GMRES fails above TOL_ORBIT). A trial
+    step on which b leaves its domain fails and is halved. The solve stops
+    when a full step no longer lowers a residual at or below TOL_ORBIT;
+    otherwise NoConvergence names the line search or the iteration limit.
+    Unknowns are the harmonics plus (omega, tau). The returned orbit's
+    `stats` count the iterations, tangent products, halvings and builds.
     """
-    import scipy.sparse.linalg
+    import scipy.sparse.linalg  # here, not at the top: only branch needs its ~4 MB
     N, M = guess.v.N, guess.v.M
     z = _pack(replace(guess, eps=eps))
 
@@ -503,18 +575,32 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
 
     r = res(z)
     rn = float(np.max(np.abs(r)))
-    n_jac = n_iter = 0
+    rconds = []
+    n_iter = matvecs = halvings = 0
+
+    def build():
+        nonlocal precond
+        precond = block_preconditioner(orbit_at(z), ctx, basis)
+        rconds.append(precond.rcond)
+
+    def counted(tangent):
+        def matvec(dz):
+            nonlocal matvecs
+            matvecs += 1
+            return tangent(dz)
+        return matvec
+
     if precond is None and (eps != 0.0 or guess.v.max_abs() != 0.0):
         # the condition check doubles as the local-uniqueness certificate;
         # only at the trivial orbit, the bifurcation point itself, is the
-        # Jacobian legitimately singular
-        precond = _factor_checked(orbit_at(z), ctx, basis)
-        n_jac += 1
+        # Newton matrix legitimately singular
+        build()
     limit = f"iteration limit {max_iter}"
     while n_iter < max_iter:
         n_iter += 1
         tangent = scipy.sparse.linalg.LinearOperator(
-            (len(z), len(z)), dtype=float, matvec=_tangent(orbit_at(z), ctx, basis))
+            (len(z), len(z)), dtype=float,
+            matvec=counted(_tangent(orbit_at(z), ctx, basis)))
         for attempt in range(2):
             step, info = scipy.sparse.linalg.gmres(
                 tangent, -r, rtol=GMRES_RTOL, restart=GMRES_RESTART,
@@ -523,9 +609,8 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
             # although the step is as good as the residual allows
             if info == 0 or attempt or rn <= TOL_ORBIT:
                 break
-            precond = _factor_checked(orbit_at(z), ctx, basis)
-            n_jac += 1
-        for t in 0.5 ** np.arange(12):
+            build()
+        for i, t in enumerate(0.5 ** np.arange(12)):
             try:
                 r_new = res(z + t * step)
                 rn_new = float(np.max(np.abs(r_new)))
@@ -533,6 +618,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
                 rn_new = np.inf     # b is not finite there: a failed trial
             if rn_new < rn or rn <= TOL_ORBIT:
                 break
+        halvings += i
         if not rn_new < rn:
             limit = "line search"
             break
@@ -540,10 +626,12 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     if rn > TOL_ORBIT:
         raise NoConvergence(
             f"orbit residual {rn:.3e} above {TOL_ORBIT:.1e}: stopped by "
-            f"the {limit} after {n_iter} iterations and {n_jac} Jacobians",
-            last_good=None)
+            f"the {limit} after {n_iter} iterations and {len(rconds)} "
+            f"preconditioner builds", last_good=None)
     out = orbit_at(z)
     out.residual_norm = rn
+    out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
+                            halvings=halvings, rconds=tuple(rconds))
     return out
 
 
@@ -554,6 +642,7 @@ class BranchResult:
     fit_tau_slope: float
     fit_omega_curvature: float
     fit_omega_slope: float
+    rconds: list            # per-harmonic block rcond of every preconditioner built
 
 
 def _fit_slope_curvature(eps, values, base):
@@ -569,8 +658,10 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     """March the orbit family over increasing eps, Newton from the previous
     point, then fit the delay and frequency laws on the three smallest eps.
 
-    One Jacobian, condition-checked at the first predictor, preconditions
-    every solve. A solver error carries the last good amplitude as `last_good`.
+    One `block_preconditioner`, condition-checked at the first predictor,
+    preconditions every solve; `rconds` lists its block conditions and
+    those of any rebuild inside a solve. A solver error carries the last
+    good amplitude as `last_good`.
     """
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3 or any(e <= 0 for e in eps_grid) \
@@ -580,7 +671,7 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     orbits = []
     guess = predictor(cert, eps_grid[0], N, ctx)
     try:
-        precond = _factor_checked(guess, ctx, basis)
+        precond = block_preconditioner(guess, ctx, basis)
         for eps in eps_grid:
             guess = newton_solve(guess, eps, ctx, basis, max_iter, precond)
             orbits.append(guess)
@@ -603,7 +694,9 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
         om_s, om_c = float(osol[1]), float(osol[2])
     return BranchResult(orbits=orbits, fit_tau_curvature=tau_c,
                         fit_tau_slope=tau_s, fit_omega_curvature=om_c,
-                        fit_omega_slope=om_s)
+                        fit_omega_slope=om_s,
+                        rconds=[precond.rcond] + [r for o in orbits
+                                                  for r in o.stats.rconds])
 
 
 # ---------------------------------------------------------------------------

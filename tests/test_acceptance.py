@@ -26,6 +26,7 @@ from hopfwave.errors import JacobianSingular
 from hopfwave.model import ProblemSpec, linearize, kernels
 
 from conftest import sin_convention
+from oracles import time_shifted
 from test_eigen import characteristic_root_crossing_speed
 from test_periodic_ops import oracle_C, oracle_D, random_field
 
@@ -210,8 +211,8 @@ def test_criterion_5_operator_oracles():
     v = random_field(rng, 5, 64)
     phi = rng.uniform(0, 2 * np.pi)
     equi = np.max(np.abs(
-        periodic.apply_B(v.time_shifted(phi), 1.05, 0.8, ctx).coef
-        - periodic.apply_B(v, 1.05, 0.8, ctx).time_shifted(phi).coef))
+        periodic.apply_B(time_shifted(v, phi), 1.05, 0.8, ctx).coef
+        - time_shifted(periodic.apply_B(v, 1.05, 0.8, ctx), phi).coef))
     sym = max(np.max(np.abs(periodic.apply_B(v, 1.05, 0.8, ctx).coef[0].imag)),
               np.max(np.abs(periodic.apply_C(v, 1.05, ctx).coef[0].imag)))
     # boundary rows: the operator image reflects the input at the edges

@@ -141,6 +141,24 @@ def test_branch_command(tmp_path):
                - doc["eps"][0]) < 1e-15
 
 
+def test_branch_deterministic(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        solver={"M": 128, "M_solve": 32, "N": 6, "K_max": 4,
+                "eps_grid": [0.02, 0.03, 0.04]})
+    out1, out2 = tmp_path / "b1.json", tmp_path / "b2.json"
+    assert run_cli("branch", cfg, "--seed", "7", "--out", str(out1)) == 0
+    assert run_cli("branch", cfg, "--seed", "7", "--out", str(out2)) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    diag = json.loads(out1.read_text())["diagnostics"]
+    assert diag["preconditioner_builds"] >= 1
+    for key in ("newton_iterations", "gmres_matvecs", "line_search_halvings"):
+        assert len(diag[key]) == 3
+    assert all(n >= 1 for n in diag["newton_iterations"])
+    assert diag["min_block_rcond"] >= 1e-12
+    assert 0 <= diag["min_block_rcond_harmonic"] <= 6
+
+
 def test_branch_rejects_degenerate_grid(tmp_path):
     cfg = write_config(tmp_path, solver={"eps_grid": [0]})
     assert run_cli("branch", cfg) == 2

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 
-from hopfwave import eigen, periodic
+from hopfwave import direction, eigen, periodic
 from hopfwave.errors import JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec, linearize
+from oracles import jacobian, time_shifted
 
 
 def test_newton_near_hopf_point(cert_up, ctx_up):
@@ -37,7 +37,7 @@ def test_phase_circle(super_orbit, cert_down, ctx_down):
     # reproduces the same orbit
     basis = periodic.mode_basis(cert_down, ctx_down)
     shifted = periodic.PeriodicOrbit(
-        v=super_orbit.v.time_shifted(0.25), omega=super_orbit.omega,
+        v=time_shifted(super_orbit.v, 0.25), omega=super_orbit.omega,
         tau=super_orbit.tau, eps=super_orbit.eps, lam=0.0)
     back = periodic.newton_solve(shifted, super_orbit.eps, ctx_down, basis)
     assert np.max(np.abs(back.v.coef - super_orbit.v.coef)) < 1e-8
@@ -161,7 +161,8 @@ def test_no_convergence_names_iteration_limit(cert_down, ctx_down):
     basis = periodic.mode_basis(cert_down, ctx_down)
     guess = periodic.predictor(cert_down, 0.3, 4, ctx_down)
     with pytest.raises(NoConvergence,
-                       match=r"iteration limit 1 after 1 iterations and 1 Jacobians"):
+                       match=r"iteration limit 1 after 1 iterations and 1 "
+                             r"preconditioner builds"):
         periodic.newton_solve(guess, 0.3, ctx_down, basis, max_iter=1)
 
 
@@ -174,7 +175,8 @@ def test_no_convergence_names_line_search():
     cert = eigen.certify(spec, 1.4, M=128, K_max=4)
     ctx = periodic.operator_context(spec, 0.0, 32)
     with pytest.raises(NoConvergence,
-                       match=r"line search after \d+ iterations and \d+ Jacobians"
+                       match=r"line search after \d+ iterations and \d+ "
+                             r"preconditioner builds"
                        ) as info:
         periodic.continue_branch(cert, [0.01, 0.02, 0.03, 0.04], ctx, 4)
     assert info.value.last_good == 0.03
@@ -201,20 +203,20 @@ def test_newton_resolves_tau_near_hopf_point(cert_up, ctx_up):
         == pytest.approx(1.0, abs=0.15)
 
 
-def _count_lu_factor(monkeypatch):
+def _count_builds(monkeypatch):
     calls = []
-    lu_factor = scipy.linalg.lu_factor
+    build = periodic.block_preconditioner
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return lu_factor(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    monkeypatch.setattr(periodic, "block_preconditioner", counting)
     return calls
 
 
 def test_flagship_branch_factors_once(cert_up, ctx_up, monkeypatch):
-    calls = _count_lu_factor(monkeypatch)
+    calls = _count_builds(monkeypatch)
     eps_grid = [0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.05]
     periodic.continue_branch(cert_up, eps_grid, ctx_up, 8)
     assert len(calls) == 1
@@ -223,8 +225,8 @@ def test_flagship_branch_factors_once(cert_up, ctx_up, monkeypatch):
 def test_gmres_failure_rebuilds_preconditioner_once(cert_down, ctx_down,
                                                     monkeypatch):
     # an identity preconditioner leaves GMRES short of its tolerance; the
-    # solve rebuilds the LU at the current point once and converges
-    calls = _count_lu_factor(monkeypatch)
+    # solve rebuilds the preconditioner at the current point once and converges
+    calls = _count_builds(monkeypatch)
     infos = []
     gmres = scipy.sparse.linalg.gmres
 
@@ -260,7 +262,7 @@ def test_jacobian_matches_central_differences():
     basis = periodic.mode_basis(cert, ctx)
     orbit = periodic.newton_solve(periodic.predictor(cert, eps, N, ctx),
                                   eps, ctx, basis)
-    J, anorm = periodic.jacobian(orbit, ctx, basis)
+    J, anorm = jacobian(orbit, ctx, basis)
     assert J.flags.f_contiguous
     assert anorm == pytest.approx(np.max(np.sum(np.abs(J), axis=0)), rel=1e-12)
     z = periodic._pack(orbit)
@@ -294,7 +296,7 @@ def test_resonance_detected_with_live_delay_column():
     ctx = periodic.operator_context(spec, 0.0, 32)
     basis = periodic.mode_basis(cert, ctx)
     guess = periodic.predictor(cert, 0.01, 4, ctx)
-    J, _ = periodic.jacobian(guess, ctx, basis)
+    J, _ = jacobian(guess, ctx, basis)
     assert np.max(np.abs(J[:, -1])) > 1e-3
     # the numerical null space lives on harmonic 3 alone
     _, s, vh = np.linalg.svd(J)
@@ -305,3 +307,79 @@ def test_resonance_detected_with_live_delay_column():
         assert energy[3] > (1 - 1e-12) * np.sum(np.abs(vec) ** 2)
     with pytest.raises(JacobianSingular):
         periodic.newton_solve(guess, 0.01, ctx, basis)
+
+
+def _live_delay_resonance():
+    """u_tt = a^2 u_xx - u + u(t - tau) at tau = 2 pi: resonant at +-i and
+    +-3i, with a certificate-like mode basis at k = 1 (M_solve 32, N 4)."""
+    spec = ProblemSpec.from_expressions(a="2/pi", b="u2 - u1")
+    co = linearize(spec, 0.0, 128)
+    tau0 = 2 * np.pi
+    shot = eigen.shoot_evp(1j, tau0, co)
+    eig = eigen.Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
+    cert = eigen.HopfCertificate(
+        tau0=tau0, eigenpair=eig, adjoint=eigen.solve_adjoint(tau0, co),
+        sigma=1.0, sigma_raw=1.0, rho=0.0, fredholm=0.0, a2_scan=[],
+        flags={"pass": False}, coeffs=co)
+    ctx = periodic.operator_context(spec, 0.0, 32)
+    return cert, ctx, periodic.mode_basis(cert, ctx)
+
+
+def test_resonance_error_names_harmonic():
+    cert, ctx, basis = _live_delay_resonance()
+    guess = periodic.predictor(cert, 0.01, 4, ctx)
+    with pytest.raises(JacobianSingular, match=r"harmonic 3 \(.*resonance at 3i"
+                       ) as info:
+        periodic.newton_solve(guess, 0.01, ctx, basis)
+    # the bordered k = 1 block is regular: only the k = 3 block failed
+    assert "harmonic 1 " not in str(info.value)
+
+
+def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
+        super_orbit, cert_down, ctx_down):
+    # the preconditioner is the exact inverse of the harmonic-diagonal
+    # tangent with the exact (omega, tau) columns; a wrong colouring or
+    # packing offset breaks the round trip
+    basis = periodic.mode_basis(cert_down, ctx_down)
+    precond = periodic.block_preconditioner(super_orbit, ctx_down, basis)
+    tangent = periodic._tangent(super_orbit, ctx_down, basis,
+                                harmonic_diagonal=True)
+    rng = np.random.default_rng(8)
+    n = len(periodic._pack(super_orbit))
+    for z in rng.normal(size=(3, n)):
+        back = precond.matvec(tangent(z))
+        assert np.linalg.norm(back - z) <= 1e-10 * np.linalg.norm(z)
+    # at v = 0 the harmonic-diagonal tangent is the exact tangent
+    trivial = periodic.predictor(cert_down, 0.0, 8, ctx_down)
+    z = rng.normal(size=(2, n))
+    exact = periodic._tangent(trivial, ctx_down, basis)(z)
+    diag = periodic._tangent(trivial, ctx_down, basis, harmonic_diagonal=True)(z)
+    assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):
+    directions = []
+    tangent = periodic._tangent
+
+    def counting(*args, **kwargs):
+        apply = tangent(*args, **kwargs)
+
+        def counted(dz):
+            directions.append(int(np.prod(np.shape(dz)[:-1])))
+            return apply(dz)
+        return counted
+
+    monkeypatch.setattr(periodic, "_tangent", counting)
+    basis = periodic.mode_basis(cert_down, ctx_down)
+    periodic.block_preconditioner(super_orbit, ctx_down, basis)
+    assert sum(directions) <= 4 * (ctx_down.coeffs.M + 1) + 2
+
+
+def test_branch_at_fine_grid_without_dense_matrix(cert_down, spec_cubic_down):
+    # N 16 and M_solve 128: a dense Newton matrix would be 8514^2 doubles
+    ctx = periodic.operator_context(spec_cubic_down, 0.0, 128)
+    br = periodic.continue_branch(cert_down, [0.01, 0.02, 0.03], ctx, 16)
+    assert all(o.residual_norm <= periodic.TOL_ORBIT for o in br.orbits)
+    dres = direction.compute_direction(
+        cert_down, direction.check_structure(spec_cubic_down, cert_down.coeffs.x))
+    assert abs(br.fit_tau_curvature - dres.d2tau) / abs(dres.d2tau) < 0.05
