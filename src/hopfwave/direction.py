@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSeparable, QuadraticTermPresent, RhoZero
-from .model import LinearizedCoeffs, ProblemSpec
+from .model import ProblemSpec
 from .quadrature import integral
 
 STABILITY_CAVEAT = (
@@ -120,37 +120,6 @@ def tau_curvature_literature(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h) -
         raise RhoZero("direction undefined at rho = 0")
     pairing = cubic_pairing(u0, u0_prime, u_star, tau0, cubic, h)
     return float(3.0 * (pairing / sigma).real / (8.0 * rho))
-
-
-def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: CubicCoeffs,
-                             sigma, rho) -> float:
-    """Closed-form curvature for the constant-speed benchmark family.
-
-    Valid only when a is constant, b3 = b6 = 0, b4 = b5 = c(x), beta4 = 0
-    and the eigenfunctions are taken as sin(pi x / 2) (so sigma, rho must
-    come from that same convention). Uses the published +3/(8 rho)
-    prefactor; it is the algebraic rearrangement of
-    tau_curvature_literature for this family and the pair is cross-checked
-    in the tests.
-    """
-    x, h = coeffs.x, coeffs.h
-    b3n, b4n = coeffs.nodes("b3"), coeffs.nodes("b4")
-    b5n, b6n = coeffs.nodes("b5"), coeffs.nodes("b6")
-    if (np.max(np.abs(coeffs.nodes("ax"))) > 1e-12
-            or np.max(np.abs(b3n)) > 1e-12 or np.max(np.abs(b6n)) > 1e-12
-            or np.max(np.abs(b4n - b5n)) > 1e-12):
-        raise NotSeparable("closed form needs constant a, b3 = b6 = 0, b4 = b5")
-    if np.max(np.abs(cubic.beta4)) > 1e-12:
-        raise NotSeparable("closed form needs beta4 = 0")
-    s2 = np.sin(np.pi * x / 2.0) ** 2
-    s4 = s2 * s2
-    c = b4n
-    S = integral(c * s2, h)
-    W = integral((2.0 - np.pi / 2.0 * c) * s2, h)
-    P1 = integral(cubic.beta1 * s4, h)
-    P2 = integral(cubic.beta2 * s4, h)
-    P3 = integral(cubic.beta3 * s4, h)
-    return float(3.0 * (-S * P1 + W * (P3 - P2)) / (8.0 * rho * abs(sigma) ** 2))
 
 
 def compute_direction(cert, cubic: CubicCoeffs) -> DirectionResult:

@@ -7,11 +7,18 @@ The delayed eigenvalue problem
 is solved by complex shooting: integrate the initial value problem with
 u(0) = 0, u'(0) = 1 by fixed-step RK4 and read off the mismatch
 D(mu, tau) := u'(1). The eigenvalue ODE and its adjoint are both linear,
-u'' = P u + Q u', and share one kernel (_shoot) that marches RK4 step
-matrices. Eigenvalues are the roots of D. Geometric simplicity
-is automatic in this scalar formulation (the IVP solution space is
-one-dimensional), so the first certificate condition reduces to
-|D(i, tau0)| below tolerance.
+u'' = P u + Q u', and share one kernel (_march) that builds each step's
+RK4 map as a 2x2 matrix T_j, elementwise over a batch of rows of P, and
+marches y_{j+1} = T_j y_j. The build keeps matrix-product order, which
+fixes its rounding (see _step_matrices). shoot_evp and solve_adjoint
+shoot one row and keep the node arrays. The resonance scan check_A2
+shoots k = 0, 2, ..., K_max as one batch, a block of steps at a time,
+keeps only the end states, and mirrors |D(-ik)| = |D(ik)|; find_tau0
+shoots its central-difference pair as one two-row batch. Every row
+equals its own single shot bit for bit. Eigenvalues are the roots of D.
+Geometric simplicity is automatic in this scalar formulation (the IVP
+solution space is one-dimensional), so the first certificate condition
+reduces to |D(i, tau0)| below tolerance.
 
 Every function here reads the coefficient table it is given; callers
 pass one linearized at lambda = 0, the parameter value of the Hopf
@@ -38,6 +45,7 @@ TOL_ADJOINT = 1e-6
 TOL_RICHARDSON = 1e-8
 TAU_MAX_ITER = 100      # Gauss-Newton iterations per start in find_tau0
 TAU_RESTARTS = 8        # seeded random restarts after the given start
+_BLOCK = 1600           # step matrices (rows x steps) _march builds at once
 
 
 @dataclass(frozen=True)
@@ -84,63 +92,126 @@ class HopfCertificate:
         return bool(self.flags.get("pass", False))
 
 
-def _shoot(P, Q, M):
-    """Integrate the linear ODE u'' = P u + Q u' over [0, 1] by M RK4 steps
-    from u(0) = 0, u'(0) = 1; return the node arrays u, u'.
+def _step_matrices(P, Q, h):
+    """RK4 step matrices T_j of u'' = P u + Q u', built elementwise.
 
-    P and Q are sampled on the refined grid (nodes at even indices,
-    midpoints at odd). The ODE is linear, so each RK4 step is one 2x2
-    matrix T_j, built from A = [[0, 1], [P, Q]] at the step's start,
-    midpoint and end; the march is y_{j+1} = T_j y_j.
+    P holds refined-grid samples over a run of m steps (nodes at even
+    indices, midpoints at odd, 2m+1 along the last axis) with any leading
+    batch axes, and Q broadcasts against it. The ODE is linear, so each
+    RK4 step is one 2x2 matrix built from A = [[0, 1], [P, Q]] at the
+    step's start, midpoint and end:
+
+        K1 = A0,  K2 = Ah (I + h/2 K1),  K3 = Ah (I + h/2 K2),
+        K4 = A1 (I + h K3),  T = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+
+    Returns the entries (T00, T01, T10, T11), each of shape (..., m).
+
+    Every matrix product is written out entry by entry in the order a
+    matrix product forms it, c_ij = a_i0 b_0j + a_i1 b_1j, and the sums
+    in the order above; only the products by the constant row [0, 1],
+    which are exact, are left out. The order is fixed because it decides
+    the rounding: with Q = 0 (b6 = 0 and constant a, true of every shipped
+    problem, for the eigenvalue and the adjoint ODE alike) the entries
+    equal those of a stacked 2x2 `@` build bit for bit, as the tests
+    check. Where Q != 0, a BLAS may fuse the two products of a row into
+    one rounding, and the two builds then agree to rounding.
+    """
+    s, c = 0.5 * h, h / 6.0
+    p0, ph, p1 = P[..., :-1:2], P[..., 1::2], P[..., 2::2]
+    q0, qh, q1 = Q[..., :-1:2], Q[..., 1::2], Q[..., 2::2]
+    x10, x11 = s * p0, 1.0 + s * q0                         # X1 = I + h/2 K1
+    k00, k01, k10, k11 = x10, x11, ph + qh * x10, s * ph + qh * x11
+    x00, x01, x10, x11 = 1.0 + s * k00, s * k01, s * k10, 1.0 + s * k11
+    m00, m01, m10, m11 = x10, x11, ph * x00 + qh * x10, ph * x01 + qh * x11
+    x00, x01, x10, x11 = 1.0 + h * m00, h * m01, h * m10, 1.0 + h * m11
+    n00, n01, n10, n11 = x10, x11, p1 * x00 + q1 * x10, p1 * x01 + q1 * x11
+    return (1.0 + c * (2.0 * k00 + 2.0 * m00 + n00),
+            c * (1.0 + 2.0 * k01 + 2.0 * m01 + n01),
+            c * (p0 + 2.0 * k10 + 2.0 * m10 + n10),
+            1.0 + c * (q0 + 2.0 * k11 + 2.0 * m11 + n11))
+
+
+def _march(P, Q, M):
+    """Shoot every row of P: integrate u'' = P u + Q u' over [0, 1] by M RK4
+    steps from u(0) = 0, u'(0) = 1, yielding the states block by block.
+
+    P has shape (rows, 2M+1) on the refined grid and Q broadcasts against
+    it. The step matrices are built _BLOCK // rows steps at a time for all
+    rows at once; each block yields, per row, the list of states (u, u')
+    at the block's end nodes. A caller that keeps only the last state
+    holds O(rows) numbers, not O(rows * M).
     """
     h = 1.0 / M
-    A = np.zeros((2 * M + 1, 2, 2), dtype=complex)
-    A[:, 0, 1] = 1.0
-    A[:, 1, 0] = P
-    A[:, 1, 1] = Q
-    A0, Ah, A1 = A[:-1:2], A[1::2], A[2::2]
-    eye = np.eye(2)
-    K1 = A0
-    K2 = Ah @ (eye + 0.5 * h * K1)
-    K3 = Ah @ (eye + 0.5 * h * K2)
-    K4 = A1 @ (eye + h * K3)
-    T = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    y = [(0j, 1 + 0j)]
-    for (t00, t01), (t10, t11) in T.tolist():   # Python scalars are cheaper here
-        u, up = y[-1]
-        y.append((t00 * u + t01 * up, t10 * u + t11 * up))
-    u, up = np.array(y).T
+    width = max(1, _BLOCK // len(P))
+    ends = [(0j, 1 + 0j)] * len(P)
+    for j0 in range(0, M, width):
+        cut = slice(2 * j0, 2 * min(M, j0 + width) + 1)
+        T = [t.tolist() for t in _step_matrices(P[:, cut], Q[..., cut], h)]
+        block = []
+        for (u, up), *steps in zip(ends, *T):
+            path = []
+            for t00, t01, t10, t11 in zip(*steps):   # Python scalars are cheaper here
+                u, up = t00 * u + t01 * up, t10 * u + t11 * up
+                path.append((u, up))
+            block.append(path)
+        ends = [path[-1] for path in block]
+        yield block
+
+
+def _shoot(P, Q, M):
+    """One shot of u'' = P u + Q u' (P, Q of length 2M+1): the node arrays
+    u, u' from u(0) = 0, u'(0) = 1."""
+    path = [(0j, 1 + 0j)]
+    for block in _march(np.asarray(P)[None], Q, M):
+        path += block[0]
+    u, up = np.array(path).T
     return u, up
+
+
+def _evp_P(mu, tau, coeffs):
+    """P of the eigenvalue ODE at (mu, tau); its Q is -b6 / a^2."""
+    q = mu * mu - coeffs.b5 * mu - coeffs.b4 * cmath.exp(-mu * tau) - coeffs.b3
+    return q / (coeffs.a * coeffs.a)
 
 
 def shoot_evp(mu, tau, coeffs: LinearizedCoeffs) -> ShootResult:
     """Shooting mismatch D(mu, tau) = u'(1) for the eigenvalue ODE."""
-    a2 = coeffs.a * coeffs.a
-    q = mu * mu - coeffs.b5 * mu - coeffs.b4 * cmath.exp(-mu * tau) - coeffs.b3
-    u, up = _shoot(q / a2, -coeffs.b6 / a2, coeffs.M)
+    u, up = _shoot(_evp_P(mu, tau, coeffs), -coeffs.b6 / (coeffs.a * coeffs.a),
+                   coeffs.M)
     return ShootResult(D=complex(up[-1]), u=u, u_prime=up)
+
+
+def _mismatches(points, coeffs):
+    """D(mu, tau) for every (mu, tau) in points, shot as one batch that
+    keeps only the end states. Each row equals its own shoot_evp bit for
+    bit: every operation of the kernel is elementwise in the row."""
+    P = np.array([_evp_P(mu, tau, coeffs) for mu, tau in points])
+    for block in _march(P, -coeffs.b6 / (coeffs.a * coeffs.a), coeffs.M):
+        D = [path[-1][1] for path in block]
+    return D
 
 
 def _descend(tau, coeffs):
     """Damped Gauss-Newton on |D(i, tau)|^2 from one start.
 
     Returns (tau, D, stalled): stalled when no descent step was found,
-    not stalled when converged or stopped by TAU_MAX_ITER.
+    not stalled when converged or stopped by TAU_MAX_ITER. The central
+    difference for dD/dtau shoots tau + dh and tau - dh as one batch.
     """
-    D = shoot_evp(1j, tau, coeffs).D
+    [D] = _mismatches([(1j, tau)], coeffs)
     for _ in range(TAU_MAX_ITER):
         if abs(D) < TOL_EIG:
             break
         dh = 1e-7 * (1.0 + abs(tau))
-        Dp = (shoot_evp(1j, tau + dh, coeffs).D
-              - shoot_evp(1j, tau - dh, coeffs).D) / (2 * dh)
+        D_plus, D_minus = _mismatches([(1j, tau + dh), (1j, tau - dh)], coeffs)
+        Dp = (D_plus - D_minus) / (2 * dh)
         grad = (Dp.conjugate() * D).real  # half-gradient of |D|^2
         if abs(Dp) ** 2 < 1e-30 or abs(grad) < 1e-14 * (1 + abs(D)) ** 2:
             return tau, D, True     # stationary: cannot descend from here
         step = -grad / abs(Dp) ** 2
         t = 1.0
         for _ in range(30):
-            D_new = shoot_evp(1j, tau + t * step, coeffs).D
+            [D_new] = _mismatches([(1j, tau + t * step)], coeffs)
             if abs(D_new) < abs(D):
                 break
             t *= 0.5
@@ -181,11 +252,19 @@ def check_A2(tau0, K_max, coeffs):
     k = +-1 is the critical pair and is excluded by definition. The scan
     passes when every recorded value exceeds TOL_RESONANCE; it covers only
     finitely many k, which the certificate records as a caveat.
+
+    Only k = 0, 2, ..., K_max are shot, as one batch (_mismatches) whose
+    step matrices are built a block of steps at a time, so memory stays
+    O(K_max). Every coefficient table is real, so the shot for -ik is the
+    exact complex conjugate of the shot for +ik (IEEE arithmetic,
+    cmath.exp and the step matrices all commute with conjugation), and
+    |D(-ik)| is recorded as the bitwise equal |D(ik)|.
     """
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
-    ks = [0] + [s * k for k in range(2, K_max + 1) for s in (1, -1)]
-    scan = [(k, abs(shoot_evp(1j * k, tau0, coeffs).D)) for k in ks]
+    ks = [0] + list(range(2, K_max + 1))
+    absD = [abs(D) for D in _mismatches([(1j * k, tau0) for k in ks], coeffs)]
+    scan = list(zip(ks, absD)) + [(-k, d) for k, d in zip(ks[1:], absD[1:])]
     return sorted(scan, key=lambda item: item[0])
 
 

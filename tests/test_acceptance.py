@@ -26,7 +26,7 @@ from hopfwave.errors import JacobianSingular
 from hopfwave.model import ProblemSpec, linearize, kernels
 
 from conftest import sin_convention
-from oracles import time_shifted
+from oracles import time_shifted, worked_example_curvature
 from test_eigen import characteristic_root_crossing_speed
 from test_periodic_ops import oracle_C, oracle_D, random_field
 
@@ -120,7 +120,7 @@ def test_criterion_3_cross_path(cert_up):
         sigma, rho = eigen.compute_sigma_rho(eig, adj, co)
         general = direction.tau_curvature_literature(s, sp, s, sigma, rho,
                                                      TAU0, cubic, h)
-        closed = direction.worked_example_curvature(co, cubic, sigma, rho)
+        closed = worked_example_curvature(co, cubic, sigma, rho)
         worst = max(worst, abs(general - closed))
     _report("3 (cross-path)", worst < 1e-8,
             f"max |general - closed form| = {worst:.2e} over 20 draws "

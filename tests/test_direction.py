@@ -6,6 +6,7 @@ from hopfwave.errors import NotSeparable, QuadraticTermPresent
 from hopfwave.model import ProblemSpec, linearize
 
 from conftest import sin_convention
+from oracles import worked_example_curvature
 
 TAU0 = np.pi / 2
 
@@ -99,7 +100,7 @@ def test_cross_path_agreement_randomized():
         sigma, rho = eigen.compute_sigma_rho(eig, adj, co)
         general = direction.tau_curvature_literature(
             s, sp, s, sigma, rho, TAU0, cubic, h)
-        closed = direction.worked_example_curvature(co, cubic, sigma, rho)
+        closed = worked_example_curvature(co, cubic, sigma, rho)
         assert general == pytest.approx(closed, abs=1e-8), f"trial {trial}"
         # the validated value is the same projection scaled by -2/3
         corrected = direction.tau_curvature(s, sp, s, sigma, rho, TAU0, cubic, h)

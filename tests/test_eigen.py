@@ -7,6 +7,7 @@ from hopfwave.model import ProblemSpec, linearize
 from hopfwave.quadrature import integral
 
 from conftest import sin_convention
+from oracles import a2_scan_per_k, step_matrices_matmul
 
 TAU0 = np.pi / 2
 
@@ -82,6 +83,41 @@ def test_shoot_matches_stagewise_rk4():
     scale = max(np.max(np.abs(u_ref)), np.max(np.abs(up_ref)))
     assert np.max(np.abs(u - u_ref)) < 1e-13 * scale
     assert np.max(np.abs(up - up_ref)) < 1e-13 * scale
+
+
+def stacked(entries):
+    """(T00, T01, T10, T11) as one (..., 2, 2) array."""
+    t00, t01, t10, t11 = entries
+    return np.stack([np.stack([t00, t01], -1), np.stack([t10, t11], -1)], -2)
+
+
+def test_step_matrices_match_stacked_matmul(co_up, cert_down):
+    # the elementwise build keeps matrix-product order, so with Q = 0 (every
+    # shipped problem) it equals the stacked 2x2 build bit for bit; a BLAS
+    # may fuse the two products of a row, so for Q != 0 it is rounding
+    rng = np.random.default_rng(11)
+    M = 64
+    P = rng.uniform(-20, 5, (3, 2 * M + 1)) + 1j * rng.uniform(-5, 5, (3, 2 * M + 1))
+    Q = rng.uniform(-2, 2, (3, 2 * M + 1)) + 1j * rng.uniform(-2, 2, (3, 2 * M + 1))
+    for Q_case in (np.zeros(2 * M + 1), -0.0 * Q.real):
+        T = stacked(eigen._step_matrices(P, Q_case, 1.0 / M))
+        assert T.tobytes() == step_matrices_matmul(P, Q_case, M).tobytes()
+    T, T_ref = stacked(eigen._step_matrices(P, Q, 1.0 / M)), step_matrices_matmul(P, Q, M)
+    assert T.shape == T_ref.shape == (3, M, 2, 2)
+    assert np.max(np.abs(T - T_ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(T_ref))
+    for co in (co_up, cert_down.coeffs):
+        P = np.array([eigen._evp_P(1j * k, TAU0, co) for k in (0, 1, 2, 7)])
+        Q = -co.b6 / (co.a * co.a)
+        T = stacked(eigen._step_matrices(P, Q, co.h))
+        assert T.tobytes() == step_matrices_matmul(P, Q, co.M).tobytes()
+
+
+def test_batch_rows_equal_single_shots(co_up):
+    # each row of a batch is marched elementwise, so it equals its own shot
+    # bit for bit; find_tau0's central-difference pair relies on this
+    points = [(1j, 1.3 + 1e-7), (1j, 1.3 - 1e-7), (3j, 0.4), (0.2 + 1j, 2.0)]
+    assert eigen._mismatches(points, co_up) == [
+        eigen.shoot_evp(mu, tau, co_up).D for mu, tau in points]
 
 
 def test_shoot_fourth_order_variable_coefficients():
@@ -167,6 +203,30 @@ def test_a2_scan_flags_odd_modes_of_transport_problem():
     assert by_k[3] < 1e-6 and by_k[-3] < 1e-6
     assert by_k[0] == pytest.approx(1.0, abs=1e-9)   # u'' = 0 case: D = u'(1) = 1
     assert by_k[2] > 1e-3 and by_k[4] > 1e-3
+
+
+@pytest.mark.parametrize("b_text,tau,K_max", [
+    ("-u1^3/6 - u2 - u3", TAU0, 50),    # benchmark_super
+    ("u1^3/6 + u2 + u3", TAU0, 50),     # steady resonance at c = +1
+    ("u1^3/6 + u2 + u3", TAU0, 13),     # 12 rows: the last block is short
+    ("0*u1", 1.3, 50),                  # pure transport
+])
+def test_a2_scan_matches_per_k_shots(b_text, tau, K_max):
+    # the batched, mirrored scan equals one scalar shot per k over the
+    # stacked-matmul step matrices, both signs of k, bit for bit
+    co = linearize(ProblemSpec.from_expressions(a="2/pi", b=b_text), 0.0, 256)
+    assert eigen.check_A2(tau, K_max, co) == a2_scan_per_k(tau, K_max, co)
+
+
+def test_mirror_is_exact(co_up, cert_down):
+    # all coefficient tables are real, so the -ik shot is the conjugate of
+    # the +ik shot and check_A2 may mirror |D| without shooting -ik
+    for co in (co_up, cert_down.coeffs):
+        for k in range(2, 51):
+            D = eigen.shoot_evp(1j * k, TAU0, co).D
+            D_mirror = eigen.shoot_evp(-1j * k, TAU0, co).D
+            assert D_mirror == D.conjugate()
+            assert abs(D_mirror) == abs(D)
 
 
 def test_adjoint_benchmark(co_up):

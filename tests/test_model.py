@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,20 @@ def test_b1_b2_identities(a_text, b_text):
         co = linearize(spec, lam, 48)
         assert np.max(np.abs(co.b1 + co.b2 - co.b5)) < 1e-12
         assert np.max(np.abs(co.b1 - co.b2 - (-co.ax + co.b6 / co.a))) < 1e-12
+
+
+@pytest.mark.parametrize("a_text,b_text", SMOOTH_SPECS + [
+    ("2/pi", "u1^3/6 + u2 + u3"), ("2/pi", "0*u1")])
+def test_linearized_tables_are_real_float64(a_text, b_text):
+    # eigen.check_A2 mirrors |D(-ik)| = |D(ik)|, which holds because every
+    # coefficient table is real
+    co = linearize(ProblemSpec.from_expressions(a=a_text, b=b_text), 0.2, 32)
+    tables = [f.name for f in dataclasses.fields(co) if f.name not in ("lam", "M")]
+    assert len(tables) == 11
+    for name in tables:
+        table = getattr(co, name)
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64, name
+        assert table.shape == (65,), name
 
 
 def test_kernels_benchmark_values(spec_cubic_up):
