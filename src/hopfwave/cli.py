@@ -20,8 +20,9 @@ numbers as [re, im] pairs) and CSV with a header row and LF line endings.
 Every command is deterministic given the file and the seed, which is
 recorded in the output.
 
-Exit codes: 0 ok, 2 input error (including a or b not evaluable or not
-differentiable at the trivial state, in every command), 3 certification
+Exit codes: 0 ok, 2 input error (including an unreadable problem file or
+--out path, and a or b not evaluable or not differentiable at the trivial
+state, in every command), 3 certification
 failure (for branch also a missing critical mode or a singular Newton
 matrix), 4 structure error (including b not evaluable for the
 cubic-structure check), 5 continuation failure (including the PDE
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
 
@@ -174,35 +176,6 @@ def certificate_document(cert: eigen.HopfCertificate) -> dict:
     return doc
 
 
-def _complex_array(pairs):
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def direction_from_document(doc: dict, spec: ProblemSpec) -> dict:
-    """Re-run the direction evaluation from a serialized certificate.
-
-    Reproduces the in-memory values exactly (floats round-trip through
-    JSON), which the round-trip test pins at 1e-12.
-    """
-    grid = np.asarray(doc["grid"], dtype=float)
-    cubic = direction_mod.check_structure(spec, grid)
-    u0 = _complex_array(doc["u0"])
-    u0p = _complex_array(doc["u0_prime"])
-    ustar = _complex_array(doc["u_star"])
-    sigma = complex(*doc["sigma"])
-    rho = float(doc["rho"])
-    tau0 = float(doc["tau0"])
-    h = grid[1] - grid[0]
-    d2 = direction_mod.tau_curvature(u0, u0p, ustar, sigma, rho, tau0, cubic, h)
-    d2_lit = direction_mod.tau_curvature_literature(
-        u0, u0p, ustar, sigma, rho, tau0, cubic, h)
-    return {"d2tau": d2, "d2tau_literature": d2_lit,
-            "indicator": float(np.sign(rho * d2)),
-            "supercritical": bool(rho * d2 > 0),
-            "caveat": direction_mod.STABILITY_CAVEAT}
-
-
 def direction_document(result: direction_mod.DirectionResult) -> dict:
     return {"d2tau": result.d2tau, "d2tau_literature": result.d2tau_literature,
             "indicator": result.indicator, "supercritical": result.supercritical,
@@ -240,8 +213,12 @@ def branch_diagnostics(branch: periodic.BranchResult) -> dict:
     }
 
 
+def _dumps(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=False)
+
+
 def _write_json(path, doc):
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    text = _dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -251,7 +228,7 @@ def _emit(args, doc):
     if args.out:
         _write_json(args.out, doc)
     else:
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
 
 
 def _fail(args, doc, err, code):
@@ -260,6 +237,12 @@ def _fail(args, doc, err, code):
         _write_json(args.out, doc)
     print(f"error: {err}", file=sys.stderr)
     return code
+
+
+def _companion(out, suffix):
+    """Path of a file written next to --out: its extension replaced by
+    suffix, e.g. run.json -> run.csv or run_orbits.json."""
+    return os.path.splitext(out)[0] + suffix
 
 
 def _write_csv(path, header, rows):
@@ -353,9 +336,9 @@ def cmd_branch(args):
             branch.fit_tau_curvature - d2tau_formula) / abs(d2tau_formula)
     _emit(args, summary)
     if args.out:
-        stem = args.out.rsplit(".", 1)[0]
-        _write_csv(stem + ".csv", ["eps", "omega", "tau", "residual_norm"], rows)
-        _write_json(stem + "_orbits.json",
+        _write_csv(_companion(args.out, ".csv"),
+                   ["eps", "omega", "tau", "residual_norm"], rows)
+        _write_json(_companion(args.out, "_orbits.json"),
                     {"orbits": [orbit_document(o) for o in branch.orbits]})
     return EXIT_OK
 
@@ -376,8 +359,7 @@ def cmd_simulate(args):
         # transient is discarded by run_to_orbit anyway
         kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
         state = sim.initial_state(v1=kick, v2=kick)
-        period, ts, ys, _ = timedomain.run_to_orbit(
-            spec, args.tau, args.T, initial=state, sim=sim)
+        period, ts, ys, _ = timedomain.run_to_orbit(sim, state, args.T)
     except HopfwaveError as err:
         if sim is None and isinstance(err, EvalDomainError):
             # b cannot be linearized at u = 0: an input error, as in _certify
@@ -389,8 +371,7 @@ def cmd_simulate(args):
                "amplitude": float(np.max(np.abs(ys))), "seed": args.seed}
     _emit(args, summary)
     if args.out:
-        _write_csv(args.out.rsplit(".", 1)[0] + ".csv", ["t", "u_probe"],
-                   zip(ts, ys))
+        _write_csv(_companion(args.out, ".csv"), ["t", "u_probe"], zip(ts, ys))
     return EXIT_OK
 
 
@@ -415,8 +396,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SpecInvalid, ParseError, FileNotFoundError,
-            ValueError) as err:
+    except (ConfigError, SpecInvalid, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

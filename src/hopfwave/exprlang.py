@@ -506,11 +506,6 @@ def parse(text):
     return node
 
 
-def diff(e, var, order=1):
-    """Module-level alias for Expr.diff."""
-    return e.diff(var, order)
-
-
 def free_variables(e):
     """Set of variable names appearing in the tree."""
     out = set()

@@ -2,8 +2,9 @@
 
 Holds the wave-equation data (a, b) and produces everything the rest of
 the toolkit consumes: the linearization coefficients b_3..b_6 at a given
-parameter value, the characteristic combinations b_1, b_2, the transport
-kernels c_1, c_2, A, and the Fredholm integral.
+parameter value, the characteristic combinations b_1, b_2, the
+antiderivative tables behind the transport kernels c_1, c_2, A, and the
+Fredholm integral.
 
 Conventions (x from 0 to 1, uniform grid):
     b_j(x, lam) = d b / d u_{j-2} at (x, lam, 0, 0, 0, 0), j = 3..6
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import SpecInvalid
-from .quadrature import cubic_interp, cumulative_integral, integral
+from .quadrature import cumulative_integral, integral
 
 _UVARS = ("u1", "u2", "u3", "u4")
 _POSITIVITY_SAMPLES = 1024
@@ -152,57 +153,15 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
         b1=0.5 * (-ax + b5 + b6 / a), b2=0.5 * (ax + b5 - b6 / a))
 
 
-@dataclass(frozen=True)
-class CharKernels:
-    """Transport kernels backed by cumulative quadrature tables.
-
-    F, logE1, logE2 are antiderivatives of 1/a, b1/a, b2/a on the refined
-    grid; arbitrary-point queries interpolate them with cubics, so the
-    kernel error is O(M^-4).
+def antiderivative_tables(coeffs: LinearizedCoeffs):
+    """(F, logE1, logE2): antiderivatives from x = 0 of 1/a, b1/a, b2/a on
+    the refined grid. Each kernel is a difference of one table:
+    A(x, xi) = F(x) - F(xi), c_1 = exp(logE1(xi) - logE1(x)) and
+    c_2 = exp(logE2(x) - logE2(xi)).
     """
-
-    xx: np.ndarray
-    F: np.ndarray
-    logE1: np.ndarray
-    logE2: np.ndarray
-
-    @property
-    def hh(self):
-        return self.xx[1] - self.xx[0]
-
-    def _at(self, table, x):
-        return cubic_interp(table, 0.0, self.hh, x)
-
-    def A(self, x, xi):
-        return self._at(self.F, x) - self._at(self.F, xi)
-
-    def c1(self, x, xi):
-        return np.exp(self._at(self.logE1, xi) - self._at(self.logE1, x))
-
-    def c2(self, x, xi):
-        return np.exp(self._at(self.logE2, x) - self._at(self.logE2, xi))
-
-    # node-grid tables for the harmonic operators
-    @property
-    def F_nodes(self):
-        return self.F[::2]
-
-    @property
-    def logE1_nodes(self):
-        return self.logE1[::2]
-
-    @property
-    def logE2_nodes(self):
-        return self.logE2[::2]
-
-
-def kernels(coeffs: LinearizedCoeffs) -> CharKernels:
-    """Build the cumulative tables behind c1, c2, A at coeffs.lam."""
     hh = coeffs.xx[1] - coeffs.xx[0]
-    F = cumulative_integral(1.0 / coeffs.a, hh)
-    logE1 = cumulative_integral(coeffs.b1 / coeffs.a, hh)
-    logE2 = cumulative_integral(coeffs.b2 / coeffs.a, hh)
-    return CharKernels(xx=coeffs.xx, F=F, logE1=logE1, logE2=logE2)
+    return tuple(cumulative_integral(f / coeffs.a, hh)
+                 for f in (1.0, coeffs.b1, coeffs.b2))
 
 
 def fredholm_integral(coeffs: LinearizedCoeffs) -> float:

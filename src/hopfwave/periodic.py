@@ -34,7 +34,8 @@ import scipy.linalg
 
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
-from .model import _UVARS, LinearizedCoeffs, ProblemSpec, kernels, linearize
+from .model import (_UVARS, LinearizedCoeffs, ProblemSpec, antiderivative_tables,
+                    linearize)
 from .quadrature import cumulative_integral, integral
 
 
@@ -168,14 +169,14 @@ class OperatorContext:
 
 def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
     coeffs = linearize(spec, lam, M)
-    kern = kernels(coeffs)
+    F, logE1, logE2 = (t[::2] for t in antiderivative_tables(coeffs))
     return OperatorContext(
         spec=spec, coeffs=coeffs, lam=float(lam),
         x=coeffs.x, h=coeffs.h,
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
         b3=coeffs.nodes("b3"), b4=coeffs.nodes("b4"),
-        F=kern.F_nodes, E1=np.exp(kern.logE1_nodes), E2=np.exp(kern.logE2_nodes),
+        F=F, E1=np.exp(logE1), E2=np.exp(logE2),
         b_u=tuple(spec.b.diff(u) for u in _UVARS))
 
 
@@ -242,18 +243,6 @@ def _displacement(coef, ctx: OperatorContext):
 def _delay_phase(N, omega, tau):
     """e^{-ik omega tau}: the delay u(t - tau) on harmonic k, shape (N+1, 1)."""
     return np.exp(-1j * omega * tau * np.arange(N + 1))[:, None]
-
-
-def apply_JK(v: FourierField, omega: float, tau: float,
-             ctx: OperatorContext) -> FourierField:
-    """Linearization of B at v = 0: partial-integral part plus the
-    off-diagonal pointwise part. Used for cross-checks and basin probes."""
-    J = _displacement(v.coef, ctx)
-    mix = (ctx.b3 + ctx.b4 * _delay_phase(v.N, omega, tau)) * J
-    out = np.empty_like(v.coef)
-    out[..., 0, :] = mix + ctx.b2 * v.coef[..., 1, :]
-    out[..., 1, :] = mix + ctx.b1 * v.coef[..., 0, :]
-    return FourierField(out).enforce_symmetry()
 
 
 def _collocate(coef, omega, tau, ctx: OperatorContext):
@@ -700,54 +689,26 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
 
 
 # ---------------------------------------------------------------------------
-# reconstruction and verification in the original variables
-
-@dataclass
-class ReconstructedField:
-    times: np.ndarray
-    x: np.ndarray
-    u: np.ndarray        # (T, M+1)
-    u_t: np.ndarray      # dt in scaled time
-    u_x: np.ndarray
-    u_hat: np.ndarray    # harmonics of u, (N+1, M+1)
-
-
-def reconstruct_u(orbit: PeriodicOrbit, ctx: OperatorContext,
-                  n_times: int = None) -> ReconstructedField:
-    """Displacement field from the transported components.
-
-    u is the characteristic integral of (v1 - v2) / (2a); its time and
-    space derivatives come from the pointwise identities
-    omega u_t = (v1 + v2)/2 and u_x = (v1 - v2)/(2a).
-    """
-    v = orbit.v
-    T = n_times or (4 * v.N + 1)
-    t = 2.0 * np.pi * np.arange(T) / T
-    u_hat = _displacement(v.coef, ctx)
-    u = harmonic_synthesis(u_hat, t)
-    vals = v.synthesize(t)
-    u_t = 0.5 * (vals[:, 0, :] + vals[:, 1, :]) / orbit.omega
-    u_x = 0.5 * (vals[:, 0, :] - vals[:, 1, :]) / ctx.a
-    return ReconstructedField(times=t, x=ctx.x, u=u, u_t=u_t, u_x=u_x,
-                              u_hat=u_hat)
-
+# verification in the original variables
 
 def pde_residual_check(orbit: PeriodicOrbit, ctx: OperatorContext) -> float:
     """Max-norm of the second-order equation on interior collocation points.
 
-    Time derivatives and the delay are spectral in the harmonics of the
-    reconstructed u; space derivatives use centered 4th-order differences,
-    making this check independent of the characteristic formulation.
+    u is the characteristic integral of (v1 - v2) / (2a). Time derivatives
+    and the delay are spectral in its harmonics; space derivatives use
+    centered 4th-order differences, making this check independent of the
+    characteristic formulation.
     """
-    rec = reconstruct_u(orbit, ctx)
     N = orbit.v.N
+    times = _collocation_times(N)
+    u_hat = _displacement(orbit.v.coef, ctx)
     ks = np.arange(N + 1)[:, None]
-    u_tt = harmonic_synthesis(-(ks ** 2) * rec.u_hat, rec.times)
+    u = harmonic_synthesis(u_hat, times)
+    u_tt = harmonic_synthesis(-(ks ** 2) * u_hat, times)
     u_del = harmonic_synthesis(
-        _delay_phase(N, orbit.omega, orbit.tau) * rec.u_hat, rec.times)
-    u_t = harmonic_synthesis(1j * ks * rec.u_hat, rec.times)
+        _delay_phase(N, orbit.omega, orbit.tau) * u_hat, times)
+    u_t = harmonic_synthesis(1j * ks * u_hat, times)
     h = ctx.h
-    u = rec.u
     u_x = (-u[:, 4:] + 8 * u[:, 3:-1] - 8 * u[:, 1:-3] + u[:, :-4]) / (12 * h)
     u_xx = (-u[:, 4:] + 16 * u[:, 3:-1] - 30 * u[:, 2:-2]
             + 16 * u[:, 1:-3] - u[:, :-4]) / (12 * h * h)

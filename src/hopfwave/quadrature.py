@@ -1,4 +1,4 @@
-"""Uniform-grid quadrature and interpolation helpers.
+"""Uniform-grid quadrature: cumulative and definite integrals.
 
 Everything here assumes a uniform grid with at least four nodes. The
 cumulative rule integrates the piecewise cubic through the four nodes
@@ -47,27 +47,3 @@ def integral(y, h):
         - y[..., 3:].sum(axis=-1)
     ) * (h / 24.0)
     return first + mid + last
-
-
-def cubic_interp(table, x0, h, xq):
-    """Piecewise-cubic (4-point Lagrange) interpolation of a uniform-grid table.
-
-    table: (n,) samples at x0 + j*h.  xq: query points (scalar or array)
-    inside the table range; endpoint stencils are clamped.
-    """
-    table = np.asarray(table)
-    n = table.shape[-1]
-    xq = np.asarray(xq, dtype=float)
-    s = (xq - x0) / h
-    j = np.clip(np.floor(s).astype(int), 1, n - 3)  # stencil j-1 .. j+2
-    t = s - j
-    ym1 = table[..., j - 1]
-    y0 = table[..., j]
-    y1 = table[..., j + 1]
-    y2 = table[..., j + 2]
-    # Lagrange basis on nodes -1, 0, 1, 2
-    w_m1 = -t * (t - 1) * (t - 2) / 6.0
-    w_0 = (t + 1) * (t - 1) * (t - 2) / 2.0
-    w_1 = -(t + 1) * t * (t - 2) / 2.0
-    w_2 = (t + 1) * t * (t - 1) / 6.0
-    return w_m1 * ym1 + w_0 * y0 + w_1 * y1 + w_2 * y2

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import (CFLViolation, HistoryTooLong, NegativeDelayUnsupported,
                      NoOscillationDetected)
 from .model import ProblemSpec, linearize
-from .periodic import displacement, harmonic_synthesis
-from .quadrature import cubic_interp
+from .periodic import displacement
 
 CFL_LIMIT = 0.9
 MAX_HISTORY_BYTES = 2 ** 30     # largest delay history ring a simulator allocates
@@ -138,22 +137,6 @@ class Simulator:
                         history=state.history, head=head)
 
 
-def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
-    """SimState sitting exactly on a computed periodic orbit at t = 0.
-
-    orbit/ctx come from the periodic module (possibly on a coarser grid);
-    harmonics are interpolated onto the simulation grid and the delay
-    history is synthesized from the orbit itself, u_phys(t) = u(omega t).
-    """
-    v_hat = cubic_interp(orbit.v.coef, 0.0, ctx.h, sim.x)    # (N+1, 2, M+1)
-    v1_hat, v2_hat = v_hat[:, 0], v_hat[:, 1]
-    u_hat = displacement(v1_hat, v2_hat, sim.a, sim.h)
-    v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0])[:, 0]
-    return sim.initial_state(
-        v1=v1, v2=v2,
-        history_fn=lambda t: harmonic_synthesis(u_hat, [orbit.omega * t])[0])
-
-
 def _period_from_crossings(ts, ys):
     """Mean spacing of upward zero crossings with sub-step interpolation."""
     sign_change = (ys[:-1] < 0.0) & (ys[1:] >= 0.0)
@@ -166,10 +149,10 @@ def _period_from_crossings(ts, ys):
     return float(np.mean(gaps))
 
 
-def run_to_orbit(spec: ProblemSpec, tau: float, T_end: float,
-                 initial: SimState = None, sim: Simulator = None,
-                 M: int = 256, noise_floor: float = 1e-9, settle_tol: float = 0.05):
-    """Integrate, drop the leading 80 percent, estimate the period.
+def run_to_orbit(sim: Simulator, state: SimState, T_end: float,
+                 noise_floor: float = 1e-9, settle_tol: float = 0.05):
+    """Integrate state with sim up to T_end, drop the leading 80 percent,
+    estimate the period.
 
     Returns (period, tail_times, tail_probe, final_state). Raises
     NoOscillationDetected when the tail is too short to judge, when the
@@ -178,8 +161,6 @@ def run_to_orbit(spec: ProblemSpec, tau: float, T_end: float,
     tail (no settled limit cycle: for instance an undamped linear problem
     whose amplitude only reflects the scheme's slow numerical dissipation).
     """
-    sim = sim or Simulator(spec, tau, M=M)
-    state = initial if initial is not None else sim.initial_state()
     probe = (len(sim.x) * 2) // 3
     n_steps = int(np.ceil(T_end / sim.dt))
     ts = np.empty(n_steps)

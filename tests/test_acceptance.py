@@ -23,10 +23,11 @@ import pytest
 
 from hopfwave import direction, eigen, periodic, timedomain
 from hopfwave.errors import JacobianSingular
-from hopfwave.model import ProblemSpec, linearize, kernels
+from hopfwave.model import ProblemSpec, linearize
 
 from conftest import sin_convention
-from oracles import time_shifted, worked_example_curvature
+from oracles import (apply_JK, kernels, reconstruct_u, seed_from_orbit, time_shifted,
+                     worked_example_curvature)
 from test_eigen import characteristic_root_crossing_speed
 from test_periodic_ops import oracle_C, oracle_D, random_field
 
@@ -163,7 +164,7 @@ def test_criterion_4_branch_formula_consistency(
     pde_ok = True
     worst_pde = 0.0
     for orbit in flagship_branch.orbits:
-        rec = periodic.reconstruct_u(orbit, ctx_up)
+        rec = reconstruct_u(orbit, ctx_up)
         bound = 1e-6 * (1.0 + np.max(np.abs(rec.u)))
         resid = periodic.pde_residual_check(orbit, ctx_up)
         worst_pde = max(worst_pde, resid / bound)
@@ -196,7 +197,7 @@ def test_criterion_5_operator_oracles():
         errD = np.max(np.abs(periodic.apply_D(v, omega, ctx).coef
                              - oracle_D(v, omega, ctx).coef))
         errB = np.max(np.abs(periodic.apply_B(v, omega, tau, ctx).coef
-                             - periodic.apply_JK(v, omega, tau, ctx).coef))
+                             - apply_JK(v, omega, tau, ctx).coef))
         worst = max(worst, errC, errD, errB)
 
     # invariant bundle
@@ -268,9 +269,8 @@ def test_criterion_7_time_domain_period(cert_down, ctx_down, super_orbit):
     # anti-damped at high frequencies and has no stable orbit to simulate)
     t0 = time.perf_counter()
     sim = timedomain.Simulator(ctx_down.spec, tau=super_orbit.tau, M=128)
-    state = timedomain.seed_from_orbit(sim, super_orbit, ctx_down)
-    period, *_ = timedomain.run_to_orbit(
-        ctx_down.spec, super_orbit.tau, 150.0, initial=state, sim=sim)
+    state = seed_from_orbit(sim, super_orbit, ctx_down)
+    period, *_ = timedomain.run_to_orbit(sim, state, 150.0)
     expected = 2 * np.pi / super_orbit.omega
     rel = abs(period - expected) / expected
     _report(7, rel < 0.02,

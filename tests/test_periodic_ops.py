@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from hopfwave import eigen, periodic
-from hopfwave.model import ProblemSpec, kernels, linearize
+from hopfwave.model import ProblemSpec, linearize
 from hopfwave.periodic import FourierField
-from hopfwave.quadrature import cumulative_integral, cubic_interp, integral
-from oracles import inner_product, time_shifted
+from hopfwave.quadrature import cumulative_integral, integral
+from oracles import (apply_JK, cubic_interp, inner_product, kernels, reconstruct_u,
+                     time_shifted)
 
 # a problem with x-dependent speed, damping and transport so the kernels
 # are nontrivial (b1 != b2, curved characteristics)
@@ -87,6 +88,21 @@ def oracle_D(f, omega, ctx, T=4096):
     return FourierField.analyze(out, f.N)
 
 
+@pytest.mark.parametrize("ctx_name", ["ctx_up", "gctx"])
+def test_kernel_oracle_tables_match_operator_context(request, ctx_name):
+    # the point-query oracle behind oracle_C / oracle_D reads the same
+    # antiderivative tables as the harmonic operators, bit for bit
+    ctx = request.getfixturevalue(ctx_name)
+    ke = kernels(ctx.coeffs)
+    assert np.array_equal(ke.F_nodes, ctx.F)
+    assert np.array_equal(np.exp(ke.logE1_nodes), ctx.E1)
+    assert np.array_equal(np.exp(ke.logE2_nodes), ctx.E2)
+    # and its cubic queries at the nodes return those tables
+    assert np.allclose(ke.A(ctx.x, 0.0), ctx.F, rtol=0, atol=1e-14)
+    assert np.allclose(ke.c1(0.0, ctx.x), ctx.E1, rtol=1e-14, atol=0)
+    assert np.allclose(ke.c2(ctx.x, 0.0), ctx.E2, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_apply_C_matches_time_domain_oracle(gctx, seed):
     rng = np.random.default_rng(seed)
@@ -145,7 +161,7 @@ def test_apply_B_linear_equals_JK(gctx, seed):
     rng = np.random.default_rng(200 + seed)
     v = random_field(rng, 6, 64)
     omega, tau = rng.uniform(0.8, 1.2), rng.uniform(-1.0, 2.0)
-    lin = periodic.apply_JK(v, omega, tau, gctx)
+    lin = apply_JK(v, omega, tau, gctx)
     full = periodic.apply_B(v, omega, tau, gctx)
     assert np.max(np.abs(lin.coef - full.coef)) < 1e-10
 
@@ -210,7 +226,7 @@ def test_predictor_properties(cert_up, ctx_up):
     assert proj.real / basis.nrm == pytest.approx(eps, abs=1e-12)
     assert proj.imag == pytest.approx(0.0, abs=1e-14)
     # reconstructed displacement is eps * Re(e^{it} u0) at leading order
-    rec = periodic.reconstruct_u(orb, ctx_up)
+    rec = reconstruct_u(orb, ctx_up)
     u0 = cert_up.eigenpair.u0[::4]
     for i, t in enumerate(rec.times[:5]):
         expect = eps * (np.exp(1j * t) * u0).real
@@ -231,7 +247,7 @@ def test_critical_mode_is_linear_fixed_point(cert_up, ctx_up):
     lin = (v.coef
            - periodic.apply_C(v, 1.0, ctx_up).coef
            - periodic.apply_D(
-               periodic.apply_JK(v, 1.0, cert_up.tau0, ctx_up), 1.0, ctx_up).coef)
+               apply_JK(v, 1.0, cert_up.tau0, ctx_up), 1.0, ctx_up).coef)
     assert np.max(np.abs(lin)) < 5e-9
 
 
@@ -256,7 +272,7 @@ def test_omega_sensitivity_matches_unit_imaginary(cert_up, ctx_up):
     def jk_k1(omega):
         v = FourierField.zeros(3, ctx.coeffs.M)
         v.coef[1] = 0.5 * basis.v0
-        return periodic.apply_JK(v, omega, cert.tau0, ctx).coef[1]
+        return apply_JK(v, omega, cert.tau0, ctx).coef[1]
 
     # d/d omega of the transport part is the plain time derivative: the
     # k = 1 block picks up i * v0 / 2
@@ -300,7 +316,7 @@ def test_operators_accept_batch_axis(gctx):
     omega, tau = 1.07, 0.9
     for op in (lambda v: periodic.apply_C(v, omega, gctx),
                lambda v: periodic.apply_D(v, omega, gctx),
-               lambda v: periodic.apply_JK(v, omega, tau, gctx)):
+               lambda v: apply_JK(v, omega, tau, gctx)):
         out = op(batch).coef
         for i, f in enumerate(fields):
             assert np.allclose(out[i], op(f).coef, rtol=0, atol=1e-13)

@@ -8,6 +8,7 @@ from hopfwave import cli, periodic, timedomain
 from hopfwave.errors import (CFLViolation, NegativeDelayUnsupported,
                              NoOscillationDetected)
 from hopfwave.model import ProblemSpec
+from oracles import seed_from_orbit
 
 
 def test_zero_state_stays_zero(spec_cubic_down):
@@ -54,7 +55,7 @@ def test_cfl_guard(spec_cubic_down):
 
 def test_boundary_rows_exact(cert_down, ctx_down, super_orbit):
     sim = timedomain.Simulator(ctx_down.spec, tau=super_orbit.tau, M=64)
-    state = timedomain.seed_from_orbit(sim, super_orbit, ctx_down)
+    state = seed_from_orbit(sim, super_orbit, ctx_down)
     for _ in range(50):
         state = sim.step(state)
         assert state.v1[0] + state.v2[0] == 0.0
@@ -63,9 +64,8 @@ def test_boundary_rows_exact(cert_down, ctx_down, super_orbit):
 
 def test_period_matches_orbit(cert_down, ctx_down, super_orbit):
     sim = timedomain.Simulator(ctx_down.spec, tau=super_orbit.tau, M=128)
-    state = timedomain.seed_from_orbit(sim, super_orbit, ctx_down)
-    period, ts, ys, _ = timedomain.run_to_orbit(
-        ctx_down.spec, super_orbit.tau, 120.0, initial=state, sim=sim)
+    state = seed_from_orbit(sim, super_orbit, ctx_down)
+    period, ts, ys, _ = timedomain.run_to_orbit(sim, state, 120.0)
     expected = 2 * np.pi / super_orbit.omega
     assert abs(period - expected) / expected < 0.02
 
@@ -74,9 +74,8 @@ def test_refinement_consistency(cert_down, ctx_down, super_orbit):
     periods = {}
     for M in (64, 128, 256):
         sim = timedomain.Simulator(ctx_down.spec, tau=super_orbit.tau, M=M)
-        state = timedomain.seed_from_orbit(sim, super_orbit, ctx_down)
-        periods[M], *_ = timedomain.run_to_orbit(
-            ctx_down.spec, super_orbit.tau, 150.0, initial=state, sim=sim)
+        state = seed_from_orbit(sim, super_orbit, ctx_down)
+        periods[M], *_ = timedomain.run_to_orbit(sim, state, 150.0)
     d_coarse = abs(periods[128] - periods[64])
     d_fine = abs(periods[256] - periods[128])
     assert d_fine <= d_coarse + 1e-4
@@ -90,8 +89,7 @@ def test_decay_below_floor_detected():
     state = sim.initial_state(v1=1e-3 * np.sin(np.pi * x / 2),
                               v2=1e-3 * np.sin(np.pi * x / 2))
     with pytest.raises(NoOscillationDetected) as err:
-        timedomain.run_to_orbit(spec, 1.0, 250.0, initial=state, sim=sim,
-                                noise_floor=1e-4)
+        timedomain.run_to_orbit(sim, state, 250.0, noise_floor=1e-4)
     assert err.value.settled is True
 
 
@@ -103,8 +101,7 @@ def test_conservative_case_flagged_unsettled():
     x = sim.x
     state = sim.initial_state(v2=np.sin(np.pi * x) ** 2)
     with pytest.raises(NoOscillationDetected) as err:
-        timedomain.run_to_orbit(spec, 0.5, 120.0, initial=state, sim=sim,
-                                settle_tol=0.02)
+        timedomain.run_to_orbit(sim, state, 120.0, settle_tol=0.02)
     assert err.value.settled is False
     assert err.value.amplitude > 1e-3
 
