@@ -146,11 +146,12 @@ def _c(z):
 
 
 def _carr(arr):
-    return [_c(z) for z in np.asarray(arr).ravel()]
+    a = np.asarray(arr, complex).ravel()
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _rarr(arr):
-    return [float(v) for v in np.asarray(arr).ravel()]
+    return np.asarray(arr, float).ravel().tolist()
 
 
 def certificate_document(cert: eigen.HopfCertificate) -> dict:
@@ -190,8 +191,7 @@ def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
         "eps": orbit.eps, "omega": orbit.omega, "tau": orbit.tau,
         "lambda": orbit.lam, "residual_norm": orbit.residual_norm,
         "N": orbit.v.N, "M": orbit.v.M,
-        "coefficients": [[[_c(z) for z in comp] for comp in harm]
-                         for harm in coef],
+        "coefficients": np.stack([coef.real, coef.imag], -1).tolist(),
     }
 
 

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSeparable, QuadraticTermPresent, RhoZero
-from .model import ProblemSpec
+from .model import _UVARS, ProblemSpec
 from .quadrature import integral
 
 STABILITY_CAVEAT = (
     "direction indicator only: for hyperbolic wave equations no rigorous "
     "proof links bifurcation direction to orbital stability")
 
-_UVARS = ("u1", "u2", "u3", "u4")
 _CHECK_SAMPLES = 64
 
 

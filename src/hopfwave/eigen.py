@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AdjointInconsistent, NoConvergence, ResidualAboveTolerance,
-                     RhoZero, SigmaZero)
+from .errors import AdjointInconsistent, NoConvergence, ResidualAboveTolerance
 from .model import LinearizedCoeffs, fredholm_integral, linearize
 from .quadrature import cumulative_integral, integral
 
@@ -304,6 +303,15 @@ def solve_adjoint(tau0, coeffs: LinearizedCoeffs) -> AdjointPair:
 
 
 def _sigma_rho_values(eig, adj, coeffs):
+    """Transversality pairing sigma and crossing speed rho.
+
+    sigma = int (2i - b5 + tau0 e^{-i tau0} b4) u0 conj(u*) dx
+    rho   = Im( e^{-i tau0} / sigma * int b4 u0 conj(u*) dx )
+
+    rho equals the real part of d(mu)/d(tau) at the critical delay and is
+    invariant under rescaling of either eigenfunction. A sigma of exactly
+    0 comes back with rho = 0.
+    """
     h = coeffs.h
     b4n, b5n = coeffs.nodes("b4"), coeffs.nodes("b5")
     tau0 = eig.tau
@@ -314,23 +322,6 @@ def _sigma_rho_values(eig, adj, coeffs):
         return sigma, 0.0
     pair4 = complex(integral(b4n * w, h))
     rho = float((ed / sigma * pair4).imag)
-    return sigma, rho
-
-
-def compute_sigma_rho(eig: Eigenpair, adj: AdjointPair, coeffs: LinearizedCoeffs):
-    """Transversality pairing sigma and crossing speed rho.
-
-    sigma = int (2i - b5 + tau0 e^{-i tau0} b4) u0 conj(u*) dx
-    rho   = Im( e^{-i tau0} / sigma * int b4 u0 conj(u*) dx )
-
-    rho equals the real part of d(mu)/d(tau) at the critical delay and is
-    invariant under rescaling of either eigenfunction.
-    """
-    sigma, rho = _sigma_rho_values(eig, adj, coeffs)
-    if abs(sigma) < TOL_SIGMA:
-        raise SigmaZero(f"|sigma| = {abs(sigma):.3e} below {TOL_SIGMA:.1e}")
-    if abs(rho) < TOL_RHO:
-        raise RhoZero(f"|rho| = {abs(rho):.3e} below {TOL_RHO:.1e}")
     return sigma, rho
 
 

@@ -54,10 +54,6 @@ class AdjointInconsistent(HopfwaveError):
     """Adjoint Robin condition failed; the critical delay or the grid is off."""
 
 
-class SigmaZero(HopfwaveError):
-    """Transversality pairing vanished."""
-
-
 class RhoZero(HopfwaveError):
     """Crossing speed vanished."""
 

@@ -112,12 +112,6 @@ class FourierField:
     def max_abs(self):
         return float(np.max(np.abs(self.coef)))
 
-    def synthesize(self, times):
-        """Real field values, shape (..., len(times), 2, M+1)."""
-        lead = self.coef.shape[:-2]
-        vals = harmonic_synthesis(self.coef.reshape(lead + (-1,)), times)
-        return vals.reshape(vals.shape[:-1] + self.coef.shape[-2:])
-
     @classmethod
     def analyze(cls, values, N):
         """Harmonics 0..N of equispaced samples (..., T, 2, M+1) over one
@@ -159,8 +153,6 @@ class OperatorContext:
     ax: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    b3: np.ndarray
-    b4: np.ndarray
     F: np.ndarray      # antiderivative of 1/a on nodes
     E1: np.ndarray     # exp of antiderivative of b1/a
     E2: np.ndarray
@@ -175,7 +167,6 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         x=coeffs.x, h=coeffs.h,
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
-        b3=coeffs.nodes("b3"), b4=coeffs.nodes("b4"),
         F=F, E1=np.exp(logE1), E2=np.exp(logE2),
         b_u=tuple(spec.b.diff(u) for u in _UVARS))
 
@@ -441,7 +432,7 @@ class BlockPreconditioner:
     inv1: np.ndarray        # bordered k = 1 block inverse, 4(M+1) + 2 square
     inv_rest: np.ndarray    # k = 2..N block inverses, (N-1, 4(M+1), 4(M+1))
     omega_tau: np.ndarray   # (2, n) exact (omega, tau) columns at the build point
-    rcond: np.ndarray       # reciprocal 1-norm condition per harmonic block
+    rcond: np.ndarray       # exact reciprocal 1-norm condition per harmonic block
     dtype = np.dtype(float)
 
     @property
@@ -477,10 +468,12 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     harmonics meet those columns below the diagonal only, so the solve is
     block lower-triangular. In all, 4(M+1) + 2 directions per build.
 
-    Each block is LU-factored and inverted. A zero pivot or a LAPACK gecon
-    estimate of a block's reciprocal 1-norm condition below RANK_RCOND
-    raises JacobianSingular naming the harmonics: the bordered k = 1 block
-    means a failed certificate, any other k a resonance at ik.
+    Each block is LU-factored and inverted, and its reciprocal 1-norm
+    condition 1 / (|A|_1 |A^-1|_1) is computed exactly from that inverse.
+    A zero pivot or a condition below RANK_RCOND (a NaN or overflowed
+    inverse included) raises JacobianSingular naming the harmonics: the
+    bordered k = 1 block means a failed certificate, any other k a
+    resonance at ik.
     """
     N, M = orbit.v.N, orbit.v.M
     n = len(_pack(orbit))
@@ -510,10 +503,8 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
             lu, piv = scipy.linalg.lu_factor(blk, overwrite_a=True,
                                              check_finite=False)
         if np.all(np.diagonal(lu)):
-            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-            rcond[k] = gecon(lu, anorm, norm="1")[0]
-        if rcond[k] >= RANK_RCOND:
             inverses.append(scipy.linalg.lu_solve((lu, piv), np.eye(len(lu))))
+            rcond[k] = 1.0 / (anorm * np.max(np.abs(inverses[-1]).sum(axis=0)))
     bad = [k for k in range(N + 1) if not rcond[k] >= RANK_RCOND]
     if bad:
         raise JacobianSingular(

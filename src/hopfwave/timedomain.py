@@ -74,25 +74,16 @@ class Simulator:
                 f"tau = {self.tau:g} spans {self.tau / self.dt:.3g} steps; its "
                 f"history ring would exceed {MAX_HISTORY_BYTES} bytes")
 
-    def initial_state(self, v1=None, v2=None, history_fn=None) -> SimState:
-        """Initial fields with the displacement history over [-tau, 0].
-
-        Without history_fn the history is the constant extension of the
-        initial displacement (standard delay-equation practice; the
-        transient is discarded anyway). history_fn(t) -> u row overrides
-        it for t < 0, e.g. to seed exactly on a computed orbit; the row at
-        t = 0 is always the displacement of (v1, v2).
+    def initial_state(self, v1=None, v2=None) -> SimState:
+        """Initial fields with the displacement history over [-tau, 0]: the
+        constant extension of the initial displacement (standard
+        delay-equation practice; the transient is discarded anyway).
         """
         M = len(self.x) - 1
         v1 = np.zeros(M + 1) if v1 is None else np.array(v1, dtype=float)
         v2 = np.zeros(M + 1) if v2 is None else np.array(v2, dtype=float)
         u0 = displacement(v1, v2, self.a, self.h)
-        if history_fn is None:
-            hist = np.tile(u0, (self.n_hist, 1))
-        else:
-            ts = -self.dt * np.arange(self.n_hist - 1, 0, -1.0)
-            hist = np.stack([np.asarray(history_fn(t), dtype=float) for t in ts]
-                            + [u0])
+        hist = np.tile(u0, (self.n_hist, 1))
         return SimState(v1=v1, v2=v2, t=0.0, dt=self.dt, history=hist,
                         head=self.n_hist - 1)
 

@@ -5,6 +5,7 @@ import pytest
 
 from hopfwave import eigen, periodic
 from hopfwave.model import ProblemSpec
+from oracles import compute_sigma_rho
 
 # constant-speed benchmark family: a = 2/pi, b4 = b5 = c, b3 = b6 = 0,
 # critical delay pi/2 with eigenfunction sin(pi x / 2) for any c.
@@ -76,7 +77,7 @@ def sin_convention(cert):
     Ustar = adj.U_star * raw * scale
     eig2 = eigen.Eigenpair(mu=eig.mu, tau=eig.tau, u0=u0, u0_prime=u0p)
     adj2 = eigen.AdjointPair(u_star=ustar, u_star_prime=ustarp, U_star=Ustar)
-    sigma, rho = eigen.compute_sigma_rho(eig2, adj2, co)
+    sigma, rho = compute_sigma_rho(eig2, adj2, co)
     return SimpleNamespace(u0=u0, u0p=u0p, ustar=ustar, ustarp=ustarp,
                            Ustar=Ustar, sigma=sigma, rho=rho,
                            tau0=cert.tau0, x=co.x, h=co.h)

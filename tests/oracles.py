@@ -1,25 +1,41 @@
-"""Reference helpers that only the tests use: the dense Newton matrix, the
-time-averaged L2 pairing, the time shift of a Fourier field, the
-closed-form curvature of the worked example, the shooting kernel as it
-was before its step matrices were built elementwise, the point-query
-transport kernels, the linearized source, the reconstructed displacement
-field, the direction evaluation from a serialized certificate, and the
-time-stepper state seeded on a computed orbit."""
+"""Reference helpers that only the tests use: the guarded transversality
+pairing, the dense Newton matrix, the time-averaged L2 pairing, Fourier
+synthesis and time shift of a field, the closed-form curvature of the
+worked example, the shooting kernel as it was before its step matrices
+were built elementwise, the point-query transport kernels, the linearized
+source, the reconstructed displacement field, the direction evaluation
+from a serialized certificate, and time-stepper states with a given
+history, among them one seeded on a computed orbit."""
 import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from hopfwave import direction as direction_mod
-from hopfwave import periodic
+from hopfwave import eigen, periodic
 from hopfwave.direction import CubicCoeffs
-from hopfwave.errors import NotSeparable
+from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
 from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables
 from hopfwave.periodic import (FourierField, OperatorContext, PeriodicOrbit,
                                _delay_phase, _displacement, displacement,
                                harmonic_synthesis)
 from hopfwave.quadrature import integral
 from hopfwave.timedomain import SimState, Simulator
+
+
+class SigmaZero(HopfwaveError):
+    """Transversality pairing vanished."""
+
+
+def compute_sigma_rho(eig, adj, coeffs: LinearizedCoeffs):
+    """`eigen._sigma_rho_values`, raising when sigma or rho is below the
+    certificate's tolerance."""
+    sigma, rho = eigen._sigma_rho_values(eig, adj, coeffs)
+    if abs(sigma) < eigen.TOL_SIGMA:
+        raise SigmaZero(f"|sigma| = {abs(sigma):.3e} below {eigen.TOL_SIGMA:.1e}")
+    if abs(rho) < eigen.TOL_RHO:
+        raise RhoZero(f"|rho| = {abs(rho):.3e} below {eigen.TOL_RHO:.1e}")
+    return sigma, rho
 
 
 def jacobian(orbit, ctx, basis):
@@ -48,6 +64,13 @@ def inner_product(v: FourierField, w: FourierField, h) -> float:
         total += 2.0 * integral(
             np.sum(v.coef[k] * np.conj(w.coef[k]), axis=0), h).real
     return float(total)
+
+
+def synthesize(v: FourierField, times):
+    """Real field values, shape (..., len(times), 2, M+1)."""
+    lead = v.coef.shape[:-2]
+    vals = harmonic_synthesis(v.coef.reshape(lead + (-1,)), times)
+    return vals.reshape(vals.shape[:-1] + v.coef.shape[-2:])
 
 
 def time_shifted(v: FourierField, phi) -> FourierField:
@@ -200,7 +223,8 @@ def apply_JK(v: FourierField, omega: float, tau: float,
     """Linearization of B at v = 0: partial-integral part plus the
     off-diagonal pointwise part. Used for cross-checks and basin probes."""
     J = _displacement(v.coef, ctx)
-    mix = (ctx.b3 + ctx.b4 * _delay_phase(v.N, omega, tau)) * J
+    b3, b4 = ctx.coeffs.nodes("b3"), ctx.coeffs.nodes("b4")
+    mix = (b3 + b4 * _delay_phase(v.N, omega, tau)) * J
     out = np.empty_like(v.coef)
     out[..., 0, :] = mix + ctx.b2 * v.coef[..., 1, :]
     out[..., 1, :] = mix + ctx.b1 * v.coef[..., 0, :]
@@ -230,7 +254,7 @@ def reconstruct_u(orbit: PeriodicOrbit, ctx: OperatorContext,
     t = 2.0 * np.pi * np.arange(T) / T
     u_hat = _displacement(v.coef, ctx)
     u = harmonic_synthesis(u_hat, t)
-    vals = v.synthesize(t)
+    vals = synthesize(v, t)
     u_t = 0.5 * (vals[:, 0, :] + vals[:, 1, :]) / orbit.omega
     u_x = 0.5 * (vals[:, 0, :] - vals[:, 1, :]) / ctx.a
     return ReconstructedField(times=t, x=ctx.x, u=u, u_t=u_t, u_x=u_x,
@@ -266,6 +290,16 @@ def direction_from_document(doc: dict, spec: ProblemSpec) -> dict:
             "caveat": direction_mod.STABILITY_CAVEAT}
 
 
+def state_with_history(sim: Simulator, history_fn, v1=None, v2=None) -> SimState:
+    """`sim.initial_state(v1, v2)` with the history rows before t = 0 set to
+    history_fn(t) instead of the constant extension; the row at t = 0 stays
+    the displacement of (v1, v2)."""
+    state = sim.initial_state(v1=v1, v2=v2)
+    ts = -sim.dt * np.arange(sim.n_hist - 1, 0, -1.0)
+    state.history[:-1] = [np.asarray(history_fn(t), dtype=float) for t in ts]
+    return state
+
+
 def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
     """SimState sitting exactly on a computed periodic orbit at t = 0.
 
@@ -277,6 +311,5 @@ def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
     v1_hat, v2_hat = v_hat[:, 0], v_hat[:, 1]
     u_hat = displacement(v1_hat, v2_hat, sim.a, sim.h)
     v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0])[:, 0]
-    return sim.initial_state(
-        v1=v1, v2=v2,
-        history_fn=lambda t: harmonic_synthesis(u_hat, [orbit.omega * t])[0])
+    return state_with_history(
+        sim, lambda t: harmonic_synthesis(u_hat, [orbit.omega * t])[0], v1=v1, v2=v2)

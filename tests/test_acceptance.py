@@ -26,8 +26,8 @@ from hopfwave.errors import JacobianSingular
 from hopfwave.model import ProblemSpec, linearize
 
 from conftest import sin_convention
-from oracles import (apply_JK, kernels, reconstruct_u, seed_from_orbit, time_shifted,
-                     worked_example_curvature)
+from oracles import (apply_JK, compute_sigma_rho, kernels, reconstruct_u,
+                     seed_from_orbit, time_shifted, worked_example_curvature)
 from test_eigen import characteristic_root_crossing_speed
 from test_periodic_ops import oracle_C, oracle_D, random_field
 
@@ -118,7 +118,7 @@ def test_criterion_3_cross_path(cert_up):
         adj = eigen.AdjointPair(u_star=s.astype(complex),
                                 u_star_prime=sp.astype(complex),
                                 U_star=np.zeros(M + 1, dtype=complex))
-        sigma, rho = eigen.compute_sigma_rho(eig, adj, co)
+        sigma, rho = compute_sigma_rho(eig, adj, co)
         general = direction.tau_curvature_literature(s, sp, s, sigma, rho,
                                                      TAU0, cubic, h)
         closed = worked_example_curvature(co, cubic, sigma, rho)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -33,6 +34,17 @@ def write_config(tmp_path, name="prob.json", **overrides):
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def _cli_process(*args):
+    """`python -m hopfwave.cli *args` in a fresh process that imports
+    hopfwave from the checkout, installed or not."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "hopfwave.cli", *args], cwd=str(REPO),
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
 
 
 def test_certificate_pass(tmp_path):
@@ -159,6 +171,36 @@ def test_branch_deterministic(tmp_path):
     assert all(n >= 1 for n in diag["newton_iterations"])
     assert diag["min_block_rcond"] >= 1e-12
     assert 0 <= diag["min_block_rcond_harmonic"] <= 6
+
+
+@pytest.mark.parametrize("args, runs", [
+    (("branch", SUPER), 6),
+    (("branch", BRANCH), 2),
+    (("certificate", SUPER), 2),
+    (("certificate", BRANCH), 2),
+    (("direction", SUPER), 2),
+    (("direction", BRANCH), 2),
+    (("simulate", SUPER, "--tau", "1.6", "--T", "100"), 2),
+], ids=lambda p: p if isinstance(p, int) else f"{p[0]}-{p[1].stem}")
+def test_outputs_identical_across_processes(tmp_path, args, runs):
+    # a fresh interpreter per run, two at a time: the exit code, stdout and
+    # every file written next to --out must match byte for byte
+    results = []
+    for first in range(0, runs, 2):
+        procs = {}
+        for i in range(first, min(first + 2, runs)):
+            (tmp_path / str(i)).mkdir()
+            out = tmp_path / str(i) / "out.json"
+            procs[i] = _cli_process(*map(str, args), "--out", str(out))
+        for i, proc in procs.items():
+            stdout, _ = proc.communicate(timeout=300)
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (tmp_path / str(i)).iterdir()}
+            results.append({"exit": proc.returncode, "stdout": stdout,
+                            **digests})
+    assert "out.json" in results[0]
+    for result in results[1:]:
+        assert result == results[0]
 
 
 def test_branch_rejects_degenerate_grid(tmp_path):
@@ -289,15 +331,9 @@ def test_config_value_types(tmp_path, key, value):
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "cert.json"
-    # the subprocess imports hopfwave from the checkout, installed or not
-    path = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfwave.cli", "certificate", cfg,
-         "--out", str(out)],
-        capture_output=True, text=True, cwd=str(REPO),
-        env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
+    proc = _cli_process("certificate", cfg, "--out", str(out))
+    _, stderr = proc.communicate()
+    assert proc.returncode == 0, stderr.decode()
     assert json.loads(out.read_text())["flags"]["pass"] is True
 
 

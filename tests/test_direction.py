@@ -6,7 +6,7 @@ from hopfwave.errors import NotSeparable, QuadraticTermPresent
 from hopfwave.model import ProblemSpec, linearize
 
 from conftest import sin_convention
-from oracles import worked_example_curvature
+from oracles import compute_sigma_rho, worked_example_curvature
 
 TAU0 = np.pi / 2
 
@@ -97,7 +97,7 @@ def test_cross_path_agreement_randomized():
         adj = eigen.AdjointPair(u_star=s.astype(complex),
                                 u_star_prime=sp.astype(complex),
                                 U_star=np.zeros_like(s, dtype=complex))
-        sigma, rho = eigen.compute_sigma_rho(eig, adj, co)
+        sigma, rho = compute_sigma_rho(eig, adj, co)
         general = direction.tau_curvature_literature(
             s, sp, s, sigma, rho, TAU0, cubic, h)
         closed = worked_example_curvature(co, cubic, sigma, rho)
@@ -131,7 +131,7 @@ def test_scale_invariance(cert_up, spec_cubic_up):
         adj = eigen.AdjointPair(u_star=delta * data.ustar,
                                 u_star_prime=delta * data.ustarp,
                                 U_star=delta * data.Ustar)
-        sigma, rho = eigen.compute_sigma_rho(eig, adj, co)
+        sigma, rho = compute_sigma_rho(eig, adj, co)
         assert rho == pytest.approx(data.rho, rel=1e-10)
         d2 = direction.tau_curvature(eig.u0, eig.u0_prime, adj.u_star,
                                      sigma, rho, data.tau0, cubic, data.h)

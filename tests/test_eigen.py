@@ -7,7 +7,7 @@ from hopfwave.model import ProblemSpec, linearize
 from hopfwave.quadrature import integral
 
 from conftest import sin_convention
-from oracles import a2_scan_per_k, step_matrices_matmul
+from oracles import a2_scan_per_k, compute_sigma_rho, step_matrices_matmul
 
 TAU0 = np.pi / 2
 
@@ -287,7 +287,7 @@ def test_rho_zero_without_delay_term():
     eig = eigen.Eigenpair(mu=1j, tau=1.0, u0=shot.u, u0_prime=shot.u_prime)
     adj = eigen.solve_adjoint(1.0, co)
     with pytest.raises(RhoZero):
-        eigen.compute_sigma_rho(eig, adj, co)
+        compute_sigma_rho(eig, adj, co)
 
 
 def test_normalize(cert_up):
@@ -295,7 +295,7 @@ def test_normalize(cert_up):
     assert cert_up.sigma == pytest.approx(1.0 + 0.0j, abs=1e-10)
     # rho invariant under the normalization (not just its sign)
     eig, adj = cert_up.eigenpair, cert_up.adjoint
-    sigma2, rho2 = eigen.compute_sigma_rho(eig, adj, co)
+    sigma2, rho2 = compute_sigma_rho(eig, adj, co)
     assert rho2 == pytest.approx(cert_up.rho, rel=1e-12)
     # u0 untouched by normalization: still the unit-slope shooting solution
     assert eig.u0_prime[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)

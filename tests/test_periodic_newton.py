@@ -349,6 +349,15 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     for z in rng.normal(size=(3, n)):
         back = precond.matvec(tangent(z))
         assert np.linalg.norm(back - z) <= 1e-10 * np.linalg.norm(z)
+    # rcond is each block's exact reciprocal 1-norm condition, not an
+    # estimate; the k = 1 block is bordered by the amplitude and phase rows
+    # and the (omega, tau) columns
+    slices = periodic._harmonic_slices(8, 64)
+    for k in (0, 1, 8):
+        idx = np.r_[slices[k], [n - 2, n - 1] if k == 1 else []].astype(int)
+        blk = tangent(np.eye(n)[idx])[:, idx].T
+        assert precond.rcond[k] == pytest.approx(1 / np.linalg.cond(blk, 1),
+                                                 rel=1e-12)
     # at v = 0 the harmonic-diagonal tangent is the exact tangent
     trivial = periodic.predictor(cert_down, 0.0, 8, ctx_down)
     z = rng.normal(size=(2, n))

@@ -9,7 +9,7 @@ from hopfwave.model import ProblemSpec, linearize
 from hopfwave.periodic import FourierField
 from hopfwave.quadrature import cumulative_integral, integral
 from oracles import (apply_JK, cubic_interp, inner_product, kernels, reconstruct_u,
-                     time_shifted)
+                     synthesize, time_shifted)
 
 # a problem with x-dependent speed, damping and transport so the kernels
 # are nontrivial (b1 != b2, curved characteristics)
@@ -51,7 +51,46 @@ def _interp_periodic(samples, t_query):
 
 def oracle_C(v, omega, ctx, T=4096):
     t = 2 * np.pi * np.arange(T) / T
-    vals = v.synthesize(t)                     # (T, 2, M+1)
+    vals = synthesize(v, t)                    # (T, 2, M+1)
+    ke = kernels(ctx.coeffs)
+    M = v.M
+    xm = ctx.x[:, None]                        # one query row per node
+    out = np.empty_like(vals)
+    out[:, 0] = (-ke.c1(xm, 0.0) * _interp_periodic(
+        vals[:, 1, 0], t + omega * ke.A(xm, 0.0))).T
+    out[:, 1] = (ke.c2(xm, 1.0) * _interp_periodic(
+        vals[:, 0, M], t - omega * ke.A(xm, 1.0))).T
+    return FourierField.analyze(out, v.N)
+
+
+def oracle_D(f, omega, ctx, T=4096):
+    t = 2 * np.pi * np.arange(T) / T
+    vals = synthesize(f, t)
+    ke = kernels(ctx.coeffs)
+    M = f.M
+    out = np.zeros_like(vals)
+    # eight target nodes x_m at a time, one source node x_j per pass
+    for m0 in range(0, M + 1, 8):
+        xm = ctx.x[m0:m0 + 8, None]
+        integ = np.empty((2, len(xm), M + 1, T))
+        for j in range(M + 1):
+            xj = ctx.x[j]
+            # component 1: integral over [0, x_m] along the left-going family
+            integ[0, :, j] = ke.c1(xm, xj) / ctx.a[j] * _interp_periodic(
+                vals[:, 0, j], t + omega * ke.A(xm, xj))
+            integ[1, :, j] = ke.c2(xm, xj) / ctx.a[j] * _interp_periodic(
+                vals[:, 1, j], t - omega * ke.A(xm, xj))
+        cum1, cum2 = cumulative_integral(integ.swapaxes(-1, -2), ctx.h)
+        for i in range(len(xm)):
+            out[:, 0, m0 + i] = -cum1[i, :, m0 + i]
+            out[:, 1, m0 + i] = -(cum2[i, :, -1] - cum2[i, :, m0 + i])
+    return FourierField.analyze(out, f.N)
+
+
+def _oracle_C_per_node(v, omega, ctx, T):
+    """oracle_C one node x_m at a time: the reference for its vectorization."""
+    t = 2 * np.pi * np.arange(T) / T
+    vals = synthesize(v, t)
     ke = kernels(ctx.coeffs)
     M = v.M
     out = np.empty_like(vals)
@@ -64,9 +103,11 @@ def oracle_C(v, omega, ctx, T=4096):
     return FourierField.analyze(out, v.N)
 
 
-def oracle_D(f, omega, ctx, T=4096):
+def _oracle_D_per_node(f, omega, ctx, T):
+    """oracle_D one node pair (x_m, x_j) at a time: the reference for its
+    vectorization."""
     t = 2 * np.pi * np.arange(T) / T
-    vals = f.synthesize(t)
+    vals = synthesize(f, t)
     ke = kernels(ctx.coeffs)
     M = f.M
     out = np.zeros_like(vals)
@@ -86,6 +127,20 @@ def oracle_D(f, omega, ctx, T=4096):
         out[:, 0, m] = -cum1[:, m]
         out[:, 1, m] = -(cum2[:, -1] - cum2[:, m])
     return FourierField.analyze(out, f.N)
+
+
+def test_oracles_equal_their_per_node_loops():
+    # the vectorized oracles do the same arithmetic on every point, so they
+    # agree bit for bit; coarse grids keep the loops cheap, and 17 nodes
+    # leave oracle_D a partial last block of target nodes
+    ctx = periodic.operator_context(ProblemSpec.from_expressions(**GENERAL), 0.0, 16)
+    rng = np.random.default_rng(7)
+    v = random_field(rng, 6, 16)
+    omega = rng.uniform(0.8, 1.2)
+    assert np.array_equal(oracle_C(v, omega, ctx, T=256).coef,
+                          _oracle_C_per_node(v, omega, ctx, T=256).coef)
+    assert np.array_equal(oracle_D(v, omega, ctx, T=256).coef,
+                          _oracle_D_per_node(v, omega, ctx, T=256).coef)
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx_up", "gctx"])
@@ -201,7 +256,7 @@ def test_operations_preserve_conjugate_symmetry(gctx):
                 periodic.apply_B(v, 1.1, 0.6, gctx)):
         assert np.max(np.abs(out.coef[0].imag)) == 0.0
         t = 2 * np.pi * np.arange(11) / 11
-        vals = out.synthesize(t)
+        vals = synthesize(out, t)
         assert np.isrealobj(vals)
 
 
@@ -211,7 +266,7 @@ def test_inner_product_matches_brute_force(gctx):
     w = random_field(rng, 4, 64)
     T = 512
     t = 2 * np.pi * np.arange(T) / T
-    vv, ww = v.synthesize(t), w.synthesize(t)
+    vv, ww = synthesize(v, t), synthesize(w, t)
     brute = integral(np.einsum("tjm,tjm->tm", vv, ww), gctx.h).mean()
     assert inner_product(v, w, gctx.h) == pytest.approx(brute, rel=1e-10)
 

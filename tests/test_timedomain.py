@@ -8,7 +8,7 @@ from hopfwave import cli, periodic, timedomain
 from hopfwave.errors import (CFLViolation, NegativeDelayUnsupported,
                              NoOscillationDetected)
 from hopfwave.model import ProblemSpec
-from oracles import seed_from_orbit
+from oracles import seed_from_orbit, state_with_history
 
 
 def test_zero_state_stays_zero(spec_cubic_down):
@@ -109,7 +109,7 @@ def test_conservative_case_flagged_unsettled():
 def test_history_interpolation_accuracy(spec_cubic_down):
     # seeded history is reproduced through the ring buffer lookup
     sim = timedomain.Simulator(spec_cubic_down, tau=1.3, M=64)
-    state = sim.initial_state(history_fn=lambda t: np.full(65, np.cos(3 * t)))
+    state = state_with_history(sim, lambda t: np.full(65, np.cos(3 * t)))
     u_del = sim._delayed_displacement(state)
     assert np.max(np.abs(u_del - np.cos(3 * (-1.3)))) < 5e-4
 
@@ -121,8 +121,8 @@ def test_delay_on_exact_multiple_of_dt_reads_stored_row(spec_cubic_down):
     sim = timedomain.Simulator(spec_cubic_down, tau=32 * dt, M=64)
     assert (sim.lag, sim.w) == (32, 0.0)
     x = sim.x
-    state = sim.initial_state(v1=0.01 * np.sin(np.pi * x / 2),
-                              history_fn=lambda t: np.cos(3 * t) + x)
+    state = state_with_history(sim, lambda t: np.cos(3 * t) + x,
+                               v1=0.01 * np.sin(np.pi * x / 2))
     assert np.array_equal(sim._delayed_displacement(state),
                           np.cos(3 * -sim.tau) + x)
     for _ in range(40):
@@ -135,8 +135,7 @@ def test_head_row_is_displacement_of_fields(spec_cubic_down):
     # step reads u(t) from the head row instead of integrating again
     sim = timedomain.Simulator(spec_cubic_down, tau=1.3, M=64)
     kick = 0.01 * np.sin(np.pi * sim.x / 2)
-    state = sim.initial_state(v1=kick, v2=0.5 * kick,
-                              history_fn=lambda t: np.zeros(65))
+    state = state_with_history(sim, lambda t: np.zeros(65), v1=kick, v2=0.5 * kick)
     for _ in range(100):
         assert np.array_equal(
             state.history[state.head],
@@ -168,9 +167,9 @@ def test_fused_step_matches_unfused_formula(seed):
                                         b="-u1^3/6 - u2 - u3 + x*u4")
     sim = timedomain.Simulator(spec, tau=0.7, M=64)
     rng = np.random.default_rng(seed)
-    state = sim.initial_state(v1=rng.standard_normal(65),
-                              v2=rng.standard_normal(65),
-                              history_fn=lambda t: rng.standard_normal(65))
+    state = state_with_history(sim, lambda t: rng.standard_normal(65),
+                               v1=rng.standard_normal(65),
+                               v2=rng.standard_normal(65))
     assert np.ptp(sim.ax) > 0.5
     want_v1, want_v2 = _unfused_step(sim, state)
     got = sim.step(state)
