@@ -16,7 +16,8 @@ the beta entries are strings; lambda, tau_guess and the eps_grid entries
 real numbers; N >= 1, M >= 16, M_solve >= 16 (a divisor of M), K_max >= 2
 and max_iter >= 1 integers. The certification and orbit tolerances are
 fixed (eigen.TOL_*, periodic.TOL_ORBIT). Outputs are UTF-8 JSON (complex
-numbers as [re, im] pairs) and CSV with a header row and LF line endings.
+numbers as [re, im] pairs, numbers never computed as null) and CSV with a
+header row and LF line endings.
 Every command is deterministic given the file and the seed, which is
 recorded in the output.
 
@@ -32,6 +33,7 @@ the domain of b).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -138,11 +140,15 @@ def load_problem(path):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: complex as [re, im]
+# JSON encoding: complex as [re, im], a number never computed (NaN) as null
+
+def _r(x):
+    return None if math.isnan(x) else x
+
 
 def _c(z):
     z = complex(z)
-    return [z.real, z.imag]
+    return None if cmath.isnan(z) else [z.real, z.imag]
 
 
 def _carr(arr):
@@ -156,10 +162,10 @@ def _rarr(arr):
 
 def certificate_document(cert: eigen.HopfCertificate) -> dict:
     doc = {
-        "tau0": cert.tau0,
+        "tau0": _r(cert.tau0),
         "sigma": _c(cert.sigma),
         "sigma_raw": _c(cert.sigma_raw),
-        "rho": cert.rho,
+        "rho": _r(cert.rho),
         "fredholm": cert.fredholm,
         "flags": dict(cert.flags),
         "a2_scan": [[int(k), float(d)] for k, d in cert.a2_scan],
@@ -256,13 +262,9 @@ def _write_csv(path, header, rows):
 # commands
 
 def _certify(spec, settings, seed):
-    """eigen.certify with the file's settings; b or a that cannot be
-    linearized at the trivial state is an input error."""
-    try:
-        return eigen.certify(spec, settings.tau_guess, M=settings.M,
-                             K_max=settings.K_max, seed=seed)
-    except EvalDomainError as err:
-        raise ConfigError(f"cannot linearize at u = 0: {err}") from err
+    """eigen.certify with the file's settings."""
+    return eigen.certify(spec, settings.tau_guess, M=settings.M,
+                         K_max=settings.K_max, seed=seed)
 
 
 def cmd_certificate(args):
@@ -346,24 +348,21 @@ def cmd_branch(args):
 def cmd_simulate(args):
     spec, settings = load_problem(args.file)
     if args.tau is None:
-        print("error: simulate needs --tau", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError("simulate needs --tau")
     if not math.isfinite(args.tau):
         raise ConfigError(f"--tau must be a finite number, got {args.tau}")
     if not (math.isfinite(args.T) and args.T > 0.0):
         raise ConfigError(f"--T must be a finite positive number, got {args.T}")
-    sim = None
     try:
         sim = timedomain.Simulator(spec, args.tau, M=settings.M)
         # deterministic small kick along the half-sine profile; the
         # transient is discarded by run_to_orbit anyway
         kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
         state = sim.initial_state(v1=kick, v2=kick)
-        period, ts, ys, _ = timedomain.run_to_orbit(sim, state, args.T)
+        period, ts, ys = timedomain.run_to_orbit(sim, state, args.T)
+    except SpecInvalid:
+        raise       # b not linearizable at the file's lambda: an input error
     except HopfwaveError as err:
-        if sim is None and isinstance(err, EvalDomainError):
-            # b cannot be linearized at u = 0: an input error, as in _certify
-            raise ConfigError(f"cannot linearize at u = 0: {err}") from err
         doc = {"tau": args.tau, "T_end": args.T, "seed": args.seed,
                "error": str(err)}
         return _fail(args, doc, err, EXIT_SIMULATION)

@@ -70,10 +70,6 @@ class JacobianSingular(HopfwaveError):
     """Newton matrix is rank deficient (resonance or failed certificate)."""
 
 
-class CFLViolation(HopfwaveError):
-    """Explicit step would exceed the advective stability limit."""
-
-
 class NegativeDelayUnsupported(HopfwaveError):
     """Time integration is an initial value problem; it needs tau > 0."""
 

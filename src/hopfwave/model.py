@@ -3,8 +3,8 @@
 Holds the wave-equation data (a, b) and produces everything the rest of
 the toolkit consumes: the linearization coefficients b_3..b_6 at a given
 parameter value, the characteristic combinations b_1, b_2, the
-antiderivative tables behind the transport kernels c_1, c_2, A, and the
-Fredholm integral.
+antiderivative tables behind the transport kernels c_1, c_2, A, the
+displacement rule and the Fredholm integral.
 
 Conventions (x from 0 to 1, uniform grid):
     b_j(x, lam) = d b / d u_{j-2} at (x, lam, 0, 0, 0, 0), j = 3..6
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .errors import SpecInvalid
+from .errors import EvalDomainError, SpecInvalid
 from .quadrature import cumulative_integral, integral
 
 _UVARS = ("u1", "u2", "u3", "u4")
@@ -135,7 +135,8 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
     """Sample a, its derivatives, and all linearization coefficients.
 
     The b_j come from exact expression derivatives evaluated at
-    (x, lam, 0, 0, 0, 0); nothing is finite-differenced.
+    (x, lam, 0, 0, 0, 0); nothing is finite-differenced. A field that is
+    not finite on the grid makes the problem invalid (SpecInvalid).
     """
     if M < 16:
         raise ValueError("M must be at least 16")
@@ -143,7 +144,10 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
     env = _sampled_env(xx, lam)
 
     def sample(expr):
-        return np.broadcast_to(expr.eval(env), xx.shape).astype(float)
+        try:
+            return np.broadcast_to(expr.eval(env), xx.shape).astype(float)
+        except EvalDomainError as err:
+            raise SpecInvalid(f"cannot linearize at u = 0: {err}") from err
 
     a, ax, axx = sample(spec.a), sample(spec.a.diff("x")), sample(spec.a.diff("x", 2))
     b3, b4, b5, b6 = (sample(spec.b.diff(u)) for u in _UVARS)
@@ -162,6 +166,12 @@ def antiderivative_tables(coeffs: LinearizedCoeffs):
     hh = coeffs.xx[1] - coeffs.xx[0]
     return tuple(cumulative_integral(f / coeffs.a, hh)
                  for f in (1.0, coeffs.b1, coeffs.b2))
+
+
+def displacement(v1, v2, a, h):
+    """u = int_0^x (v1 - v2) / (2a) along the last axis: the one displacement
+    rule, shared by the harmonic operators and the time stepper."""
+    return 0.5 * cumulative_integral((v1 - v2) / a, h)
 
 
 def fredholm_integral(coeffs: LinearizedCoeffs) -> float:

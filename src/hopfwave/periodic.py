@@ -35,7 +35,7 @@ import scipy.linalg
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
 from .model import (_UVARS, LinearizedCoeffs, ProblemSpec, antiderivative_tables,
-                    linearize)
+                    displacement, linearize)
 from .quadrature import cumulative_integral, integral
 
 
@@ -218,12 +218,6 @@ def _transport_domega(v: FourierField, f: FourierField, omega: float,
     TF = apply_C(Fv, omega, ctx).coef + apply_D(Ff, omega, ctx).coef
     iks = 1j * np.arange(v.N + 1)[:, None, None] * np.array([1.0, -1.0])[:, None]
     return iks * (ctx.F * Tv - TF)
-
-
-def displacement(v1, v2, a, h):
-    """u = int_0^x (v1 - v2) / (2a) along the last axis: the one displacement
-    rule, shared by the harmonic operators and the time stepper."""
-    return 0.5 * cumulative_integral((v1 - v2) / a, h)
 
 
 def _displacement(coef, ctx: OperatorContext):

@@ -6,9 +6,10 @@ Cross-checks the harmonic-balance orbits by evolving
     v1 + v2 = 0 at x = 0,        v1 - v2 = 0 at x = 1,
 
 in unscaled time with first-order upwinding on each characteristic family
-and the delayed displacement read from a ring buffer. Accuracy is first
-order by design: enough for percent-level period validation, not for
-quantitative amplitudes.
+and the delayed displacement read from a ring buffer. The Simulator fixes
+the step size at CFL number CFL_LIMIT and advances one SimState in place.
+Accuracy is first order by design: enough for percent-level period
+validation, not for quantitative amplitudes.
 """
 from __future__ import annotations
 
@@ -16,23 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CFLViolation, HistoryTooLong, NegativeDelayUnsupported,
-                     NoOscillationDetected)
-from .model import ProblemSpec, linearize
-from .periodic import displacement
+from .errors import HistoryTooLong, NegativeDelayUnsupported, NoOscillationDetected
+from .model import ProblemSpec, displacement, linearize
 
-CFL_LIMIT = 0.9
+CFL_LIMIT = 0.9                 # the step is CFL_LIMIT * h / max(a)
 MAX_HISTORY_BYTES = 2 ** 30     # largest delay history ring a simulator allocates
+NOISE_FLOOR = 1e-9              # probe amplitude below which a run has decayed
+SETTLE_TOL = 0.05               # largest relative envelope drift of a settled tail
 
 
 @dataclass
 class SimState:
-    """Grid fields plus the displacement history needed for the delay."""
+    """Grid fields plus the displacement history needed for the delay,
+    advanced in place by Simulator.step; the step size is the simulator's."""
 
     v1: np.ndarray
     v2: np.ndarray
     t: float
-    dt: float
     history: np.ndarray      # ring buffer of u rows dt apart, oldest overwritten
     head: int                # index of the row of u(t), the most recent one
 
@@ -44,8 +45,7 @@ class Simulator:
     behind the head of the history, with the same interpolation weight.
     """
 
-    def __init__(self, spec: ProblemSpec, tau: float, M: int = 256,
-                 cfl: float = CFL_LIMIT):
+    def __init__(self, spec: ProblemSpec, tau: float, M: int = 256):
         if tau <= 0.0:
             raise NegativeDelayUnsupported(
                 "time stepping needs tau > 0; the periodic solver handles "
@@ -57,10 +57,7 @@ class Simulator:
         self.x = coeffs.x
         self.h = coeffs.h
         self.tau = float(tau)
-        self.a_max = float(np.max(self.a))
-        if cfl > CFL_LIMIT + 1e-12:
-            raise CFLViolation(f"requested CFL {cfl} exceeds {CFL_LIMIT}")
-        self.dt = cfl * self.h / self.a_max
+        self.dt = CFL_LIMIT * self.h / float(np.max(self.a))
         # per-node constants of step: upwind gains dt a / h, factors of B and u4
         self.gain_v1 = self.dt * self.a[:-1] / self.h
         self.gain_v2 = self.dt * self.a[1:] / self.h
@@ -84,8 +81,7 @@ class Simulator:
         v2 = np.zeros(M + 1) if v2 is None else np.array(v2, dtype=float)
         u0 = displacement(v1, v2, self.a, self.h)
         hist = np.tile(u0, (self.n_hist, 1))
-        return SimState(v1=v1, v2=v2, t=0.0, dt=self.dt, history=hist,
-                        head=self.n_hist - 1)
+        return SimState(v1=v1, v2=v2, t=0.0, history=hist, head=self.n_hist - 1)
 
     def _delayed_displacement(self, state: SimState):
         """u(t - tau), linear between the two history rows around it."""
@@ -93,18 +89,13 @@ class Simulator:
         return (1.0 - self.w) * rows[i0 % self.n_hist] \
             + self.w * rows[(i0 - 1) % self.n_hist]
 
-    def step(self, state: SimState) -> SimState:
-        """One upwind step; boundary rows are imposed exactly.
+    def step(self, state: SimState) -> None:
+        """Advance state in place by one upwind step of size dt; boundary
+        rows are imposed exactly.
 
-        u(t) is the head row of the history, written by the previous step.
-        The history ring buffer is shared with the returned state and
-        advanced in place, so treat the input state as consumed.
+        u(t) is the head row of the history, written by the previous step;
+        the step moves the head on by one row and writes u(t + dt) there.
         """
-        if state.dt != self.dt:
-            if self.a_max * state.dt / self.h > CFL_LIMIT + 1e-12:
-                raise CFLViolation("step size violates the advective limit")
-            raise ValueError(f"state dt {state.dt} is not the simulator's "
-                             f"{self.dt}, which fixes the delay offsets")
         v1, v2, dt = state.v1, state.v2, self.dt
         diff = v1 - v2
         env = {"x": self.x, "lambda": self.spec.lam,
@@ -122,10 +113,9 @@ class Simulator:
         new_v2[1:] -= self.gain_v2 * (v2[1:] - v2[:-1])
         new_v1[-1] = new_v2[-1]
         new_v2[0] = -new_v1[0]
-        head = (state.head + 1) % self.n_hist
-        state.history[head] = displacement(new_v1, new_v2, self.a, self.h)
-        return SimState(v1=new_v1, v2=new_v2, t=state.t + dt, dt=dt,
-                        history=state.history, head=head)
+        state.v1, state.v2, state.t = new_v1, new_v2, state.t + dt
+        state.head = (state.head + 1) % self.n_hist
+        state.history[state.head] = displacement(new_v1, new_v2, self.a, self.h)
 
 
 def _period_from_crossings(ts, ys):
@@ -140,16 +130,14 @@ def _period_from_crossings(ts, ys):
     return float(np.mean(gaps))
 
 
-def run_to_orbit(sim: Simulator, state: SimState, T_end: float,
-                 noise_floor: float = 1e-9, settle_tol: float = 0.05):
-    """Integrate state with sim up to T_end, drop the leading 80 percent,
-    estimate the period.
+def run_to_orbit(sim: Simulator, state: SimState, T_end: float):
+    """Advance state in place with sim up to T_end, drop the leading 80
+    percent, estimate the period.
 
-    Returns (period, tail_times, tail_probe, final_state). Raises
-    NoOscillationDetected when the tail is too short to judge, when the
-    probe amplitude sinks below the noise floor (decay to the trivial
-    state) or when the amplitude envelope is still drifting across the
-    tail (no settled limit cycle: for instance an undamped linear problem
+    Returns (period, tail_times, tail_probe). Raises NoOscillationDetected
+    when the tail is too short to judge, when the probe amplitude sinks
+    below NOISE_FLOOR (decay to the trivial state) or when the amplitude
+    envelope drifts by more than SETTLE_TOL across the tail (no settled limit cycle: for instance an undamped linear problem
     whose amplitude only reflects the scheme's slow numerical dissipation).
     """
     probe = (len(sim.x) * 2) // 3
@@ -157,7 +145,7 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float,
     ts = np.empty(n_steps)
     ys = np.empty(n_steps)
     for i in range(n_steps):
-        state = sim.step(state)
+        sim.step(state)
         ts[i] = state.t
         ys[i] = state.history[state.head][probe]
     cut = int(0.8 * n_steps)
@@ -167,7 +155,7 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float,
             f"run too short to judge: its tail holds {len(tail_y)} of "
             f"{n_steps} steps", settled=False)
     amp = float(np.max(np.abs(tail_y)))
-    if amp < noise_floor:
+    if amp < NOISE_FLOOR:
         raise NoOscillationDetected(
             f"probe amplitude {amp:.2e} below the noise floor", amplitude=amp,
             settled=True)
@@ -175,7 +163,7 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float,
     a_first = float(np.max(np.abs(tail_y[:half])))
     a_second = float(np.max(np.abs(tail_y[half:])))
     drift = abs(a_second - a_first) / max(a_first, a_second)
-    if drift > settle_tol:
+    if drift > SETTLE_TOL:
         raise NoOscillationDetected(
             f"amplitude envelope still drifting ({100 * drift:.1f}% across the "
             "tail): oscillation has not settled onto an orbit (amplitude is "
@@ -184,4 +172,4 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float,
     if period is None:
         raise NoOscillationDetected("too few zero crossings in the tail",
                                     amplitude=amp, settled=False)
-    return period, tail_t, tail_y, state
+    return period, tail_t, tail_y

@@ -15,10 +15,9 @@ from hopfwave import direction as direction_mod
 from hopfwave import eigen, periodic
 from hopfwave.direction import CubicCoeffs
 from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
-from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables
+from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables, displacement
 from hopfwave.periodic import (FourierField, OperatorContext, PeriodicOrbit,
-                               _delay_phase, _displacement, displacement,
-                               harmonic_synthesis)
+                               _delay_phase, _displacement, harmonic_synthesis)
 from hopfwave.quadrature import integral
 from hopfwave.timedomain import SimState, Simulator
 

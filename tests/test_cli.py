@@ -443,6 +443,51 @@ def test_simulate_b_not_differentiable_at_zero(tmp_path):
     assert not out.exists()
 
 
+def test_b_not_differentiable_at_file_lambda(tmp_path, capsys):
+    # 3 u1^2 / (2x - 2 lambda + 1) is singular at x = 1/4 when lambda = 0.75:
+    # certification linearizes at lambda = 0 and passes, while branch and
+    # simulate linearize at the file's lambda and report an input error
+    # (branch once ended in a traceback)
+    cfg = write_config(
+        tmp_path, b="u1^3/(2*x - 2*lambda + 1) - u2 - u3",
+        solver={"N": 4, "M": 64, "M_solve": 32, "eps_grid": [0.01, 0.02, 0.03]},
+        **{"lambda": 0.75})
+    for command in ("certificate", "direction"):
+        assert run_cli(command, cfg, "--out", str(tmp_path / "c.json")) == 0
+    for command, flags in (("branch", []), ("simulate", ["--tau", "1.6"])):
+        out = tmp_path / f"{command}.json"
+        capsys.readouterr()
+        assert run_cli(command, cfg, *flags, "--out", str(out)) == 2
+        assert "cannot linearize at u = 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, code", [
+    ("certificate", 3), ("direction", 3), ("branch", 3)])
+def test_failure_documents_are_strict_json(tmp_path, command, code):
+    # no critical mode: tau0, sigma and rho are never computed and are
+    # written as null, not as the NaN token that RFC 8259 lacks
+    cfg = write_config(tmp_path, a="1", b="-u3 - u1^3",
+                       solver={"M": 64, "K_max": 4}, tau_guess=1.0)
+    out = tmp_path / "doc.json"
+    assert run_cli(command, cfg, "--out", str(out)) == code
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    cert = doc["certificate"] if command == "branch" else doc
+    assert cert["flags"]["pass"] is False
+    assert [cert[k] for k in ("tau0", "sigma", "sigma_raw", "rho")] == [None] * 4
+
+
+def test_simulate_needs_tau(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", write_config(tmp_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: simulate needs --tau\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, flag", [
     (["--tau", "1.6", "--T", "inf"], "--T"),
     (["--tau", "1.6", "--T", "0"], "--T"),
