@@ -22,7 +22,8 @@ Every command is deterministic given the file and the seed, which is
 recorded in the output.
 
 Exit codes: 0 ok, 2 input error (including an unreadable problem file or
---out path, and a or b not evaluable or not differentiable at the trivial
+--out path, an expression nested too deeply, a grid or horizon too large
+for memory, and a or b not evaluable or not differentiable at the trivial
 state, in every command), 3 certification
 failure (for branch also a missing critical mode or a singular Newton
 matrix), 4 structure error (including b not evaluable for the
@@ -192,11 +193,11 @@ def direction_document(result: direction_mod.DirectionResult) -> dict:
 def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
     """Snapshot of one orbit: scalars plus harmonic coefficients as
     [re, im] pairs indexed [harmonic][component][node]."""
-    coef = orbit.v.coef
+    coef = orbit.v
     return {
         "eps": orbit.eps, "omega": orbit.omega, "tau": orbit.tau,
         "lambda": orbit.lam, "residual_norm": orbit.residual_norm,
-        "N": orbit.v.N, "M": orbit.v.M,
+        "N": coef.shape[0] - 1, "M": coef.shape[2] - 1,
         "coefficients": np.stack([coef.real, coef.imag], -1).tolist(),
     }
 
@@ -397,7 +398,11 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, SpecInvalid, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    except RecursionError:
+        print("error: an expression nests too deeply", file=sys.stderr)
+    except MemoryError as err:
+        print(f"error: problem too large for memory: {err}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

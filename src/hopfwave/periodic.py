@@ -3,11 +3,10 @@
 The wave problem, rewritten along characteristics, becomes the fixed-point
 system v = C(omega, lam) v + D(omega, lam) B(v, omega, tau, lam) for the
 2-component field v(t, x), 2pi-periodic in scaled time. Fields are held as
-truncated Fourier series in t (harmonics 0..N, negatives by conjugation)
-with values on a uniform x-grid; time shifts by omega * A(x, xi) then act
-as exact per-harmonic phase factors, and the integral operators reduce to
-cumulative quadrature thanks to the multiplicative structure of the
-kernels.
+truncated Fourier series in t with values on a uniform x-grid; time shifts
+by omega * A(x, xi) then act as exact per-harmonic phase factors, and the
+integral operators reduce to cumulative quadrature thanks to the
+multiplicative structure of the kernels.
 
 The nonlinear operator B is evaluated pseudo-spectrally on 4N+1 equispaced
 times, which de-aliases cubic products exactly. Newton treats the stacked
@@ -20,9 +19,12 @@ singular at the Hopf point, and it is bordered by the amplitude and phase
 rows and the (omega, tau) columns, as in the Lyapunov-Schmidt reduction
 onto the critical mode. No dense matrix of the full system is formed.
 
-Fields and operators accept leading batch axes: coefficient arrays have
-shape (..., N+1, 2, M+1), which lets the preconditioner build apply the
-tangent to a whole chunk of probe directions at once.
+A field v(t, x) = sum_k vhat_k(x) e^{ikt} is a plain complex array of
+shape (..., N+1, 2, M+1): optional batch axes, harmonic 0..N, component,
+node. Negative harmonics are the conjugates (the field is real) and the
+k = 0 slice is kept real. Operators accept the batch axes, which lets the
+preconditioner build apply the tangent to a whole chunk of probe
+directions at once.
 """
 from __future__ import annotations
 
@@ -77,66 +79,31 @@ def _collocation_times(N):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-in-time field
+# coefficient arrays: symmetry and the real packing of the Newton unknowns
 
-@dataclass
-class FourierField:
-    """Truncated Fourier representation v(t, x) = sum_k vhat_k(x) e^{ikt}.
+def enforce_symmetry(coef):
+    """Make the k = 0 slice real in place; returns coef."""
+    coef[..., 0, :, :] = coef[..., 0, :, :].real
+    return coef
 
-    coef has shape (..., N+1, 2, M+1): optional batch axes, harmonic index
-    0..N, component, node. Negative harmonics are the conjugates (the
-    represented field is real); the k = 0 slice is kept real.
-    """
 
-    coef: np.ndarray
+# packing order: Re v_0, then Re v_k, Im v_k for k = 1..N, each block
+# (component, node); the always-zero Im v_0 block is dropped
+def flatten(coef):
+    parts = np.stack([coef.real, coef.imag], axis=-3)
+    flat = parts.reshape(parts.shape[:-4] + (-1,))
+    blk = 2 * coef.shape[-1]
+    return np.concatenate([flat[..., :blk], flat[..., 2 * blk:]], axis=-1)
 
-    @classmethod
-    def zeros(cls, N, M):
-        return cls(np.zeros((N + 1, 2, M + 1), dtype=complex))
 
-    @property
-    def N(self):
-        return self.coef.shape[-3] - 1
-
-    @property
-    def M(self):
-        return self.coef.shape[-1] - 1
-
-    def copy(self):
-        return FourierField(self.coef.copy())
-
-    def enforce_symmetry(self):
-        self.coef[..., 0, :, :] = self.coef[..., 0, :, :].real
-        return self
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.coef)))
-
-    @classmethod
-    def analyze(cls, values, N):
-        """Harmonics 0..N of equispaced samples (..., T, 2, M+1) over one
-        period (see harmonic_analysis for the sample count)."""
-        coef = harmonic_analysis(values.reshape(values.shape[:-2] + (-1,)), N)
-        return cls(coef.reshape(coef.shape[:-1] + values.shape[-2:]))
-
-    # real packing for the Newton unknown vector -----------------------------
-    # order: Re v_0, then Re v_k, Im v_k for k = 1..N, each block (component,
-    # node); the always-zero Im v_0 block is dropped
-    def flatten(self):
-        parts = np.stack([self.coef.real, self.coef.imag], axis=-3)
-        flat = parts.reshape(parts.shape[:-4] + (-1,))
-        blk = 2 * (self.M + 1)
-        return np.concatenate([flat[..., :blk], flat[..., 2 * blk:]], axis=-1)
-
-    @classmethod
-    def unflatten(cls, vec, N, M):
-        vec = np.asarray(vec)
-        lead = vec.shape[:-1]
-        blk = 2 * (M + 1)
-        parts = np.concatenate([vec[..., :blk], np.zeros(lead + (blk,)),
-                                vec[..., blk:]], axis=-1)
-        parts = parts.reshape(lead + (N + 1, 2, 2, M + 1))
-        return cls(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
+def unflatten(vec, N, M):
+    vec = np.asarray(vec)
+    lead = vec.shape[:-1]
+    blk = 2 * (M + 1)
+    parts = np.concatenate([vec[..., :blk], np.zeros(lead + (blk,)),
+                            vec[..., blk:]], axis=-1)
+    parts = parts.reshape(lead + (N + 1, 2, 2, M + 1))
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +138,19 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         b_u=tuple(spec.b.diff(u) for u in _UVARS))
 
 
-def apply_C(v: FourierField, omega: float, ctx: OperatorContext) -> FourierField:
+def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
     """Boundary-transport part: values carried along characteristics from
     the opposite edge, with per-harmonic phase factors for the time shift."""
-    ks = np.arange(v.N + 1)[:, None]
+    ks = np.arange(v.shape[-3])[:, None]
     phase = np.exp(1j * omega * ks * ctx.F)                  # e^{ik w F(x)}
-    out = np.empty_like(v.coef)
-    out[..., 0, :] = -(1.0 / ctx.E1) * phase * v.coef[..., 1, 0][..., None]
+    out = np.empty_like(v)
+    out[..., 0, :] = -(1.0 / ctx.E1) * phase * v[..., 1, 0][..., None]
     tail_phase = np.exp(-1j * omega * ks * (ctx.F - ctx.F[-1]))
-    out[..., 1, :] = (ctx.E2 / ctx.E2[-1]) * tail_phase * v.coef[..., 0, -1][..., None]
-    return FourierField(out).enforce_symmetry()
+    out[..., 1, :] = (ctx.E2 / ctx.E2[-1]) * tail_phase * v[..., 0, -1][..., None]
+    return enforce_symmetry(out)
 
 
-def apply_D(f: FourierField, omega: float, ctx: OperatorContext) -> FourierField:
+def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
     """Interior-transport part: characteristic integrals of a source field.
 
     The kernels factorize (c's are ratios of one antiderivative table, the
@@ -193,19 +160,19 @@ def apply_D(f: FourierField, omega: float, ctx: OperatorContext) -> FourierField
     critical mode is a fixed point of C + D(J+K) only with this sign
     (enforced by the kernel tests).
     """
-    ks = np.arange(f.N + 1)[:, None]
+    ks = np.arange(f.shape[-3])[:, None]
     ph = np.exp(1j * omega * ks * ctx.F)                     # (N+1, M+1)
-    g1 = ctx.E1 / ph * f.coef[..., 0, :] / ctx.a
+    g1 = ctx.E1 / ph * f[..., 0, :] / ctx.a
     cum1 = cumulative_integral(g1, ctx.h)
-    out = np.empty_like(f.coef)
+    out = np.empty_like(f)
     out[..., 0, :] = -(ph / ctx.E1) * cum1
-    g2 = ph / ctx.E2 * f.coef[..., 1, :] / ctx.a
+    g2 = ph / ctx.E2 * f[..., 1, :] / ctx.a
     cum2 = cumulative_integral(g2, ctx.h)
     out[..., 1, :] = -(ctx.E2 / ph) * (cum2[..., -1][..., None] - cum2)
-    return FourierField(out).enforce_symmetry()
+    return enforce_symmetry(out)
 
 
-def _transport_domega(v: FourierField, f: FourierField, omega: float,
+def _transport_domega(v: np.ndarray, f: np.ndarray, omega: float,
                       ctx: OperatorContext) -> np.ndarray:
     """Coefficients of d/domega (C(omega) v + D(omega) f) at fixed v, f.
 
@@ -213,10 +180,9 @@ def _transport_domega(v: FourierField, f: FourierField, omega: float,
     source point xi, so the derivative is the commutator
     ik s_c [F (Cv + Df) - C(F v) - D(F f)] with s = (+1, -1).
     """
-    Fv, Ff = FourierField(v.coef * ctx.F), FourierField(f.coef * ctx.F)
-    Tv = apply_C(v, omega, ctx).coef + apply_D(f, omega, ctx).coef
-    TF = apply_C(Fv, omega, ctx).coef + apply_D(Ff, omega, ctx).coef
-    iks = 1j * np.arange(v.N + 1)[:, None, None] * np.array([1.0, -1.0])[:, None]
+    Tv = apply_C(v, omega, ctx) + apply_D(f, omega, ctx)
+    TF = apply_C(v * ctx.F, omega, ctx) + apply_D(f * ctx.F, omega, ctx)
+    iks = 1j * np.arange(v.shape[-3])[:, None, None] * np.array([1.0, -1.0])[:, None]
     return iks * (ctx.F * Tv - TF)
 
 
@@ -248,20 +214,21 @@ def _collocate(coef, omega, tau, ctx: OperatorContext):
     return v1, v2, (u1, u2, 0.5 * (v1 + v2), 0.5 * (v1 - v2) / ctx.a)
 
 
-def _source(bvals, v1, v2, N, ctx: OperatorContext) -> FourierField:
+def _source(bvals, v1, v2, N, ctx: OperatorContext) -> np.ndarray:
     """Harmonics of the source (b - a_x (v1 - v2)/2 - b_j v_j)_j from values
     on the collocation times; linear in (bvals, v1, v2)."""
     Bfull = bvals - 0.5 * ctx.ax * (v1 - v2)
     vals = np.stack([Bfull - ctx.b1 * v1, Bfull - ctx.b2 * v2], axis=-2)
-    return FourierField.analyze(vals, N)
+    coef = harmonic_analysis(vals.reshape(vals.shape[:-2] + (-1,)), N)
+    return coef.reshape(coef.shape[:-1] + vals.shape[-2:])
 
 
 def _b_env(u, ctx: OperatorContext):
     return {"x": ctx.x, "lambda": ctx.lam, **dict(zip(_UVARS, u))}
 
 
-def apply_B(v: FourierField, omega: float, tau: float,
-            ctx: OperatorContext) -> FourierField:
+def apply_B(v: np.ndarray, omega: float, tau: float,
+            ctx: OperatorContext) -> np.ndarray:
     """Full nonlinear source, pseudo-spectral with a cubic de-aliasing margin.
 
     Steps: cumulative x-quadrature gives the displacement harmonics, the
@@ -269,8 +236,8 @@ def apply_B(v: FourierField, omega: float, tau: float,
     times, the coefficient expression is evaluated pointwise, and the
     result is analyzed back to harmonics 0..N.
     """
-    v1, v2, u = _collocate(v.coef, omega, tau, ctx)
-    return _source(ctx.spec.b.eval(_b_env(u, ctx)), v1, v2, v.N, ctx)
+    v1, v2, u = _collocate(v, omega, tau, ctx)
+    return _source(ctx.spec.b.eval(_b_env(u, ctx)), v1, v2, v.shape[-3] - 1, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +255,7 @@ class NewtonStats:
 
 @dataclass
 class PeriodicOrbit:
-    v: FourierField
+    v: np.ndarray       # harmonics, (N+1, 2, M+1) complex as in the module docstring
     omega: float
     tau: float
     eps: float
@@ -306,9 +273,9 @@ class ModeBasis:
     nrm: float          # <v0^1, v0^1> = int sum|v0_j|^2 dx / 2
     tau0: float
 
-    def projection(self, v: FourierField, h):
+    def projection(self, v: np.ndarray, h):
         """int sum_j v^1_j conj(v0_j) dx, one complex value per batch entry."""
-        return integral(np.sum(v.coef[..., 1, :, :] * np.conj(self.v0), axis=-2), h)
+        return integral(np.sum(v[..., 1, :, :] * np.conj(self.v0), axis=-2), h)
 
 
 def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
@@ -333,15 +300,14 @@ def predictor(cert, eps, N, ctx: OperatorContext) -> PeriodicOrbit:
     """Tangent-space initial guess: pure first harmonic along the critical
     mode at amplitude eps, with omega = 1 and tau at the critical delay."""
     basis = mode_basis(cert, ctx)
-    v = FourierField.zeros(N, ctx.coeffs.M)
-    v.coef[1] = 0.5 * eps * basis.v0
+    v = np.zeros((N + 1, 2, ctx.coeffs.M + 1), dtype=complex)
+    v[1] = 0.5 * eps * basis.v0
     return PeriodicOrbit(v=v, omega=1.0, tau=basis.tau0, eps=eps, lam=ctx.lam)
 
 
-def _defect(v: FourierField, f: FourierField, omega, ctx) -> np.ndarray:
+def _defect(v: np.ndarray, f: np.ndarray, omega, ctx) -> np.ndarray:
     """Packed v - C v - D f (the fixed-point rows, batch-aware)."""
-    lhs = v.coef - apply_C(v, omega, ctx).coef - apply_D(f, omega, ctx).coef
-    return FourierField(lhs).flatten()
+    return flatten(v - apply_C(v, omega, ctx) - apply_D(f, omega, ctx))
 
 
 def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
@@ -371,28 +337,27 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
     exact. At v = 0 the partials are constant in time and the two agree.
     """
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    N, M = v.N, v.M
-    v1, v2, u = _collocate(v.coef, omega, tau, ctx)
+    N, M = v.shape[0] - 1, v.shape[2] - 1
+    v1, v2, u = _collocate(v, omega, tau, ctx)
     env = _b_env(u, ctx)
     partials = [d.eval(env) for d in ctx.b_u]
 
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
     Bv = _source(ctx.spec.b.eval(env), v1, v2, N, ctx)
-    dJdel = (-1j * np.arange(N + 1)[:, None] * _displacement(v.coef, ctx)
+    dJdel = (-1j * np.arange(N + 1)[:, None] * _displacement(v, ctx)
              * _delay_phase(N, omega, tau) * np.array([tau, omega])[:, None, None])
     du2 = harmonic_synthesis(dJdel, _collocation_times(N))
     dB = _source(partials[1] * du2, 0.0, 0.0, N, ctx)
-    dT = apply_D(dB, omega, ctx).coef
+    dT = apply_D(dB, omega, ctx)
     dT[0] += _transport_domega(v, Bv, omega, ctx)
-    omega_tau = np.concatenate([-FourierField(dT).flatten(), np.zeros((2, 2))],
-                               axis=-1)
+    omega_tau = np.concatenate([-flatten(dT), np.zeros((2, 2))], axis=-1)
     if harmonic_diagonal:
         partials = [p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials]
 
     def apply(dz):
-        dv = FourierField.unflatten(dz[..., :-2], N, M)
-        dv1, dv2, du = _collocate(dv.coef, omega, tau, ctx)
+        dv = unflatten(dz[..., :-2], N, M)
+        dv1, dv2, du = _collocate(dv, omega, tau, ctx)
         dBv = _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, N, ctx)
         proj = basis.projection(dv, ctx.h) / basis.nrm
         rows = np.stack([proj.real, proj.imag], axis=-1)
@@ -469,7 +434,7 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     bordered k = 1 block means a failed certificate, any other k a
     resonance at ik.
     """
-    N, M = orbit.v.N, orbit.v.M
+    N, M = orbit.v.shape[0] - 1, orbit.v.shape[2] - 1
     n = len(_pack(orbit))
     slices = _harmonic_slices(N, M)
     sizes = [s.stop - s.start for s in slices]
@@ -514,13 +479,12 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
 
 
 def _pack(orbit):
-    return np.concatenate([orbit.v.flatten(), [orbit.omega, orbit.tau]])
+    return np.concatenate([flatten(orbit.v), [orbit.omega, orbit.tau]])
 
 
 def _unpack(z, N, M, eps, lam):
-    v = FourierField.unflatten(z[:-2], N, M)
-    return PeriodicOrbit(v=v, omega=float(z[-2]), tau=float(z[-1]),
-                         eps=eps, lam=lam)
+    return PeriodicOrbit(v=unflatten(z[:-2], N, M), omega=float(z[-2]),
+                         tau=float(z[-1]), eps=eps, lam=lam)
 
 
 def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
@@ -538,7 +502,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     `stats` count the iterations, tangent products, halvings and builds.
     """
     import scipy.sparse.linalg  # here, not at the top: only branch needs its ~4 MB
-    N, M = guess.v.N, guess.v.M
+    N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
     z = _pack(replace(guess, eps=eps))
 
     def orbit_at(zv):
@@ -564,7 +528,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
             return tangent(dz)
         return matvec
 
-    if precond is None and (eps != 0.0 or guess.v.max_abs() != 0.0):
+    if precond is None and (eps != 0.0 or np.any(guess.v)):
         # the condition check doubles as the local-uniqueness certificate;
         # only at the trivial orbit, the bifurcation point itself, is the
         # Newton matrix legitimately singular
@@ -684,9 +648,9 @@ def pde_residual_check(orbit: PeriodicOrbit, ctx: OperatorContext) -> float:
     centered 4th-order differences, making this check independent of the
     characteristic formulation.
     """
-    N = orbit.v.N
+    N = orbit.v.shape[0] - 1
     times = _collocation_times(N)
-    u_hat = _displacement(orbit.v.coef, ctx)
+    u_hat = _displacement(orbit.v, ctx)
     ks = np.arange(N + 1)[:, None]
     u = harmonic_synthesis(u_hat, times)
     u_tt = harmonic_synthesis(-(ks ** 2) * u_hat, times)

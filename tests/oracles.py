@@ -1,11 +1,15 @@
 """Reference helpers that only the tests use: the guarded transversality
 pairing, the dense Newton matrix, the time-averaged L2 pairing, Fourier
-synthesis and time shift of a field, the closed-form curvature of the
-worked example, the shooting kernel as it was before its step matrices
-were built elementwise, the point-query transport kernels, the linearized
-source, the reconstructed displacement field, the direction evaluation
-from a serialized certificate, and time-stepper states with a given
-history, among them one seeded on a computed orbit."""
+synthesis, analysis and time shift of a field, random smooth fields, the
+closed-form curvature of the worked example, the shooting kernel as it was
+before its step matrices were built elementwise, the point-query transport
+kernels, brute-force time-domain oracles of the transport operators, the
+linearized source, the reconstructed displacement field, the direction
+evaluation from a serialized certificate, and time-stepper states with a
+given history, among them one seeded on a computed orbit.
+
+Fields are coefficient arrays of shape (..., N+1, 2, M+1), as in
+`hopfwave.periodic`."""
 import cmath
 from dataclasses import dataclass
 
@@ -16,9 +20,10 @@ from hopfwave import eigen, periodic
 from hopfwave.direction import CubicCoeffs
 from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
 from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables, displacement
-from hopfwave.periodic import (FourierField, OperatorContext, PeriodicOrbit,
-                               _delay_phase, _displacement, harmonic_synthesis)
-from hopfwave.quadrature import integral
+from hopfwave.periodic import (OperatorContext, PeriodicOrbit, _delay_phase,
+                               _displacement, enforce_symmetry, harmonic_analysis,
+                               harmonic_synthesis)
+from hopfwave.quadrature import cumulative_integral, integral
 from hopfwave.timedomain import SimState, Simulator
 
 
@@ -49,33 +54,53 @@ def jacobian(orbit, ctx, basis):
     n = len(periodic._pack(orbit))
     J = np.empty((n, n), order="F")
     col_norms = np.empty(n)
-    for j0 in range(0, n, orbit.v.M + 1):
-        cols = slice(j0, min(j0 + orbit.v.M + 1, n))
+    width = orbit.v.shape[-1]
+    for j0 in range(0, n, width):
+        cols = slice(j0, min(j0 + width, n))
         J[:, cols] = tangent(np.eye(cols.stop - j0, n, j0)).T
         col_norms[cols] = np.abs(J[:, cols]).sum(axis=0)
     return J, float(np.max(col_norms))
 
 
-def inner_product(v: FourierField, w: FourierField, h) -> float:
+def inner_product(v, w, h) -> float:
     """Time-averaged L2 pairing (1/2pi) int int sum_j v_j w_j dx dt."""
-    total = integral(np.sum(v.coef[0].real * w.coef[0].real, axis=0), h)
-    for k in range(1, v.N + 1):
-        total += 2.0 * integral(
-            np.sum(v.coef[k] * np.conj(w.coef[k]), axis=0), h).real
+    total = integral(np.sum(v[0].real * w[0].real, axis=0), h)
+    for k in range(1, len(v)):
+        total += 2.0 * integral(np.sum(v[k] * np.conj(w[k]), axis=0), h).real
     return float(total)
 
 
-def synthesize(v: FourierField, times):
+def synthesize(v, times):
     """Real field values, shape (..., len(times), 2, M+1)."""
-    lead = v.coef.shape[:-2]
-    vals = harmonic_synthesis(v.coef.reshape(lead + (-1,)), times)
-    return vals.reshape(vals.shape[:-1] + v.coef.shape[-2:])
+    vals = harmonic_synthesis(v.reshape(v.shape[:-2] + (-1,)), times)
+    return vals.reshape(vals.shape[:-1] + v.shape[-2:])
 
 
-def time_shifted(v: FourierField, phi) -> FourierField:
+def analyze(values, N):
+    """Harmonics 0..N of equispaced samples (..., T, 2, M+1) over one
+    period: the inverse of synthesize for T >= 2N+1."""
+    coef = harmonic_analysis(values.reshape(values.shape[:-2] + (-1,)), N)
+    return coef.reshape(coef.shape[:-1] + values.shape[-2:])
+
+
+def time_shifted(v, phi):
     """Field t -> v(t + phi, x) (harmonic k picks up e^{ik phi})."""
-    ks = np.arange(v.N + 1)
-    return FourierField(v.coef * np.exp(1j * phi * ks)[:, None, None])
+    return v * np.exp(1j * phi * np.arange(v.shape[-3]))[:, None, None]
+
+
+def random_field(rng, N, M, decay=1.6):
+    """Smooth random field with harmonic amplitudes decaying like decay^-k."""
+    f = np.zeros((N + 1, 2, M + 1), dtype=complex)
+    x = np.linspace(0, 1, M + 1)
+    for k in range(N + 1):
+        amp = decay ** (-k)
+        for j in range(2):
+            prof = (rng.normal() + rng.normal() * x
+                    + rng.normal() * np.sin(np.pi * x)
+                    + rng.normal() * np.cos(2 * np.pi * x))
+            prof2 = (rng.normal() * np.cos(np.pi * x) + rng.normal() * x ** 2)
+            f[k, j, :] = amp * (prof + (0.0 if k == 0 else 1j * prof2))
+    return enforce_symmetry(f)
 
 
 def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: CubicCoeffs,
@@ -217,17 +242,66 @@ def kernels(coeffs: LinearizedCoeffs) -> CharKernels:
     return CharKernels(xx=coeffs.xx, F=F, logE1=logE1, logE2=logE2)
 
 
-def apply_JK(v: FourierField, omega: float, tau: float,
-             ctx: OperatorContext) -> FourierField:
+# ---------------------------------------------------------------------------
+# brute-force time-domain oracles: fine time grid, cubic interpolation for
+# the characteristic shifts, same x-quadrature weights
+
+def interp_periodic(samples, t_query):
+    """Cubic interpolation of periodic samples over [0, 2pi)."""
+    T = len(samples)
+    dt = 2 * np.pi / T
+    ext = np.concatenate([samples[-2:], samples, samples[:3]])
+    return cubic_interp(ext, -2 * dt, dt, np.mod(t_query, 2 * np.pi))
+
+
+def oracle_C(v, omega, ctx, T=4096):
+    t = 2 * np.pi * np.arange(T) / T
+    vals = synthesize(v, t)                    # (T, 2, M+1)
+    ke = kernels(ctx.coeffs)
+    M = v.shape[-1] - 1
+    xm = ctx.x[:, None]                        # one query row per node
+    out = np.empty_like(vals)
+    out[:, 0] = (-ke.c1(xm, 0.0) * interp_periodic(
+        vals[:, 1, 0], t + omega * ke.A(xm, 0.0))).T
+    out[:, 1] = (ke.c2(xm, 1.0) * interp_periodic(
+        vals[:, 0, M], t - omega * ke.A(xm, 1.0))).T
+    return analyze(out, v.shape[-3] - 1)
+
+
+def oracle_D(f, omega, ctx, T=4096):
+    t = 2 * np.pi * np.arange(T) / T
+    vals = synthesize(f, t)
+    ke = kernels(ctx.coeffs)
+    M = f.shape[-1] - 1
+    out = np.zeros_like(vals)
+    # eight target nodes x_m at a time, one source node x_j per pass
+    for m0 in range(0, M + 1, 8):
+        xm = ctx.x[m0:m0 + 8, None]
+        integ = np.empty((2, len(xm), M + 1, T))
+        for j in range(M + 1):
+            xj = ctx.x[j]
+            # component 1: integral over [0, x_m] along the left-going family
+            integ[0, :, j] = ke.c1(xm, xj) / ctx.a[j] * interp_periodic(
+                vals[:, 0, j], t + omega * ke.A(xm, xj))
+            integ[1, :, j] = ke.c2(xm, xj) / ctx.a[j] * interp_periodic(
+                vals[:, 1, j], t - omega * ke.A(xm, xj))
+        cum1, cum2 = cumulative_integral(integ.swapaxes(-1, -2), ctx.h)
+        for i in range(len(xm)):
+            out[:, 0, m0 + i] = -cum1[i, :, m0 + i]
+            out[:, 1, m0 + i] = -(cum2[i, :, -1] - cum2[i, :, m0 + i])
+    return analyze(out, f.shape[-3] - 1)
+
+
+def apply_JK(v, omega: float, tau: float, ctx: OperatorContext):
     """Linearization of B at v = 0: partial-integral part plus the
     off-diagonal pointwise part. Used for cross-checks and basin probes."""
-    J = _displacement(v.coef, ctx)
+    J = _displacement(v, ctx)
     b3, b4 = ctx.coeffs.nodes("b3"), ctx.coeffs.nodes("b4")
-    mix = (b3 + b4 * _delay_phase(v.N, omega, tau)) * J
-    out = np.empty_like(v.coef)
-    out[..., 0, :] = mix + ctx.b2 * v.coef[..., 1, :]
-    out[..., 1, :] = mix + ctx.b1 * v.coef[..., 0, :]
-    return FourierField(out).enforce_symmetry()
+    mix = (b3 + b4 * _delay_phase(v.shape[-3] - 1, omega, tau)) * J
+    out = np.empty_like(v)
+    out[..., 0, :] = mix + ctx.b2 * v[..., 1, :]
+    out[..., 1, :] = mix + ctx.b1 * v[..., 0, :]
+    return enforce_symmetry(out)
 
 
 @dataclass
@@ -249,9 +323,9 @@ def reconstruct_u(orbit: PeriodicOrbit, ctx: OperatorContext,
     omega u_t = (v1 + v2)/2 and u_x = (v1 - v2)/(2a).
     """
     v = orbit.v
-    T = n_times or (4 * v.N + 1)
+    T = n_times or (4 * (len(v) - 1) + 1)
     t = 2.0 * np.pi * np.arange(T) / T
-    u_hat = _displacement(v.coef, ctx)
+    u_hat = _displacement(v, ctx)
     u = harmonic_synthesis(u_hat, t)
     vals = synthesize(v, t)
     u_t = 0.5 * (vals[:, 0, :] + vals[:, 1, :]) / orbit.omega
@@ -306,7 +380,7 @@ def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
     harmonics are interpolated onto the simulation grid and the delay
     history is synthesized from the orbit itself, u_phys(t) = u(omega t).
     """
-    v_hat = cubic_interp(orbit.v.coef, 0.0, ctx.h, sim.x)    # (N+1, 2, M+1)
+    v_hat = cubic_interp(orbit.v, 0.0, ctx.h, sim.x)    # (N+1, 2, M+1)
     v1_hat, v2_hat = v_hat[:, 0], v_hat[:, 1]
     u_hat = displacement(v1_hat, v2_hat, sim.a, sim.h)
     v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0])[:, 0]

@@ -26,10 +26,10 @@ from hopfwave.errors import JacobianSingular
 from hopfwave.model import ProblemSpec, linearize
 
 from conftest import sin_convention
-from oracles import (apply_JK, compute_sigma_rho, kernels, reconstruct_u,
-                     seed_from_orbit, time_shifted, worked_example_curvature)
+from oracles import (apply_JK, compute_sigma_rho, kernels, oracle_C, oracle_D,
+                     random_field, reconstruct_u, seed_from_orbit, time_shifted,
+                     worked_example_curvature)
 from test_eigen import characteristic_root_crossing_speed
-from test_periodic_ops import oracle_C, oracle_D, random_field
 
 TAU0 = np.pi / 2
 
@@ -192,12 +192,12 @@ def test_criterion_5_operator_oracles():
         v = random_field(rng, 6, 64)
         omega = rng.uniform(0.85, 1.15)
         tau = rng.uniform(0.3, 2.0)
-        errC = np.max(np.abs(periodic.apply_C(v, omega, ctx).coef
-                             - oracle_C(v, omega, ctx).coef))
-        errD = np.max(np.abs(periodic.apply_D(v, omega, ctx).coef
-                             - oracle_D(v, omega, ctx).coef))
-        errB = np.max(np.abs(periodic.apply_B(v, omega, tau, ctx).coef
-                             - apply_JK(v, omega, tau, ctx).coef))
+        errC = np.max(np.abs(periodic.apply_C(v, omega, ctx)
+                             - oracle_C(v, omega, ctx)))
+        errD = np.max(np.abs(periodic.apply_D(v, omega, ctx)
+                             - oracle_D(v, omega, ctx)))
+        errB = np.max(np.abs(periodic.apply_B(v, omega, tau, ctx)
+                             - apply_JK(v, omega, tau, ctx)))
         worst = max(worst, errC, errD, errB)
 
     # invariant bundle
@@ -212,18 +212,18 @@ def test_criterion_5_operator_oracles():
     v = random_field(rng, 5, 64)
     phi = rng.uniform(0, 2 * np.pi)
     equi = np.max(np.abs(
-        periodic.apply_B(time_shifted(v, phi), 1.05, 0.8, ctx).coef
-        - time_shifted(periodic.apply_B(v, 1.05, 0.8, ctx), phi).coef))
-    sym = max(np.max(np.abs(periodic.apply_B(v, 1.05, 0.8, ctx).coef[0].imag)),
-              np.max(np.abs(periodic.apply_C(v, 1.05, ctx).coef[0].imag)))
+        periodic.apply_B(time_shifted(v, phi), 1.05, 0.8, ctx)
+        - time_shifted(periodic.apply_B(v, 1.05, 0.8, ctx), phi)))
+    sym = max(np.max(np.abs(periodic.apply_B(v, 1.05, 0.8, ctx)[0].imag)),
+              np.max(np.abs(periodic.apply_C(v, 1.05, ctx)[0].imag)))
     # boundary rows: the operator image reflects the input at the edges
     # (component 1 at x=0 is minus the input's component 2, component 2 at
     # x=1 copies the input's component 1), so any fixed point satisfies
     # the boundary conditions exactly
-    img = periodic.apply_C(v, 1.05, ctx).coef + periodic.apply_D(
-        periodic.apply_B(v, 1.05, 0.8, ctx), 1.05, ctx).coef
-    bc_err = max(np.max(np.abs(img[:, 0, 0] + v.coef[:, 1, 0])),
-                 np.max(np.abs(img[:, 1, -1] - v.coef[:, 0, -1])))
+    img = periodic.apply_C(v, 1.05, ctx) + periodic.apply_D(
+        periodic.apply_B(v, 1.05, 0.8, ctx), 1.05, ctx)
+    bc_err = max(np.max(np.abs(img[:, 0, 0] + v[:, 1, 0])),
+                 np.max(np.abs(img[:, 1, -1] - v[:, 0, -1])))
     ok = (worst < 1e-8 and ok_pointwise and add_err < 1e-8 and equi < 1e-10
           and sym == 0.0 and bc_err < 1e-12)
     _report(5, ok,

@@ -505,6 +505,35 @@ def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flags, flag):
     assert not out.exists()
 
 
+# 2*5e16 + 1 float64 nodes (711 PiB) and the 1.26 EiB sample record of
+# T = 1e15 exceed every 64-bit address space, so the allocation fails at
+# once whatever the overcommit setting; both stay below numpy's 8 EiB
+# limit, above which numpy raises ValueError instead
+HUGE = 5 * 10 ** 16
+
+
+@pytest.mark.parametrize("huge_grid, args", [
+    (True, ["certificate"]), (True, ["direction"]), (True, ["branch"]),
+    (True, ["simulate", "--tau", "1.6"]),
+    (False, ["simulate", "--tau", "1.6", "--T", "1e15"])],
+    ids=["certificate", "direction", "branch", "simulate", "simulate-horizon"])
+def test_problem_too_large_for_memory(tmp_path, capsys, huge_grid, args):
+    cfg = (write_config(tmp_path, solver={"M": HUGE, "M_solve": HUGE, "K_max": 5})
+           if huge_grid else str(SUPER))
+    assert run_cli(args[0], cfg, *args[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: problem too large for memory")
+
+
+@pytest.mark.parametrize("b", [
+    "-u2 - u3 + " + " + ".join(f"{k}*u1" for k in range(1, 1001)),
+    "-u2 - u3 + " + "(" * 3000 + "u1" + ")" * 3000], ids=["sum", "parentheses"])
+def test_expression_nested_too_deeply(tmp_path, capsys, b):
+    # a 1000-term sum recursed too deeply in compiling b, 3000 nested
+    # parentheses in parsing it; both once ended in a RecursionError traceback
+    assert run_cli("certificate", write_config(tmp_path, b=b)) == 2
+    assert capsys.readouterr().err == "error: an expression nests too deeply\n"
+
+
 @pytest.mark.parametrize("T, n_steps", [("0.01", 2), ("0.001", 1)])
 def test_simulate_horizon_too_short_to_judge(tmp_path, T, n_steps):
     # a run of one or two steps leaves a one-step tail with no halves to
