@@ -22,14 +22,15 @@ Every command is deterministic given the file and the seed, which is
 recorded in the output.
 
 Exit codes: 0 ok, 2 input error (including an unreadable problem file or
---out path, an expression nested too deeply, a grid or horizon too large
-for memory, and a or b not evaluable or not differentiable at the trivial
-state, in every command), 3 certification
-failure (for branch also a missing critical mode or a singular Newton
-matrix), 4 structure error (including b not evaluable for the
-cubic-structure check), 5 continuation failure (including the PDE
-residual check), 6 simulation error (including a solution that leaves
-the domain of b).
+--out path, a negative --seed, an expression nested too deeply, a grid or
+horizon too large for memory, a --T of more steps than an array can count,
+and a or b not evaluable or not differentiable at the trivial state, in
+every command), 3 certification failure (for branch also a missing
+critical mode or a singular Newton matrix), 4 structure error (including b
+not evaluable for the cubic-structure check), 5 continuation failure
+(including the PDE residual check), 6 simulation error (including a
+solution that leaves the domain of b). A failing run writes its partial
+document as a successful one would: to --out, or else to stdout.
 """
 from __future__ import annotations
 
@@ -239,9 +240,8 @@ def _emit(args, doc):
 
 
 def _fail(args, doc, err, code):
-    """Report err, write the partial document to --out if given, return code."""
-    if args.out:
-        _write_json(args.out, doc)
+    """Emit the partial document as _emit does, report err, return code."""
+    _emit(args, doc)
     print(f"error: {err}", file=sys.stderr)
     return code
 
@@ -356,6 +356,9 @@ def cmd_simulate(args):
         raise ConfigError(f"--T must be a finite positive number, got {args.T}")
     try:
         sim = timedomain.Simulator(spec, args.tau, M=settings.M)
+        if not args.T / sim.dt <= timedomain.MAX_STEPS:
+            raise ConfigError(f"--T {args.T:g} needs more than "
+                              f"{timedomain.MAX_STEPS} steps")
         # deterministic small kick along the half-sine profile; the
         # transient is discarded by run_to_orbit anyway
         kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
@@ -395,6 +398,8 @@ def main(argv=None):
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ConfigError, SpecInvalid, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

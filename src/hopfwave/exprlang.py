@@ -11,7 +11,8 @@ Grammar (standard precedence, parentheses allowed):
 Variables: x, lambda, u1, u2, u3, u4.  Functions: sin, cos, exp, sqrt, tanh.
 Exponents are integer literals only, so powers never hit branch cuts.
 
-Expressions are immutable trees; `eval` accepts floats or numpy arrays and
+Expressions are immutable trees of seven node kinds (Num, Pi, Var, Pow,
+Neg, Fun, and BinOp for + - * /); `eval` accepts floats or numpy arrays and
 broadcasts, `diff` returns a new tree (orders up to 3 stay small thanks to
 constant folding on construction). No stronger simplification is attempted:
 only evaluation equivalence is guaranteed.
@@ -158,70 +159,34 @@ class Pi(Expr):
         return "pi"
 
 
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}   # printing precedence of each op
+
+
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
+class BinOp(Expr):
+    op: str     # one of + - * /
     a: Expr
     b: Expr
 
     def _src(self, em):
-        return em.tmp(f"{self.a._src(em)} + {self.b._src(em)}")
+        return em.tmp(f"{self.a._src(em)} {self.op} {self.b._src(em)}")
 
     def _d(self, var):
-        return add(self.a._d(var), self.b._d(var))
-
-    def _fmt(self, prec):
-        s = f"{self.a._fmt(0)} + {self.b._fmt(1)}"
-        return f"({s})" if prec > 0 else s
-
-
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-    def _src(self, em):
-        return em.tmp(f"{self.a._src(em)} - {self.b._src(em)}")
-
-    def _d(self, var):
-        return sub(self.a._d(var), self.b._d(var))
-
-    def _fmt(self, prec):
-        s = f"{self.a._fmt(0)} - {self.b._fmt(1)}"
-        return f"({s})" if prec > 0 else s
-
-
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
-    def _src(self, em):
-        return em.tmp(f"{self.a._src(em)} * {self.b._src(em)}")
-
-    def _d(self, var):
-        return add(mul(self.a._d(var), self.b), mul(self.a, self.b._d(var)))
-
-    def _fmt(self, prec):
-        s = f"{self.a._fmt(1)}*{self.b._fmt(2)}"
-        return f"({s})" if prec > 1 else s
-
-
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
-
-    def _src(self, em):
-        return em.tmp(f"{self.a._src(em)} / {self.b._src(em)}")
-
-    def _d(self, var):
+        da, db = self.a._d(var), self.b._d(var)
+        if self.op == "+":
+            return add(da, db)
+        if self.op == "-":
+            return sub(da, db)
+        if self.op == "*":
+            return add(mul(da, self.b), mul(self.a, db))
         # (a/b)' = a'/b - a b'/b^2
-        return sub(div(self.a._d(var), self.b),
-                   div(mul(self.a, self.b._d(var)), mul(self.b, self.b)))
+        return sub(div(da, self.b), div(mul(self.a, db), mul(self.b, self.b)))
 
     def _fmt(self, prec):
-        s = f"{self.a._fmt(1)}/{self.b._fmt(2)}"
-        return f"({s})" if prec > 1 else s
+        level = _LEVEL[self.op]
+        op = f" {self.op} " if level == 0 else self.op
+        s = f"{self.a._fmt(level)}{op}{self.b._fmt(level + 1)}"
+        return f"({s})" if prec > level else s
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,7 +268,7 @@ def add(a, b):
         return b
     if _const(b) and b.value == 0.0:
         return a
-    return Add(a, b)
+    return BinOp("+", a, b)
 
 
 def sub(a, b):
@@ -313,7 +278,7 @@ def sub(a, b):
         return a
     if _const(a) and a.value == 0.0:
         return neg(b)
-    return Sub(a, b)
+    return BinOp("-", a, b)
 
 
 def mul(a, b):
@@ -325,7 +290,7 @@ def mul(a, b):
         return b
     if _const(b) and b.value == 1.0:
         return a
-    return Mul(a, b)
+    return BinOp("*", a, b)
 
 
 def div(a, b):
@@ -333,7 +298,7 @@ def div(a, b):
         return Num(0.0)
     if _const(b) and b.value == 1.0:
         return a
-    return Div(a, b)
+    return BinOp("/", a, b)
 
 
 def neg(a):
@@ -406,6 +371,9 @@ def _tokenize(text):
     return tokens
 
 
+_BUILD = {"+": add, "-": sub, "*": mul, "/": div}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -426,26 +394,20 @@ class _Parser:
         return self.take()
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.term()
-                node = add(node, rhs) if value == "+" else sub(node, rhs)
-            else:
-                return node
+        return self._chain("+-", self.term)
 
     def term(self):
-        node = self.unary()
+        return self._chain("*/", self.unary)
+
+    def _chain(self, ops, operand):
+        """operand ((op in ops) operand)*, folded to the left."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                rhs = self.unary()
-                node = mul(node, rhs) if value == "*" else div(node, rhs)
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.take()
+            node = _BUILD[value](node, operand())
 
     def unary(self):
         kind, value, _ = self.peek()
@@ -514,11 +476,11 @@ def free_variables(e):
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
+        elif isinstance(node, BinOp):
             stack.extend((node.a, node.b))
         elif isinstance(node, Pow):
             stack.append(node.base)
-        elif isinstance(node, (Neg,)):
+        elif isinstance(node, Neg):
             stack.append(node.a)
         elif isinstance(node, Fun):
             stack.append(node.arg)

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
@@ -434,6 +433,7 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     bordered k = 1 block means a failed certificate, any other k a
     resonance at ik.
     """
+    import scipy.linalg  # here, not at the top: only branch needs it
     N, M = orbit.v.shape[0] - 1, orbit.v.shape[2] - 1
     n = len(_pack(orbit))
     slices = _harmonic_slices(N, M)

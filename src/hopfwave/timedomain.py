@@ -22,6 +22,7 @@ from .model import ProblemSpec, displacement, linearize
 
 CFL_LIMIT = 0.9                 # the step is CFL_LIMIT * h / max(a)
 MAX_HISTORY_BYTES = 2 ** 30     # largest delay history ring a simulator allocates
+MAX_STEPS = np.iinfo(np.intp).max // 8  # a float64 per step fits one numpy array
 NOISE_FLOOR = 1e-9              # probe amplitude below which a run has decayed
 SETTLE_TOL = 0.05               # largest relative envelope drift of a settled tail
 
@@ -131,25 +132,29 @@ def _period_from_crossings(ts, ys):
 
 
 def run_to_orbit(sim: Simulator, state: SimState, T_end: float):
-    """Advance state in place with sim up to T_end, drop the leading 80
-    percent, estimate the period.
+    """Advance state in place with sim for ceil(T_end / dt) steps, record
+    the probe over the last 20 percent only, estimate the period.
 
-    Returns (period, tail_times, tail_probe). Raises NoOscillationDetected
-    when the tail is too short to judge, when the probe amplitude sinks
-    below NOISE_FLOOR (decay to the trivial state) or when the amplitude
-    envelope drifts by more than SETTLE_TOL across the tail (no settled limit cycle: for instance an undamped linear problem
-    whose amplitude only reflects the scheme's slow numerical dissipation).
+    The tail record is allocated before the first step, so a horizon too
+    long for memory fails at once. Returns (period, tail_times,
+    tail_probe). Raises NoOscillationDetected when the tail is too short
+    to judge, when the probe amplitude sinks below NOISE_FLOOR (decay to
+    the trivial state) or when the amplitude envelope drifts by more than
+    SETTLE_TOL across the tail (no settled limit cycle: for instance an
+    undamped linear problem whose amplitude only reflects the scheme's
+    slow numerical dissipation).
     """
     probe = (len(sim.x) * 2) // 3
     n_steps = int(np.ceil(T_end / sim.dt))
-    ts = np.empty(n_steps)
-    ys = np.empty(n_steps)
-    for i in range(n_steps):
-        sim.step(state)
-        ts[i] = state.t
-        ys[i] = state.history[state.head][probe]
     cut = int(0.8 * n_steps)
-    tail_t, tail_y = ts[cut:], ys[cut:]
+    tail_t = np.empty(n_steps - cut)
+    tail_y = np.empty(n_steps - cut)
+    for _ in range(cut):
+        sim.step(state)
+    for i in range(n_steps - cut):
+        sim.step(state)
+        tail_t[i] = state.t
+        tail_y[i] = state.history[state.head][probe]
     if len(tail_y) < 2:
         raise NoOscillationDetected(
             f"run too short to judge: its tail holds {len(tail_y)} of "

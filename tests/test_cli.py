@@ -481,6 +481,60 @@ def test_failure_documents_are_strict_json(tmp_path, command, code):
     assert [cert[k] for k in ("tau0", "sigma", "sigma_raw", "rho")] == [None] * 4
 
 
+NO_MODE = {"a": "1", "b": "-u3 - u1^3", "tau_guess": 1.0,
+           "solver": {"M": 64, "K_max": 4}}
+
+
+@pytest.mark.parametrize("args, config, code, key", [
+    (["direction"], NO_MODE, 3, "direction_error"),
+    (["branch"], NO_MODE, 3, "error"),
+    (["direction"], {"b": "-u1^3/6 - u2 - u3 + u1*u3^2"}, 4, "direction_error"),
+    (["simulate", "--tau", "1.6", "--T", "0.01"], {}, 6, "error")],
+    ids=["direction-3", "branch-3", "direction-4", "simulate-6"])
+def test_failure_documents_go_to_stdout_without_out(tmp_path, capsys, args,
+                                                     config, code, key):
+    # the partial document of a failing run once went only to --out
+    cfg = write_config(tmp_path, **config)
+    assert run_cli(args[0], cfg, *args[1:]) == code
+    captured = capsys.readouterr()
+    assert key in json.loads(captured.out, parse_constant=_reject_constant)
+    assert captured.err.startswith("error: ")
+    out = tmp_path / "doc.json"
+    assert run_cli(args[0], cfg, *args[1:], "--out", str(out)) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == captured.out
+
+
+@pytest.mark.parametrize("args", [
+    ["certificate"], ["direction"], ["branch"], ["simulate", "--tau", "1.6"]],
+    ids=["certificate", "direction", "branch", "simulate"])
+def test_negative_seed_rejected(tmp_path, capsys, args):
+    out = tmp_path / "doc.json"
+    assert run_cli(args[0], write_config(tmp_path), *args[1:], "--seed", "-1",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: --seed must be a non-negative integer, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["certificate"], ["direction"], ["simulate", "--tau", "1.6", "--T", "2"]],
+    ids=["certificate", "direction", "simulate"])
+def test_commands_without_branch_do_not_import_scipy(tmp_path, args):
+    # only branch's Newton solver needs scipy; loading it costs every
+    # other command about 0.2 s of startup
+    argv = [args[0], write_config(tmp_path), *args[1:], "--out", "o.json"]
+    code = (f"import sys; from hopfwave import cli; cli.main({argv!r}); "
+            "print('scipy' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_simulate_needs_tau(tmp_path, capsys):
     out = tmp_path / "sim.json"
     assert run_cli("simulate", write_config(tmp_path), "--out", str(out)) == 2
@@ -494,6 +548,8 @@ def test_simulate_needs_tau(tmp_path, capsys):
     (["--tau", "1.6", "--T", "-5"], "--T"),
     (["--tau", "nan"], "--tau"),
     (["--tau", "inf"], "--tau"),
+    (["--tau", "1.6", "--T", "1e20"], "--T"),
+    (["--tau", "1.6", "--T", "1e308"], "--T"),
 ])
 def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flags, flag):
     # these once ended in an OverflowError traceback or in numpy-internal
@@ -505,7 +561,7 @@ def test_simulate_rejects_bad_flag_values(tmp_path, capsys, flags, flag):
     assert not out.exists()
 
 
-# 2*5e16 + 1 float64 nodes (711 PiB) and the 1.26 EiB sample record of
+# 2*5e16 + 1 float64 nodes (711 PiB) and the 0.5 EiB tail record of
 # T = 1e15 exceed every 64-bit address space, so the allocation fails at
 # once whatever the overcommit setting; both stay below numpy's 8 EiB
 # limit, above which numpy raises ValueError instead

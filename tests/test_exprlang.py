@@ -28,6 +28,33 @@ def _env(rng):
             "u3": rng.uniform(-1, 1), "u4": rng.uniform(-1, 1)}
 
 
+# the printed form of each CORPUS tree and of its x and u1 derivatives, as
+# EvalDomainError messages carry it: fixes precedence, spacing and folding
+PRINTED = {
+    "sin(pi*x/2)": ("sin(pi*x/2.0)", "cos(pi*x/2.0)*(pi/2.0)", "0.0"),
+    "u1^3/6": ("u1^3/6.0", "0.0", "3.0*u1^2/6.0"),
+    "2/pi": ("2.0/pi", "0.0", "0.0"),
+    "x^2*exp(lambda) - u2*tanh(x)": (
+        "x^2*exp(lambda) - u2*tanh(x)",
+        "2.0*x*exp(lambda) - u2*(1.0 - tanh(x)*tanh(x))", "0.0"),
+    "sqrt(1 + u3^2)": ("sqrt(1.0 + u3^2)", "0.0", "0.0"),
+    "cos(pi*x)*u4 + u1*u1": ("cos(pi*x)*u4 + u1*u1", "-sin(pi*x)*pi*u4", "u1 + u1"),
+    "1/(2 + sin(x))": ("1.0/(2.0 + sin(x))",
+                       "-(cos(x)/((2.0 + sin(x))*(2.0 + sin(x))))", "0.0"),
+    "exp(-lambda*x)*(u1 + u2)^3": (
+        "exp(-lambda*x)*(u1 + u2)^3", "exp(-lambda*x)*(-lambda)*(u1 + u2)^3",
+        "exp(-lambda*x)*(3.0*(u1 + u2)^2)"),
+    "x^-2 + 0.5e-1*u3": ("x^-2 + 0.05*u3", "-2.0*x^-3", "0.0"),
+}
+
+
+def test_printed_forms():
+    assert list(PRINTED) == CORPUS
+    for text, want in PRINTED.items():
+        e = exprlang.parse(text)
+        assert (str(e), str(e.diff("x")), str(e.diff("u1"))) == want
+
+
 def test_parse_eval_examples():
     assert exprlang.parse("sin(pi*x/2)").eval({"x": 1.0}) == pytest.approx(1.0, abs=1e-15)
     assert exprlang.parse("u1^3/6").eval({"u1": 2.0}) == pytest.approx(8.0 / 6.0, rel=1e-15)
@@ -216,8 +243,8 @@ def _walk(e, env):
         b = _walk(e.base, env)
         return b ** e.n if e.n >= 0 else 1.0 / b ** (-e.n)
     a, b = _walk(e.a, env), _walk(e.b, env)
-    return {E.Add: operator.add, E.Sub: operator.sub,
-            E.Mul: operator.mul, E.Div: operator.truediv}[type(e)](a, b)
+    return {"+": operator.add, "-": operator.sub,
+            "*": operator.mul, "/": operator.truediv}[e.op](a, b)
 
 
 def reference_eval(e, env):
@@ -241,7 +268,7 @@ def _trees(depth):
     sub = _trees(depth - 1)
     return st.one_of(
         leaf,
-        *(st.builds(cls, sub, sub) for cls in (E.Add, E.Sub, E.Mul, E.Div)),
+        *(st.builds(E.BinOp, st.just(op), sub, sub) for op in "+-*/"),
         st.builds(E.Pow, sub, st.integers(-4, 7)),
         st.builds(E.Neg, sub),
         st.builds(E.Fun, st.sampled_from(exprlang.FUNCTIONS), sub))
