@@ -22,8 +22,10 @@ Every command is deterministic given the file and the seed, which is
 recorded in the output.
 
 Exit codes: 0 ok, 2 input error (including an unreadable problem file or
---out path, a negative --seed, an expression nested too deeply, a grid or
-horizon too large for memory, a --T of more steps than an array can count,
+--out path, a branch or simulate --out ending in .csv, which the CSV
+written next to it would overwrite, a negative --seed, an expression
+nested too deeply, a grid or horizon too large for memory, a --T of more
+steps than an array can count, a wave speed a that depends on u1..u4,
 and a or b not evaluable or not differentiable at the trivial state, in
 every command), 3 certification failure (for branch also a missing
 critical mode or a singular Newton matrix), 4 structure error (including b
@@ -46,9 +48,8 @@ import numpy as np
 
 from . import direction as direction_mod
 from . import eigen, periodic, timedomain
-from .errors import (EvalDomainError, ExprError, HopfwaveError, JacobianSingular,
-                     NotSeparable, ParseError, QuadraticTermPresent, RhoZero,
-                     SpecInvalid)
+from .errors import (ExprError, HopfwaveError, JacobianSingular, ParseError,
+                     RhoZero, SpecInvalid)
 from .model import ProblemSpec
 
 EXIT_OK = 0
@@ -142,15 +143,16 @@ def load_problem(path):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: complex as [re, im], a number never computed (NaN) as null
+# JSON encoding: complex as [re, im], a value that is not a finite number
+# (never computed, or overflowed) as null
 
 def _r(x):
-    return None if math.isnan(x) else x
+    return x if math.isfinite(x) else None
 
 
 def _c(z):
     z = complex(z)
-    return None if cmath.isnan(z) else [z.real, z.imag]
+    return [z.real, z.imag] if cmath.isfinite(z) else None
 
 
 def _carr(arr):
@@ -170,18 +172,15 @@ def certificate_document(cert: eigen.HopfCertificate) -> dict:
         "rho": _r(cert.rho),
         "fredholm": cert.fredholm,
         "flags": dict(cert.flags),
-        "a2_scan": [[int(k), float(d)] for k, d in cert.a2_scan],
+        "a2_scan": [[int(k), _r(float(d))] for k, d in cert.a2_scan],
         "low_confidence": bool(cert.low_confidence),
         "seed": cert.seed,
     }
-    if cert.eigenpair is not None:
+    if cert.u0 is not None:
         doc["grid"] = _rarr(cert.coeffs.x)
-        doc["u0"] = _carr(cert.eigenpair.u0)
-        doc["u0_prime"] = _carr(cert.eigenpair.u0_prime)
-    if cert.adjoint is not None:
-        doc["u_star"] = _carr(cert.adjoint.u_star)
-        doc["u_star_prime"] = _carr(cert.adjoint.u_star_prime)
-        doc["U_star"] = _carr(cert.adjoint.U_star)
+    for key in ("u0", "u0_prime", "u_star", "u_star_prime", "U_star"):
+        if getattr(cert, key) is not None:
+            doc[key] = _carr(getattr(cert, key))
     return doc
 
 
@@ -275,19 +274,26 @@ def cmd_certificate(args):
     return EXIT_OK if cert.passed else EXIT_CERTIFICATION
 
 
+def _add_direction(doc, spec, cert):
+    """Write "direction", or "direction_error" when the evaluation fails,
+    into doc; return the error or None."""
+    try:
+        result = direction_mod.compute_direction(spec, cert)
+    except HopfwaveError as err:
+        doc["direction_error"] = str(err)
+        return err
+    doc["direction"] = direction_document(result)
+    return None
+
+
 def cmd_direction(args):
     spec, settings = load_problem(args.file)
     cert = _certify(spec, settings, args.seed)
     doc = certificate_document(cert)
-    try:
-        cubic = direction_mod.check_structure(spec, cert.coeffs.x)
-        result = direction_mod.compute_direction(cert, cubic)
-    except (NotSeparable, QuadraticTermPresent, EvalDomainError,
-            RhoZero) as err:
-        doc["direction_error"] = str(err)
+    err = _add_direction(doc, spec, cert)
+    if err is not None:
         code = EXIT_CERTIFICATION if isinstance(err, RhoZero) else EXIT_STRUCTURE
         return _fail(args, doc, err, code)
-    doc["direction"] = direction_document(result)
     _emit(args, doc)
     return EXIT_OK
 
@@ -296,18 +302,11 @@ def cmd_branch(args):
     spec, settings = load_problem(args.file)
     cert = _certify(spec, settings, args.seed)
     summary = {"seed": args.seed, "certificate": certificate_document(cert)}
-    if cert.eigenpair is None or cert.adjoint is None:
+    if cert.u0 is None or cert.u_star is None:
         summary["error"] = "no certified critical mode; cannot continue a branch"
         return _fail(args, summary, summary["error"], EXIT_CERTIFICATION)
     ctx = periodic.operator_context(spec, spec.lam, settings.M_solve)
-    try:
-        cubic = direction_mod.check_structure(spec, cert.coeffs.x)
-        dres = direction_mod.compute_direction(cert, cubic)
-        summary["direction"] = direction_document(dres)
-        d2tau_formula = dres.d2tau
-    except HopfwaveError as err:
-        summary["direction_error"] = str(err)
-        d2tau_formula = None
+    _add_direction(summary, spec, cert)
     try:
         branch = periodic.continue_branch(cert, settings.eps_grid, ctx,
                                           settings.N, settings.max_iter)
@@ -333,10 +332,9 @@ def cmd_branch(args):
         "fit_omega_slope": branch.fit_omega_slope,
         "diagnostics": branch_diagnostics(branch),
     })
-    if d2tau_formula is not None:
-        summary["direction_d2tau"] = d2tau_formula
-        summary["relative_gap"] = abs(
-            branch.fit_tau_curvature - d2tau_formula) / abs(d2tau_formula)
+    if "direction" in summary:
+        d2 = summary["direction_d2tau"] = summary["direction"]["d2tau"]
+        summary["relative_gap"] = abs(branch.fit_tau_curvature - d2) / abs(d2)
     _emit(args, summary)
     if args.out:
         _write_csv(_companion(args.out, ".csv"),
@@ -400,6 +398,10 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if (args.fn in (cmd_branch, cmd_simulate)
+                and _companion(args.out or "", ".csv") == args.out):
+            raise ConfigError(f"--out {args.out} is also the path of the CSV "
+                              "written next to it; give --out another extension")
         return args.fn(args)
     except (ConfigError, SpecInvalid, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

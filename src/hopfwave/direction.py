@@ -12,8 +12,9 @@ where B_j(x) is the third u_j-derivative of beta_j at the origin. The
 prefactor -1/(4 rho) is validated in the test suite against direct
 continuation of the branch and against two hand-derived Poincare-Lindstedt
 expansions; the coefficient +3/(8 rho) that circulates in the literature
-for this family overstates the curvature by a factor -3/2 and is kept
-available as `tau_curvature_literature` for comparison.
+for this family overstates the curvature by a factor -3/2. tau_curvatures
+returns both values from one evaluation of I3, the literature one as
+d2tau_literature for comparison.
 
 The sign of rho * d2tau distinguishes supercritical from subcritical
 branches; for hyperbolic problems the usual link from direction to orbital
@@ -37,44 +38,29 @@ _CHECK_SAMPLES = 64
 
 
 @dataclass(frozen=True)
-class CubicCoeffs:
-    """Third derivatives of the separable nonlinearity pieces at the origin."""
-
-    beta1: np.ndarray
-    beta2: np.ndarray
-    beta3: np.ndarray
-    beta4: np.ndarray
-
-    def stack(self):
-        return (self.beta1, self.beta2, self.beta3, self.beta4)
-
-
-@dataclass(frozen=True)
 class DirectionResult:
     d2tau: float
     d2tau_literature: float
-    rho: float
     supercritical: bool
     indicator: float        # sign(rho * d2tau)
     caveat: str = STABILITY_CAVEAT
 
 
-def check_structure(spec: ProblemSpec, grid) -> CubicCoeffs:
+def check_structure(spec: ProblemSpec, grid) -> np.ndarray:
     """Verify the separable cubic shape and sample the cubic coefficients.
 
     Separability: all mixed second partials of b in distinct u-arguments
     must vanish at randomly sampled (x, u) points. No quadratic terms:
     the pure second u_j-derivatives must vanish at u = 0. Both checks are
     sampled, not proven. grid is the node array the coefficients are
-    sampled on (a LinearizedCoeffs.x works).
+    sampled on (a LinearizedCoeffs.x works). Returns the third
+    u_j-derivatives B_1..B_4 at the origin as rows of one float array.
     """
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(20240831)
     xs = rng.uniform(0.0, 1.0, _CHECK_SAMPLES)
     us = rng.uniform(-0.5, 0.5, (_CHECK_SAMPLES, 4))
-    env = {"x": xs, "lambda": 0.0}
-    for j, u in enumerate(_UVARS):
-        env[u] = us[:, j]
+    env = {"x": xs, "lambda": 0.0, **dict(zip(_UVARS, us.T))}
     for i in range(4):
         for j in range(i + 1, 4):
             mixed = spec.b.diff(_UVARS[i]).diff(_UVARS[j])
@@ -83,56 +69,40 @@ def check_structure(spec: ProblemSpec, grid) -> CubicCoeffs:
                 raise NotSeparable(
                     f"mixed partial in ({_UVARS[i]}, {_UVARS[j]}) is nonzero; "
                     "the direction formula needs b = sum of beta_j(x, lambda, u_j)")
-    env0 = {"x": grid, "lambda": 0.0}
+    env0 = {"x": grid, "lambda": 0.0, **dict.fromkeys(_UVARS, 0.0)}
     for u in _UVARS:
-        env0[u] = 0.0
-    for j, u in enumerate(_UVARS):
         quad = np.broadcast_to(spec.b.diff(u, 2).eval(env0), grid.shape)
         if np.max(np.abs(quad)) > 1e-10:
             raise QuadraticTermPresent(
                 f"second derivative in {u} at the origin is nonzero")
-    cubics = [np.broadcast_to(spec.b.diff(u, 3).eval(env0), grid.shape).astype(float)
-              for u in _UVARS]
-    return CubicCoeffs(*cubics)
+    return np.array([np.broadcast_to(spec.b.diff(u, 3).eval(env0), grid.shape)
+                     for u in _UVARS], dtype=float)
 
 
-def cubic_pairing(u0, u0_prime, u_star, tau0, cubic: CubicCoeffs, h) -> complex:
-    """The projection integral I3 of the cubic resonance term on the adjoint."""
-    b1c, b2c, b3c, b4c = cubic.stack()
+def tau_curvatures(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h):
+    """Delay curvature with the validated prefactor -1/(4 rho) and with the
+    published +3/(8 rho), from one projection integral I3 on the adjoint."""
+    if rho == 0.0:
+        raise RhoZero("direction undefined at rho = 0")
+    b1c, b2c, b3c, b4c = cubic
     ed = np.exp(-1j * tau0)
     core = ((b1c + b2c * ed + 1j * b3c) * np.abs(u0) ** 2 * u0
             + b4c * np.abs(u0_prime) ** 2 * u0_prime)
-    return complex(integral(core * np.conj(u_star), h))
+    pairing = complex(integral(core * np.conj(u_star), h))
+    q = (pairing / sigma).real
+    return float(-q / (4.0 * rho)), float(3.0 * q / (8.0 * rho))
 
 
-def tau_curvature(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h) -> float:
-    """Delay curvature along the branch (validated prefactor -1/(4 rho))."""
-    if rho == 0.0:
-        raise RhoZero("direction undefined at rho = 0")
-    pairing = cubic_pairing(u0, u0_prime, u_star, tau0, cubic, h)
-    return float(-(pairing / sigma).real / (4.0 * rho))
-
-
-def tau_curvature_literature(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h) -> float:
-    """Same projection with the published +3/(8 rho) prefactor (for comparison)."""
-    if rho == 0.0:
-        raise RhoZero("direction undefined at rho = 0")
-    pairing = cubic_pairing(u0, u0_prime, u_star, tau0, cubic, h)
-    return float(3.0 * (pairing / sigma).real / (8.0 * rho))
-
-
-def compute_direction(cert, cubic: CubicCoeffs) -> DirectionResult:
-    """Direction data from a certificate (normalized adjoint convention)."""
-    if cert.eigenpair is None or cert.adjoint is None:
+def compute_direction(spec: ProblemSpec, cert) -> DirectionResult:
+    """Direction data from a certificate (normalized adjoint convention),
+    after check_structure has passed on the certificate grid."""
+    cubic = check_structure(spec, cert.coeffs.x)
+    if cert.u0 is None or cert.u_star is None:
         raise RhoZero("certificate lacks eigen data; cannot evaluate direction")
     if abs(cert.rho) == 0.0 or not np.isfinite(cert.rho):
         raise RhoZero("crossing speed rho vanished; direction undefined")
-    eig, adj, coeffs = cert.eigenpair, cert.adjoint, cert.coeffs
-    d2 = tau_curvature(eig.u0, eig.u0_prime, adj.u_star, cert.sigma, cert.rho,
-                       cert.tau0, cubic, coeffs.h)
-    d2_lit = tau_curvature_literature(eig.u0, eig.u0_prime, adj.u_star,
-                                      cert.sigma, cert.rho, cert.tau0, cubic,
-                                      coeffs.h)
+    d2, d2_lit = tau_curvatures(cert.u0, cert.u0_prime, cert.u_star, cert.sigma,
+                                cert.rho, cert.tau0, cubic, cert.coeffs.h)
     indicator = float(np.sign(cert.rho * d2))
-    return DirectionResult(d2tau=d2, d2tau_literature=d2_lit, rho=cert.rho,
+    return DirectionResult(d2tau=d2, d2tau_literature=d2_lit,
                            supercritical=indicator > 0, indicator=indicator)

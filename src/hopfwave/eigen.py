@@ -22,7 +22,12 @@ reduces to |D(i, tau0)| below tolerance.
 
 Every function here reads the coefficient table it is given; callers
 pass one linearized at lambda = 0, the parameter value of the Hopf
-point, and certify does so.
+point, and certify does so. certify returns one HopfCertificate that
+holds the critical-mode node arrays u0, u0', u*, u*' and U* itself,
+under the names the certificate document uses, each None when it was
+not computed. When |sigma_raw| passes TOL_SIGMA, u* and its companions
+are divided by conj(sigma_raw), so the pairing sigma is 1 and rho is
+unchanged.
 """
 from __future__ import annotations
 
@@ -57,25 +62,13 @@ class ShootResult:
 
 
 @dataclass(frozen=True)
-class Eigenpair:
-    mu: complex
-    tau: float
-    u0: np.ndarray
-    u0_prime: np.ndarray
-
-
-@dataclass(frozen=True)
-class AdjointPair:
-    u_star: np.ndarray
-    u_star_prime: np.ndarray
-    U_star: np.ndarray
-
-
-@dataclass(frozen=True)
 class HopfCertificate:
     tau0: float
-    eigenpair: Eigenpair | None
-    adjoint: AdjointPair | None
+    u0: np.ndarray | None           # critical eigenfunction, u0(0)=0, u0'(0)=1
+    u0_prime: np.ndarray | None
+    u_star: np.ndarray | None       # adjoint, over conj(sigma_raw) if a3_sigma
+    u_star_prime: np.ndarray | None
+    U_star: np.ndarray | None       # transported adjoint field, same scaling
     sigma: complex          # after normalization (1 when a3 holds)
     sigma_raw: complex      # pairing of the raw shooting eigenfunctions
     rho: float
@@ -267,8 +260,9 @@ def check_A2(tau0, K_max, coeffs):
     return sorted(scan, key=lambda item: item[0])
 
 
-def solve_adjoint(tau0, coeffs: LinearizedCoeffs) -> AdjointPair:
-    """Shoot the adjoint ODE and assemble the transported adjoint field U*.
+def solve_adjoint(tau0, coeffs: LinearizedCoeffs):
+    """Shoot the adjoint ODE and assemble the transported adjoint field U*;
+    returns the node arrays (u*, u*', U*).
 
     The adjoint equation
         (-1 + i b5 - b4 e^{i tau0} - b3) u = (a^2 u)'' - (b6 u)'
@@ -299,10 +293,10 @@ def solve_adjoint(tau0, coeffs: LinearizedCoeffs) -> AdjointPair:
     cum = cumulative_integral(integrand, h)
     tail = cum[-1] - cum
     U = (b6n / an - 2.0 * axn) * u - an * up + tail / an
-    return AdjointPair(u_star=u, u_star_prime=up, U_star=U)
+    return u, up, U
 
 
-def _sigma_rho_values(eig, adj, coeffs):
+def _sigma_rho_values(tau0, u0, u_star, coeffs):
     """Transversality pairing sigma and crossing speed rho.
 
     sigma = int (2i - b5 + tau0 e^{-i tau0} b4) u0 conj(u*) dx
@@ -314,27 +308,14 @@ def _sigma_rho_values(eig, adj, coeffs):
     """
     h = coeffs.h
     b4n, b5n = coeffs.nodes("b4"), coeffs.nodes("b5")
-    tau0 = eig.tau
     ed = cmath.exp(-1j * tau0)
-    w = eig.u0 * np.conj(adj.u_star)
+    w = u0 * np.conj(u_star)
     sigma = complex(integral((2j - b5n + tau0 * ed * b4n) * w, h))
     if abs(sigma) == 0.0:
         return sigma, 0.0
     pair4 = complex(integral(b4n * w, h))
     rho = float((ed / sigma * pair4).imag)
     return sigma, rho
-
-
-def normalize(eig: Eigenpair, adj: AdjointPair, sigma):
-    """Rescale the adjoint pair (u* only) so the pairing becomes 1.
-
-    u0 is left untouched; u*, u*', U* are divided by conj(sigma), which
-    leaves rho unchanged.
-    """
-    s = np.conj(sigma)
-    return eig, AdjointPair(u_star=adj.u_star / s,
-                            u_star_prime=adj.u_star_prime / s,
-                            U_star=adj.U_star / s)
 
 
 def certify(spec, tau_guess, M=256, K_max=50, seed=0) -> HopfCertificate:
@@ -351,7 +332,7 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0) -> HopfCertificate:
     flags = {"a1": False, "a2": False, "a3_sigma": False, "a3_rho": False,
              "fredholm": abs(fred) > TOL_FREDHOLM, "adjoint": False}
     tau0 = float("nan")
-    eig = adj = None
+    u0 = u0_prime = u_star = u_star_prime = U_star = None
     sigma_raw = sigma = complex("nan")
     rho = float("nan")
     scan = []
@@ -372,25 +353,28 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0) -> HopfCertificate:
             low_conf = True
 
         shot = shoot_evp(1j, tau0, coeffs)
-        eig = Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
+        u0, u0_prime = shot.u, shot.u_prime
         scan = check_A2(tau0, K_max, coeffs)
         flags["a2"] = min(d for _, d in scan) > TOL_RESONANCE
         try:
-            adj = solve_adjoint(tau0, coeffs)
+            u_star, u_star_prime, U_star = solve_adjoint(tau0, coeffs)
             flags["adjoint"] = True
         except AdjointInconsistent:
-            adj = None
-        if adj is not None:
-            sigma_raw, rho = _sigma_rho_values(eig, adj, coeffs)
+            pass
+        if flags["adjoint"]:
+            sigma_raw, rho = _sigma_rho_values(tau0, u0, u_star, coeffs)
             flags["a3_sigma"] = abs(sigma_raw) >= TOL_SIGMA
             flags["a3_rho"] = flags["a3_sigma"] and abs(rho) >= TOL_RHO
             if flags["a3_sigma"]:
-                eig, adj = normalize(eig, adj, sigma_raw)
-                sigma, rho = _sigma_rho_values(eig, adj, coeffs)
+                # scale u* so the pairing becomes 1; rho is unchanged
+                s = np.conj(sigma_raw)
+                u_star, u_star_prime, U_star = u_star / s, u_star_prime / s, U_star / s
+                sigma, rho = _sigma_rho_values(tau0, u0, u_star, coeffs)
 
     flags["pass"] = all(flags[k] for k in
                         ("a1", "a2", "a3_sigma", "a3_rho", "fredholm", "adjoint"))
     return HopfCertificate(
-        tau0=tau0, eigenpair=eig, adjoint=adj, sigma=sigma, sigma_raw=sigma_raw,
-        rho=rho, fredholm=fred, a2_scan=scan, flags=flags, coeffs=coeffs,
-        seed=seed, low_confidence=low_conf)
+        tau0=tau0, u0=u0, u0_prime=u0_prime, u_star=u_star,
+        u_star_prime=u_star_prime, U_star=U_star, sigma=sigma,
+        sigma_raw=sigma_raw, rho=rho, fredholm=fred, a2_scan=scan, flags=flags,
+        coeffs=coeffs, seed=seed, low_confidence=low_conf)

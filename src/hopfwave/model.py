@@ -54,6 +54,9 @@ class ProblemSpec:
     def from_expressions(cls, a, b=None, betas=None, lam=0.0):
         if isinstance(a, str):
             a = exprlang.parse(a)
+        extra = exprlang.free_variables(a) - {"x", "lambda"}
+        if extra:
+            raise SpecInvalid(f"a may only depend on x, lambda; found {sorted(extra)}")
         if betas is not None:
             if b is not None:
                 raise SpecInvalid("give either b or beta, not both")

@@ -278,7 +278,7 @@ class ModeBasis:
 
 
 def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
-    """Interpolate the certificate eigenpair onto the solve grid.
+    """Interpolate the certificate eigenfunction u0 onto the solve grid.
 
     The certificate grid must be a refinement of the solve grid (node sets
     nest when M_cert is a multiple of M_solve).
@@ -287,8 +287,8 @@ def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
     if Mc % Ms != 0:
         raise ValueError("certificate grid must refine the solve grid")
     stride = Mc // Ms
-    u0 = cert.eigenpair.u0[::stride]
-    u0p = cert.eigenpair.u0_prime[::stride]
+    u0 = cert.u0[::stride]
+    u0p = cert.u0_prime[::stride]
     a = cert.coeffs.nodes("a")[::stride]
     v0 = np.stack([1j * u0 + a * u0p, 1j * u0 - a * u0p])
     nrm = 0.5 * float(integral(np.sum(np.abs(v0) ** 2, axis=0), ctx.h))

@@ -67,17 +67,15 @@ def sin_convention(cert):
     """
     from types import SimpleNamespace
 
-    eig, adj, co = cert.eigenpair, cert.adjoint, cert.coeffs
+    co = cert.coeffs
     scale = np.pi / 2.0
-    u0 = eig.u0 * scale
-    u0p = eig.u0_prime * scale
+    u0 = cert.u0 * scale
+    u0p = cert.u0_prime * scale
     raw = np.conj(cert.sigma_raw)       # undo the pairing normalization
-    ustar = adj.u_star * raw * scale
-    ustarp = adj.u_star_prime * raw * scale
-    Ustar = adj.U_star * raw * scale
-    eig2 = eigen.Eigenpair(mu=eig.mu, tau=eig.tau, u0=u0, u0_prime=u0p)
-    adj2 = eigen.AdjointPair(u_star=ustar, u_star_prime=ustarp, U_star=Ustar)
-    sigma, rho = compute_sigma_rho(eig2, adj2, co)
+    ustar = cert.u_star * raw * scale
+    ustarp = cert.u_star_prime * raw * scale
+    Ustar = cert.U_star * raw * scale
+    sigma, rho = compute_sigma_rho(cert.tau0, u0, ustar, co)
     return SimpleNamespace(u0=u0, u0p=u0p, ustar=ustar, ustarp=ustarp,
                            Ustar=Ustar, sigma=sigma, rho=rho,
                            tau0=cert.tau0, x=co.x, h=co.h)

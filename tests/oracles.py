@@ -17,7 +17,6 @@ import numpy as np
 
 from hopfwave import direction as direction_mod
 from hopfwave import eigen, periodic
-from hopfwave.direction import CubicCoeffs
 from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
 from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables, displacement
 from hopfwave.periodic import (OperatorContext, PeriodicOrbit, _delay_phase,
@@ -31,10 +30,10 @@ class SigmaZero(HopfwaveError):
     """Transversality pairing vanished."""
 
 
-def compute_sigma_rho(eig, adj, coeffs: LinearizedCoeffs):
+def compute_sigma_rho(tau0, u0, u_star, coeffs: LinearizedCoeffs):
     """`eigen._sigma_rho_values`, raising when sigma or rho is below the
     certificate's tolerance."""
-    sigma, rho = eigen._sigma_rho_values(eig, adj, coeffs)
+    sigma, rho = eigen._sigma_rho_values(tau0, u0, u_star, coeffs)
     if abs(sigma) < eigen.TOL_SIGMA:
         raise SigmaZero(f"|sigma| = {abs(sigma):.3e} below {eigen.TOL_SIGMA:.1e}")
     if abs(rho) < eigen.TOL_RHO:
@@ -103,15 +102,15 @@ def random_field(rng, N, M, decay=1.6):
     return enforce_symmetry(f)
 
 
-def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: CubicCoeffs,
+def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: np.ndarray,
                              sigma, rho) -> float:
     """Closed-form curvature for the constant-speed benchmark family.
 
     Valid only when a is constant, b3 = b6 = 0, b4 = b5 = c(x), beta4 = 0
     and the eigenfunctions are taken as sin(pi x / 2) (so sigma, rho must
     come from that same convention). Uses the published +3/(8 rho)
-    prefactor; it is the algebraic rearrangement of
-    tau_curvature_literature for this family and the pair is cross-checked
+    prefactor; it is the algebraic rearrangement of the d2tau_literature
+    value of tau_curvatures for this family and the pair is cross-checked
     in the tests.
     """
     x, h = coeffs.x, coeffs.h
@@ -121,16 +120,16 @@ def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: CubicCoeffs,
             or np.max(np.abs(b3n)) > 1e-12 or np.max(np.abs(b6n)) > 1e-12
             or np.max(np.abs(b4n - b5n)) > 1e-12):
         raise NotSeparable("closed form needs constant a, b3 = b6 = 0, b4 = b5")
-    if np.max(np.abs(cubic.beta4)) > 1e-12:
+    if np.max(np.abs(cubic[3])) > 1e-12:
         raise NotSeparable("closed form needs beta4 = 0")
     s2 = np.sin(np.pi * x / 2.0) ** 2
     s4 = s2 * s2
     c = b4n
     S = integral(c * s2, h)
     W = integral((2.0 - np.pi / 2.0 * c) * s2, h)
-    P1 = integral(cubic.beta1 * s4, h)
-    P2 = integral(cubic.beta2 * s4, h)
-    P3 = integral(cubic.beta3 * s4, h)
+    P1 = integral(cubic[0] * s4, h)
+    P2 = integral(cubic[1] * s4, h)
+    P3 = integral(cubic[2] * s4, h)
     return float(3.0 * (-S * P1 + W * (P3 - P2)) / (8.0 * rho * abs(sigma) ** 2))
 
 
@@ -354,9 +353,8 @@ def direction_from_document(doc: dict, spec: ProblemSpec) -> dict:
     rho = float(doc["rho"])
     tau0 = float(doc["tau0"])
     h = grid[1] - grid[0]
-    d2 = direction_mod.tau_curvature(u0, u0p, ustar, sigma, rho, tau0, cubic, h)
-    d2_lit = direction_mod.tau_curvature_literature(
-        u0, u0p, ustar, sigma, rho, tau0, cubic, h)
+    d2, d2_lit = direction_mod.tau_curvatures(u0, u0p, ustar, sigma, rho, tau0,
+                                              cubic, h)
     return {"d2tau": d2, "d2tau_literature": d2_lit,
             "indicator": float(np.sign(rho * d2)),
             "supercritical": bool(rho * d2 > 0),

@@ -113,14 +113,10 @@ def test_criterion_3_cross_path(cert_up):
             b=f"{ctext}*u2 + {ctext}*u3 + {b1t}*u1^3 + {b2t}*u2^3 + {b3t}*u3^3")
         co = linearize(spec, 0.0, M)
         cubic = direction.check_structure(spec, co.x)
-        eig = eigen.Eigenpair(mu=1j, tau=TAU0, u0=s.astype(complex),
-                              u0_prime=sp.astype(complex))
-        adj = eigen.AdjointPair(u_star=s.astype(complex),
-                                u_star_prime=sp.astype(complex),
-                                U_star=np.zeros(M + 1, dtype=complex))
-        sigma, rho = compute_sigma_rho(eig, adj, co)
-        general = direction.tau_curvature_literature(s, sp, s, sigma, rho,
-                                                     TAU0, cubic, h)
+        sigma, rho = compute_sigma_rho(TAU0, s.astype(complex),
+                                       s.astype(complex), co)
+        _, general = direction.tau_curvatures(s, sp, s, sigma, rho, TAU0,
+                                              cubic, h)
         closed = worked_example_curvature(co, cubic, sigma, rho)
         worst = max(worst, abs(general - closed))
     _report("3 (cross-path)", worst < 1e-8,
@@ -136,16 +132,16 @@ def test_criterion_3_cross_path(cert_up):
 def test_criterion_3_benchmark_value_as_stated(cert_up, spec_cubic_up):
     data = sin_convention(cert_up)
     cubic = direction.check_structure(spec_cubic_up, data.x)
-    d2 = direction.tau_curvature(data.u0, data.u0p, data.ustar, data.sigma,
-                                 data.rho, data.tau0, cubic, data.h)
+    d2, _ = direction.tau_curvatures(data.u0, data.u0p, data.ustar, data.sigma,
+                                     data.rho, data.tau0, cubic, data.h)
     assert d2 == pytest.approx(9.0 / 64.0, abs=1e-8)
 
 
 def test_criterion_3_validated_value(cert_up, spec_cubic_up):
     data = sin_convention(cert_up)
     cubic = direction.check_structure(spec_cubic_up, data.x)
-    d2 = direction.tau_curvature(data.u0, data.u0p, data.ustar, data.sigma,
-                                 data.rho, data.tau0, cubic, data.h)
+    d2, _ = direction.tau_curvatures(data.u0, data.u0p, data.ustar, data.sigma,
+                                     data.rho, data.tau0, cubic, data.h)
     err = abs(d2 - 3.0 / 16.0)
     _report("3 (validated value)", err < 1e-8,
             f"d2tau = {d2:.12f} vs 3/16 (err {err:.2e})")
@@ -156,8 +152,7 @@ def test_criterion_3_validated_value(cert_up, spec_cubic_up):
 def test_criterion_4_branch_formula_consistency(
         flagship_branch, cert_up, ctx_up, spec_cubic_up):
     t0 = time.perf_counter()
-    cubic = direction.check_structure(spec_cubic_up, cert_up.coeffs.x)
-    dres = direction.compute_direction(cert_up, cubic)
+    dres = direction.compute_direction(spec_cubic_up, cert_up)
     gap = abs(flagship_branch.fit_tau_curvature - dres.d2tau) / abs(dres.d2tau)
     slopes_ok = (abs(flagship_branch.fit_tau_slope) <= 1e-4
                  and abs(flagship_branch.fit_omega_slope) <= 1e-4)
@@ -242,10 +237,10 @@ def test_criterion_6_resonance_detection():
     scan = dict(eigen.check_A2(tau0, 5, co))
     scan_fails = scan[3] < 1e-6 and scan[-3] < 1e-6
     shot = eigen.shoot_evp(1j, tau0, co)
-    eig = eigen.Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
-    adj = eigen.solve_adjoint(tau0, co)
+    u_star, u_star_prime, U_star = eigen.solve_adjoint(tau0, co)
     cert = eigen.HopfCertificate(
-        tau0=tau0, eigenpair=eig, adjoint=adj, sigma=1.0, sigma_raw=1.0,
+        tau0=tau0, u0=shot.u, u0_prime=shot.u_prime, u_star=u_star,
+        u_star_prime=u_star_prime, U_star=U_star, sigma=1.0, sigma_raw=1.0,
         rho=0.0, fredholm=0.0, a2_scan=list(scan.items()),
         flags={"pass": False}, coeffs=co)
     ctx = periodic.operator_context(spec, 0.0, 32)

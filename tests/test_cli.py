@@ -481,6 +481,17 @@ def test_failure_documents_are_strict_json(tmp_path, command, code):
     assert [cert[k] for k in ("tau0", "sigma", "sigma_raw", "rho")] == [None] * 4
 
 
+def test_resonance_scan_past_grid_resolution_is_strict_json(tmp_path):
+    # K_max = 2000 is far past what RK4 resolves on M = 64: the shots
+    # overflow, and |D(ik)| that is not a finite number is written as null
+    cfg = write_config(tmp_path, solver={"M": 64, "K_max": 2000})
+    out = tmp_path / "cert.json"
+    assert run_cli("certificate", cfg, "--out", str(out)) == 3
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert len(doc["a2_scan"]) == 3999
+    assert None in [d for _, d in doc["a2_scan"]]
+
+
 NO_MODE = {"a": "1", "b": "-u3 - u1^3", "tau_guess": 1.0,
            "solver": {"M": 64, "K_max": 4}}
 
@@ -648,3 +659,30 @@ def test_stdout_matches_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("certificate", cfg) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["certificate"], ["direction"], ["branch"], ["simulate", "--tau", "1.6"]],
+    ids=["certificate", "direction", "branch", "simulate"])
+def test_wave_speed_depending_on_u_rejected(tmp_path, capsys, args):
+    # the problem class has a(x, lambda) only; evaluating a at u = 0 would
+    # hide the dependence
+    cfg = write_config(tmp_path, a="2/pi + u1^2")
+    out = tmp_path / "doc.json"
+    assert run_cli(args[0], cfg, *args[1:], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['u1']" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["branch"], "b.csv"), (["simulate", "--tau", "1.6", "--T", "100"], "clash.csv")],
+    ids=["branch", "simulate"])
+def test_out_overwritten_by_companion_rejected(tmp_path, capsys, args, name):
+    # the CSV written next to such an --out is --out itself and would
+    # replace the summary
+    out = tmp_path / name
+    assert run_cli(args[0], write_config(tmp_path), *args[1:],
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out} ")
+    assert not out.exists()

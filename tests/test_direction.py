@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopfwave import direction, eigen
+from hopfwave import direction
 from hopfwave.errors import NotSeparable, QuadraticTermPresent
 from hopfwave.model import ProblemSpec, linearize
 
@@ -21,10 +21,10 @@ LINDSTEDT_BETA3 = -(3.0 / 8.0) * (1.0 - np.pi / 4.0)
 def test_check_structure_cubic(spec_cubic_up):
     co = linearize(spec_cubic_up, 0.0, 64)
     cubic = direction.check_structure(spec_cubic_up, co.x)
-    assert np.allclose(cubic.beta1, 1.0)
-    assert np.allclose(cubic.beta2, 0.0)
-    assert np.allclose(cubic.beta3, 0.0)
-    assert np.allclose(cubic.beta4, 0.0)
+    assert np.allclose(cubic[0], 1.0)
+    assert np.allclose(cubic[1], 0.0)
+    assert np.allclose(cubic[2], 0.0)
+    assert np.allclose(cubic[3], 0.0)
 
 
 def test_check_structure_rejections():
@@ -45,13 +45,11 @@ def _sin_arrays(M):
 def test_direction_benchmark_value(cert_up, spec_cubic_up):
     data = sin_convention(cert_up)
     cubic = direction.check_structure(spec_cubic_up, data.x)
-    d2 = direction.tau_curvature(data.u0, data.u0p, data.ustar, data.sigma,
-                                 data.rho, data.tau0, cubic, data.h)
+    d2, d2_lit = direction.tau_curvatures(data.u0, data.u0p, data.ustar,
+                                          data.sigma, data.rho, data.tau0,
+                                          cubic, data.h)
     assert d2 == pytest.approx(LINDSTEDT_BETA1, abs=1e-8)
     # published prefactor differs by the factor -3/2
-    d2_lit = direction.tau_curvature_literature(
-        data.u0, data.u0p, data.ustar, data.sigma, data.rho, data.tau0,
-        cubic, data.h)
     assert d2_lit == pytest.approx(-1.5 * LINDSTEDT_BETA1, abs=1e-8)
 
 
@@ -60,16 +58,15 @@ def test_direction_derivative_coupling_case(cert_up):
     spec = ProblemSpec.from_expressions(a="2/pi", b="u2 + u3 + u3^3/6")
     data = sin_convention(cert_up)   # same linear part, same eigendata
     cubic = direction.check_structure(spec, data.x)
-    assert np.allclose(cubic.beta3, 1.0) and np.allclose(cubic.beta1, 0.0)
-    d2 = direction.tau_curvature(data.u0, data.u0p, data.ustar, data.sigma,
-                                 data.rho, data.tau0, cubic, data.h)
+    assert np.allclose(cubic[2], 1.0) and np.allclose(cubic[0], 0.0)
+    d2, _ = direction.tau_curvatures(data.u0, data.u0p, data.ustar, data.sigma,
+                                     data.rho, data.tau0, cubic, data.h)
     assert d2 == pytest.approx(LINDSTEDT_BETA3, abs=1e-8)
 
 
 def test_direction_zero_cubic(cert_down):
     spec = ProblemSpec.from_expressions(a="2/pi", b="-u2 - u3")
-    cubic = direction.check_structure(spec, cert_down.coeffs.x)
-    result = direction.compute_direction(cert_down, cubic)
+    result = direction.compute_direction(spec, cert_down)
     assert result.d2tau == pytest.approx(0.0, abs=1e-14)
 
 
@@ -92,56 +89,47 @@ def test_cross_path_agreement_randomized():
         spec = ProblemSpec.from_expressions(a="2/pi", b=b_text)
         co = linearize(spec, 0.0, M)
         cubic = direction.check_structure(spec, co.x)
-        eig = eigen.Eigenpair(mu=1j, tau=TAU0, u0=s.astype(complex),
-                              u0_prime=sp.astype(complex))
-        adj = eigen.AdjointPair(u_star=s.astype(complex),
-                                u_star_prime=sp.astype(complex),
-                                U_star=np.zeros_like(s, dtype=complex))
-        sigma, rho = compute_sigma_rho(eig, adj, co)
-        general = direction.tau_curvature_literature(
+        sigma, rho = compute_sigma_rho(TAU0, s.astype(complex),
+                                       s.astype(complex), co)
+        corrected, general = direction.tau_curvatures(
             s, sp, s, sigma, rho, TAU0, cubic, h)
         closed = worked_example_curvature(co, cubic, sigma, rho)
         assert general == pytest.approx(closed, abs=1e-8), f"trial {trial}"
         # the validated value is the same projection scaled by -2/3
-        corrected = direction.tau_curvature(s, sp, s, sigma, rho, TAU0, cubic, h)
         assert corrected == pytest.approx(-2.0 / 3.0 * general, rel=1e-12)
 
 
 def test_scale_invariance(cert_up, spec_cubic_up):
     data = sin_convention(cert_up)
     cubic = direction.check_structure(spec_cubic_up, data.x)
-    base = direction.tau_curvature(data.u0, data.u0p, data.ustar, data.sigma,
-                                   data.rho, data.tau0, cubic, data.h)
+    base, _ = direction.tau_curvatures(data.u0, data.u0p, data.ustar,
+                                       data.sigma, data.rho, data.tau0, cubic,
+                                       data.h)
     rng = np.random.default_rng(5)
     for _ in range(5):
         # unit-modulus rotations preserve the pairing and the value
         phi = rng.uniform(0, 2 * np.pi)
         g = np.exp(1j * phi)
-        d2 = direction.tau_curvature(g * data.u0, g * data.u0p, g * data.ustar,
-                                     data.sigma, data.rho, data.tau0, cubic,
-                                     data.h)
+        d2, _ = direction.tau_curvatures(g * data.u0, g * data.u0p,
+                                         g * data.ustar, data.sigma, data.rho,
+                                         data.tau0, cubic, data.h)
         assert d2 == pytest.approx(base, abs=1e-10)
         # arbitrary rescalings change the parametrization (value scales by
         # |gamma|^2) but never the sign
         gamma = rng.uniform(0.3, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         delta = rng.uniform(0.3, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         co = cert_up.coeffs
-        eig = eigen.Eigenpair(mu=1j, tau=data.tau0, u0=gamma * data.u0,
-                              u0_prime=gamma * data.u0p)
-        adj = eigen.AdjointPair(u_star=delta * data.ustar,
-                                u_star_prime=delta * data.ustarp,
-                                U_star=delta * data.Ustar)
-        sigma, rho = compute_sigma_rho(eig, adj, co)
+        u0, ustar = gamma * data.u0, delta * data.ustar
+        sigma, rho = compute_sigma_rho(data.tau0, u0, ustar, co)
         assert rho == pytest.approx(data.rho, rel=1e-10)
-        d2 = direction.tau_curvature(eig.u0, eig.u0_prime, adj.u_star,
-                                     sigma, rho, data.tau0, cubic, data.h)
+        d2, _ = direction.tau_curvatures(u0, gamma * data.u0p, ustar,
+                                         sigma, rho, data.tau0, cubic, data.h)
         assert d2 == pytest.approx(abs(gamma) ** 2 * base, rel=1e-9)
         assert np.sign(d2) == np.sign(base)
 
 
 def test_compute_direction_reports(cert_down, spec_cubic_down):
-    cubic = direction.check_structure(spec_cubic_down, cert_down.coeffs.x)
-    result = direction.compute_direction(cert_down, cubic)
+    result = direction.compute_direction(spec_cubic_down, cert_down)
     assert result.supercritical is True
     assert result.indicator == 1.0
     assert "stability" in result.caveat

@@ -230,16 +230,16 @@ def test_mirror_is_exact(co_up, cert_down):
 
 
 def test_adjoint_benchmark(co_up):
-    adj = eigen.solve_adjoint(TAU0, co_up)
+    u_star, u_star_prime, U_star = eigen.solve_adjoint(TAU0, co_up)
     x = co_up.x
     target = (2 / np.pi) * np.sin(np.pi * x / 2)
-    assert np.max(np.abs(adj.u_star - target)) < 1e-9
+    assert np.max(np.abs(u_star - target)) < 1e-9
     a1 = co_up.a[-1]
-    robin = a1 * a1 * adj.u_star_prime[-1]
+    robin = a1 * a1 * u_star_prime[-1]
     assert abs(robin) < 1e-7
     # transported adjoint: closed form for this configuration
     U_expected = (-1 + 1j) * np.cos(np.pi * x / 2) * (2 / np.pi)
-    assert np.max(np.abs(adj.U_star - U_expected)) < 1e-9
+    assert np.max(np.abs(U_star - U_expected)) < 1e-9
     # independent quadrature of the defining expression on a fine grid
     xf = np.linspace(0, 1, 4001)
     uf = (2 / np.pi) * np.sin(np.pi * xf / 2)
@@ -247,8 +247,8 @@ def test_adjoint_benchmark(co_up):
                      for i in range(0, 4001, 250)])
     a0 = 2 / np.pi
     oracle = -a0 * np.cos(np.pi * xf[::250] / 2) + tail / a0
-    probe = np.interp(xf[::250], x, adj.U_star.real) \
-        + 1j * np.interp(xf[::250], x, adj.U_star.imag)
+    probe = np.interp(xf[::250], x, U_star.real) \
+        + 1j * np.interp(xf[::250], x, U_star.imag)
     assert np.max(np.abs(probe - oracle)) < 1e-6
 
 
@@ -257,10 +257,10 @@ def test_adjoint_tail_free_case():
     # transport problem keeps the adjoint Robin row valid at any tau
     spec = ProblemSpec.from_expressions(a="2/pi", b="0*u1")
     co = linearize(spec, 0.0, 256)
-    adj = eigen.solve_adjoint(0.9, co)
+    u_star, u_star_prime, U_star = eigen.solve_adjoint(0.9, co)
     an, axn, b6n = co.nodes("a"), co.nodes("ax"), co.nodes("b6")
-    direct = (b6n / an - 2 * axn) * adj.u_star - an * adj.u_star_prime
-    assert np.max(np.abs(adj.U_star - direct)) < 1e-12
+    direct = (b6n / an - 2 * axn) * u_star - an * u_star_prime
+    assert np.max(np.abs(U_star - direct)) < 1e-12
 
 
 def test_sigma_rho_benchmark(cert_up):
@@ -284,21 +284,19 @@ def test_rho_zero_without_delay_term():
     spec = ProblemSpec.from_expressions(a="2/pi", b="0*u1")
     co = linearize(spec, 0.0, 128)
     shot = eigen.shoot_evp(1j, 1.0, co)
-    eig = eigen.Eigenpair(mu=1j, tau=1.0, u0=shot.u, u0_prime=shot.u_prime)
-    adj = eigen.solve_adjoint(1.0, co)
+    u_star, _, _ = eigen.solve_adjoint(1.0, co)
     with pytest.raises(RhoZero):
-        compute_sigma_rho(eig, adj, co)
+        compute_sigma_rho(1.0, shot.u, u_star, co)
 
 
 def test_normalize(cert_up):
     co = cert_up.coeffs
     assert cert_up.sigma == pytest.approx(1.0 + 0.0j, abs=1e-10)
     # rho invariant under the normalization (not just its sign)
-    eig, adj = cert_up.eigenpair, cert_up.adjoint
-    sigma2, rho2 = compute_sigma_rho(eig, adj, co)
+    sigma2, rho2 = compute_sigma_rho(cert_up.tau0, cert_up.u0, cert_up.u_star, co)
     assert rho2 == pytest.approx(cert_up.rho, rel=1e-12)
     # u0 untouched by normalization: still the unit-slope shooting solution
-    assert eig.u0_prime[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert cert_up.u0_prime[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
 def test_certificate_flags(cert_up, cert_down):

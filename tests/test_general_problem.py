@@ -60,8 +60,7 @@ def test_crossing_speed_against_root_branch(gcert, gspec):
 
 
 def test_direction_matches_branch(gcert, gspec):
-    cubic = direction.check_structure(gspec, gcert.coeffs.x)
-    dres = direction.compute_direction(gcert, cubic)
+    dres = direction.compute_direction(gspec, gcert)
     ctx = periodic.operator_context(gspec, 0.0, 64)
     br = periodic.continue_branch(gcert, [0.02, 0.03, 0.04], ctx, 6)
     gap = abs(br.fit_tau_curvature - dres.d2tau) / abs(dres.d2tau)

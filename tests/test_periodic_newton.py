@@ -288,9 +288,10 @@ def test_resonance_detected_with_live_delay_column():
     tau0 = 2 * np.pi
     assert abs(eigen.shoot_evp(3j, tau0, co).D) < 1e-6
     shot = eigen.shoot_evp(1j, tau0, co)
-    eig = eigen.Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
+    u_star, u_star_prime, U_star = eigen.solve_adjoint(tau0, co)
     cert = eigen.HopfCertificate(
-        tau0=tau0, eigenpair=eig, adjoint=eigen.solve_adjoint(tau0, co),
+        tau0=tau0, u0=shot.u, u0_prime=shot.u_prime, u_star=u_star,
+        u_star_prime=u_star_prime, U_star=U_star,
         sigma=1.0, sigma_raw=1.0, rho=0.0, fredholm=0.0, a2_scan=[],
         flags={"pass": False}, coeffs=co)
     ctx = periodic.operator_context(spec, 0.0, 32)
@@ -316,9 +317,10 @@ def _live_delay_resonance():
     co = linearize(spec, 0.0, 128)
     tau0 = 2 * np.pi
     shot = eigen.shoot_evp(1j, tau0, co)
-    eig = eigen.Eigenpair(mu=1j, tau=tau0, u0=shot.u, u0_prime=shot.u_prime)
+    u_star, u_star_prime, U_star = eigen.solve_adjoint(tau0, co)
     cert = eigen.HopfCertificate(
-        tau0=tau0, eigenpair=eig, adjoint=eigen.solve_adjoint(tau0, co),
+        tau0=tau0, u0=shot.u, u0_prime=shot.u_prime, u_star=u_star,
+        u_star_prime=u_star_prime, U_star=U_star,
         sigma=1.0, sigma_raw=1.0, rho=0.0, fredholm=0.0, a2_scan=[],
         flags={"pass": False}, coeffs=co)
     ctx = periodic.operator_context(spec, 0.0, 32)
@@ -389,6 +391,5 @@ def test_branch_at_fine_grid_without_dense_matrix(cert_down, spec_cubic_down):
     ctx = periodic.operator_context(spec_cubic_down, 0.0, 128)
     br = periodic.continue_branch(cert_down, [0.01, 0.02, 0.03], ctx, 16)
     assert all(o.residual_norm <= periodic.TOL_ORBIT for o in br.orbits)
-    dres = direction.compute_direction(
-        cert_down, direction.check_structure(spec_cubic_down, cert_down.coeffs.x))
+    dres = direction.compute_direction(spec_cubic_down, cert_down)
     assert abs(br.fit_tau_curvature - dres.d2tau) / abs(dres.d2tau) < 0.05

@@ -220,7 +220,7 @@ def test_predictor_properties(cert_up, ctx_up):
     assert proj.imag == pytest.approx(0.0, abs=1e-14)
     # reconstructed displacement is eps * Re(e^{it} u0) at leading order
     rec = reconstruct_u(orb, ctx_up)
-    u0 = cert_up.eigenpair.u0[::4]
+    u0 = cert_up.u0[::4]
     for i, t in enumerate(rec.times[:5]):
         expect = eps * (np.exp(1j * t) * u0).real
         assert np.max(np.abs(rec.u[i] - expect)) < 1e-9
@@ -252,9 +252,8 @@ def test_omega_sensitivity_matches_unit_imaginary(cert_up, ctx_up):
     cert, ctx = cert_up, ctx_up
     co = cert.coeffs
     stride = co.M // ctx.coeffs.M
-    adj = cert.adjoint
-    us = adj.u_star[::stride]
-    Us = adj.U_star[::stride]
+    us = cert.u_star[::stride]
+    Us = cert.U_star[::stride]
     h = ctx.h
     vstar = np.stack([us + 1j * Us, us - 1j * Us])
     basis = periodic.mode_basis(cert, ctx)
@@ -275,7 +274,7 @@ def test_omega_sensitivity_matches_unit_imaginary(cert_up, ctx_up):
     assert dH == pytest.approx(1j, abs=2e-5)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(N=st.integers(0, 4), M=st.integers(3, 9), data=st.data())
 def test_packing_round_trip(N, M, data):
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
