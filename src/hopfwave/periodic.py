@@ -12,7 +12,7 @@ The nonlinear operator B is evaluated pseudo-spectrally on 4N+1 equispaced
 times, which de-aliases cubic products exactly. Newton treats the stacked
 harmonic coefficients plus (omega, tau) as unknowns, with an amplitude
 projection on the critical mode and a phase condition closing the system.
-Each step is GMRES on the exact derivative of that residual, preconditioned
+Each step is `gmres` on the exact derivative of that residual, preconditioned
 by one block build per branch. With the partials of b averaged over time
 (exact at v = 0) the derivative splits harmonic by harmonic; only k = 1 is
 singular at the Hopf point, and it is bordered by the amplitude and phase
@@ -28,7 +28,6 @@ directions at once.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -369,8 +368,7 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
 RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of a block
 TOL_ORBIT = 1e-9        # residual a converged orbit must reach
 GMRES_RTOL = 1e-12      # relative residual of each Newton step's linear solve
-GMRES_RESTART = 40      # Krylov dimension per GMRES cycle
-GMRES_MAXITER = 2       # GMRES cycles before the preconditioner is rebuilt
+GMRES_MAX = 80          # tangent products per solve before a rebuild
 
 
 def _harmonic_slices(N, M):
@@ -384,19 +382,13 @@ def _harmonic_slices(N, M):
 @dataclass(frozen=True)
 class BlockPreconditioner:
     """Inverse of the harmonic-diagonal Newton matrix that
-    `block_preconditioner` builds, applied by `matvec` (the `M` of GMRES)."""
+    `block_preconditioner` builds, applied by `matvec` (`gmres`'s precond)."""
 
     inv0: np.ndarray        # k = 0 block inverse, 2(M+1) square
     inv1: np.ndarray        # bordered k = 1 block inverse, 4(M+1) + 2 square
     inv_rest: np.ndarray    # k = 2..N block inverses, (N-1, 4(M+1), 4(M+1))
     omega_tau: np.ndarray   # (2, n) exact (omega, tau) columns at the build point
     rcond: np.ndarray       # exact reciprocal 1-norm condition per harmonic block
-    dtype = np.dtype(float)
-
-    @property
-    def shape(self):
-        n = self.omega_tau.shape[1]
-        return (n, n)
 
     def matvec(self, r):
         """Solve the bordered k = 1 block for (x_1, omega, tau), then every
@@ -426,22 +418,21 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     harmonics meet those columns below the diagonal only, so the solve is
     block lower-triangular. In all, 4(M+1) + 2 directions per build.
 
-    Each block is LU-factored and inverted, and its reciprocal 1-norm
+    Each block is inverted by `numpy.linalg.inv`, and its reciprocal 1-norm
     condition 1 / (|A|_1 |A^-1|_1) is computed exactly from that inverse.
     A zero pivot or a condition below RANK_RCOND (a NaN or overflowed
     inverse included) raises JacobianSingular naming the harmonics: the
     bordered k = 1 block means a failed certificate, any other k a
     resonance at ik.
     """
-    import scipy.linalg  # here, not at the top: only branch needs it
     N, M = orbit.v.shape[0] - 1, orbit.v.shape[2] - 1
     n = len(_pack(orbit))
     slices = _harmonic_slices(N, M)
     sizes = [s.stop - s.start for s in slices]
     tangent = _tangent(orbit, ctx, basis, harmonic_diagonal=True)
     omega_tau = tangent(np.eye(2, n, n - 2))
-    blocks = [np.empty((m, m), order="F") for m in sizes]
-    blocks[1] = np.zeros((sizes[1] + 2,) * 2, order="F")
+    blocks = [np.empty((m, m)) for m in sizes]
+    blocks[1] = np.zeros((sizes[1] + 2,) * 2)
     blocks[1][:-2, -2:] = omega_tau[:, slices[1]].T
     width = M + 1
     for j0 in range(0, sizes[1], width):
@@ -455,15 +446,11 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
         blocks[1][-2:, j0:j0 + width] = out[:, -2:].T
     inverses, rcond = [], np.zeros(N + 1)
     for k, blk in enumerate(blocks):
-        anorm = np.max(np.abs(blk).sum(axis=0))
-        with warnings.catch_warnings():
-            # an exactly zero pivot is reported below as JacobianSingular
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(blk, overwrite_a=True,
-                                             check_finite=False)
-        if np.all(np.diagonal(lu)):
-            inverses.append(scipy.linalg.lu_solve((lu, piv), np.eye(len(lu))))
-            rcond[k] = 1.0 / (anorm * np.max(np.abs(inverses[-1]).sum(axis=0)))
+        try:
+            inverses.append(np.linalg.inv(blk))
+        except np.linalg.LinAlgError:
+            continue        # an exactly zero pivot: rcond[k] stays 0
+        rcond[k] = 1.0 / (np.linalg.norm(blk, 1) * np.linalg.norm(inverses[-1], 1))
     bad = [k for k in range(N + 1) if not rcond[k] >= RANK_RCOND]
     if bad:
         raise JacobianSingular(
@@ -476,6 +463,34 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
         inv0=inverses[0], inv1=inverses[1],
         inv_rest=np.reshape(inverses[2:], (N - 1, sizes[1], sizes[1])),
         omega_tau=omega_tau, rcond=rcond)
+
+
+def gmres(apply, b, precond, rtol, max_products):
+    """Solve apply(x) = b by GMRES from x = 0, right-preconditioned by
+    precond.matvec and never restarted (Saad & Schultz 1986): modified
+    Gram-Schmidt Arnoldi, then a least-squares solve of the Hessenberg
+    system after each product. Stops once that residual is at most
+    rtol |b|, on breakdown, or after max_products products. Returns
+    (x, converged, products); b = 0 costs no product.
+    """
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros(len(b)), True, 0
+    V = [b / beta]
+    H = np.zeros((max_products + 1, max_products))
+    e1 = beta * np.eye(1, max_products + 1)[0]
+    for j in range(max_products):
+        w = apply(precond.matvec(V[j]))
+        for i in range(j + 1):
+            H[i, j] = w @ V[i]
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], e1[:j + 2], rcond=None)[0]
+        converged = np.linalg.norm(H[:j + 2, :j + 1] @ y - e1[:j + 2]) <= rtol * beta
+        if converged or H[j + 1, j] == 0.0:
+            break
+        V.append(w / H[j + 1, j])
+    return precond.matvec(y @ V[:j + 1]), bool(converged), j + 1
 
 
 def _pack(orbit):
@@ -492,7 +507,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
                  precond=None) -> PeriodicOrbit:
     """Damped Newton-Krylov on the exact tangent, iterated to roundoff.
 
-    Each step solves the `_tangent` system by GMRES, preconditioned by
+    Each step solves the `_tangent` system by `gmres`, preconditioned by
     `precond`, a `block_preconditioner` (built at the guess if not given,
     rebuilt at the current point if GMRES fails above TOL_ORBIT). A trial
     step on which b leaves its domain fails and is halved. The solve stops
@@ -501,7 +516,6 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     Unknowns are the harmonics plus (omega, tau). The returned orbit's
     `stats` count the iterations, tangent products, halvings and builds.
     """
-    import scipy.sparse.linalg  # here, not at the top: only branch needs its ~4 MB
     N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
     z = _pack(replace(guess, eps=eps))
 
@@ -521,13 +535,6 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
         precond = block_preconditioner(orbit_at(z), ctx, basis)
         rconds.append(precond.rcond)
 
-    def counted(tangent):
-        def matvec(dz):
-            nonlocal matvecs
-            matvecs += 1
-            return tangent(dz)
-        return matvec
-
     if precond is None and (eps != 0.0 or np.any(guess.v)):
         # the condition check doubles as the local-uniqueness certificate;
         # only at the trivial orbit, the bifurcation point itself, is the
@@ -536,16 +543,14 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     limit = f"iteration limit {max_iter}"
     while n_iter < max_iter:
         n_iter += 1
-        tangent = scipy.sparse.linalg.LinearOperator(
-            (len(z), len(z)), dtype=float,
-            matvec=counted(_tangent(orbit_at(z), ctx, basis)))
+        tangent = _tangent(orbit_at(z), ctx, basis)
         for attempt in range(2):
-            step, info = scipy.sparse.linalg.gmres(
-                tangent, -r, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-                maxiter=GMRES_MAXITER, M=precond)
+            step, converged, products = gmres(tangent, -r, precond,
+                                              GMRES_RTOL, GMRES_MAX)
+            matvecs += products
             # at the roundoff floor GMRES may miss its relative target
             # although the step is as good as the residual allows
-            if info == 0 or attempt or rn <= TOL_ORBIT:
+            if converged or attempt or rn <= TOL_ORBIT:
                 break
             build()
         for i, t in enumerate(0.5 ** np.arange(12)):

@@ -529,11 +529,12 @@ def test_negative_seed_rejected(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
-    ["certificate"], ["direction"], ["simulate", "--tau", "1.6", "--T", "2"]],
-    ids=["certificate", "direction", "simulate"])
-def test_commands_without_branch_do_not_import_scipy(tmp_path, args):
-    # only branch's Newton solver needs scipy; loading it costs every
-    # other command about 0.2 s of startup
+    ["certificate"], ["direction"], ["branch"],
+    ["simulate", "--tau", "1.6", "--T", "2"]],
+    ids=["certificate", "direction", "branch", "simulate"])
+def test_no_command_imports_scipy(tmp_path, args):
+    # the package depends on numpy alone; importing scipy would cost each
+    # command a few tenths of a second of startup and about 20 MB
     argv = [args[0], write_config(tmp_path), *args[1:], "--out", "o.json"]
     code = (f"import sys; from hopfwave import cli; cli.main({argv!r}); "
             "print('scipy' in sys.modules)")

@@ -1,6 +1,7 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from hopfwave import direction, eigen, periodic
 from hopfwave.errors import JacobianSingular, NoConvergence
@@ -224,32 +225,57 @@ def test_flagship_branch_factors_once(cert_up, ctx_up, monkeypatch):
 
 def test_gmres_failure_rebuilds_preconditioner_once(cert_down, ctx_down,
                                                     monkeypatch):
-    # an identity preconditioner leaves GMRES short of its tolerance; the
-    # solve rebuilds the preconditioner at the current point once and converges
+    # a zero preconditioner leaves GMRES short of its tolerance; the solve
+    # rebuilds the preconditioner at the current point once and converges
     calls = _count_builds(monkeypatch)
-    infos = []
-    gmres = scipy.sparse.linalg.gmres
+    failed = []
+    gmres = periodic.gmres
 
-    def recording(*args, **kwargs):
-        step, info = gmres(*args, **kwargs)
-        infos.append(info)
-        return step, info
+    def recording(*args):
+        step, converged, products = gmres(*args)
+        failed.append(not converged)
+        return step, converged, products
 
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", recording)
+    monkeypatch.setattr(periodic, "gmres", recording)
     basis = periodic.mode_basis(cert_down, ctx_down)
     guess = periodic.predictor(cert_down, 0.02, 8, ctx_down)
-    n = len(periodic._pack(guess))
-    identity = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda r: r,
-                                                  dtype=float)
-    orbit = periodic.newton_solve(guess, 0.02, ctx_down, basis, precond=identity)
-    assert infos[0] > 0
+    zero = SimpleNamespace(matvec=np.zeros_like)
+    orbit = periodic.newton_solve(guess, 0.02, ctx_down, basis, precond=zero)
+    assert failed[0]
     assert len(calls) == 1
     assert orbit.residual_norm <= periodic.TOL_ORBIT
     # at the roundoff floor a GMRES shortfall is no reason to rebuild
-    again = periodic.newton_solve(orbit, 0.02, ctx_down, basis, precond=identity)
-    assert infos[-1] > 0
+    again = periodic.newton_solve(orbit, 0.02, ctx_down, basis, precond=zero)
+    assert failed[-1]
     assert len(calls) == 1
     assert again.residual_norm <= orbit.residual_norm
+
+
+def test_gmres_on_dense_nonsymmetric_system():
+    rng = np.random.default_rng(3)
+    n, rtol = 40, 1e-10
+    A = 4.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    identity = SimpleNamespace(matvec=lambda r: r)
+    x, converged, products = periodic.gmres(lambda v: A @ v, b, identity,
+                                            rtol, n)
+    assert converged and 1 < products < n
+    assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
+    # the exact inverse as preconditioner leaves one Krylov direction
+    exact = SimpleNamespace(matvec=lambda r: np.linalg.solve(A, r))
+    x, converged, one = periodic.gmres(lambda v: A @ v, b, exact, rtol, n)
+    assert converged and one == 1
+    assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
+    # a budget below what the solve needs ends unconverged at the budget
+    _, converged, short = periodic.gmres(lambda v: A @ v, b, identity, rtol,
+                                         products - 1)
+    assert not converged and short == products - 1
+
+    def never(v):
+        raise AssertionError("no product is needed for b = 0")
+
+    x, converged, none = periodic.gmres(never, np.zeros(n), None, rtol, n)
+    assert converged and none == 0 and not np.any(x)
 
 
 def test_jacobian_matches_central_differences():
