@@ -361,18 +361,22 @@ def cmd_simulate(args):
         # transient is discarded by run_to_orbit anyway
         kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
         state = sim.initial_state(v1=kick, v2=kick)
-        period, ts, ys = timedomain.run_to_orbit(sim, state, args.T)
+        run = timedomain.run_to_orbit(sim, state, args.T)
     except SpecInvalid:
         raise       # b not linearizable at the file's lambda: an input error
     except HopfwaveError as err:
         doc = {"tau": args.tau, "T_end": args.T, "seed": args.seed,
                "error": str(err)}
         return _fail(args, doc, err, EXIT_SIMULATION)
-    summary = {"tau": args.tau, "T_end": args.T, "period_estimate": period,
-               "amplitude": float(np.max(np.abs(ys))), "seed": args.seed}
+    summary = {"tau": args.tau, "T_end": args.T, "period_estimate": run.period,
+               "amplitude": float(np.max(np.abs(run.probe))), "seed": args.seed,
+               "steps": run.steps, "dt": sim.dt, "lag": sim.lag, "w": sim.w,
+               "crossings": run.crossings, "period_spread": run.period_spread,
+               "envelope_drift": run.envelope_drift}
     _emit(args, summary)
     if args.out:
-        _write_csv(_companion(args.out, ".csv"), ["t", "u_probe"], zip(ts, ys))
+        _write_csv(_companion(args.out, ".csv"), ["t", "u_probe"],
+                   zip(run.t, run.probe))
     return EXIT_OK
 
 

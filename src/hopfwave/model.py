@@ -171,10 +171,13 @@ def antiderivative_tables(coeffs: LinearizedCoeffs):
                  for f in (1.0, coeffs.b1, coeffs.b2))
 
 
-def displacement(v1, v2, a, h):
-    """u = int_0^x (v1 - v2) / (2a) along the last axis: the one displacement
-    rule, shared by the harmonic operators and the time stepper."""
-    return 0.5 * cumulative_integral((v1 - v2) / a, h)
+def displacement(diff, a, h, out=None):
+    """u = int_0^x diff / (2a) along the last axis, diff = v1 - v2: the one
+    displacement rule, shared by the harmonic operators and the time
+    stepper. out, if given, receives u as in cumulative_integral."""
+    u = cumulative_integral(diff / a, h, out=out)
+    u *= 0.5
+    return u
 
 
 def fredholm_integral(coeffs: LinearizedCoeffs) -> float:

@@ -186,7 +186,7 @@ def _transport_domega(v: np.ndarray, f: np.ndarray, omega: float,
 
 def _displacement(coef, ctx: OperatorContext):
     """Harmonics of u, shape (..., N+1, M+1)."""
-    return displacement(coef[..., 0, :], coef[..., 1, :], ctx.a, ctx.h)
+    return displacement(coef[..., 0, :] - coef[..., 1, :], ctx.a, ctx.h)
 
 
 def _delay_phase(N, omega, tau):

@@ -30,13 +30,23 @@ SETTLE_TOL = 0.05               # largest relative envelope drift of a settled t
 @dataclass
 class SimState:
     """Grid fields plus the displacement history needed for the delay,
-    advanced in place by Simulator.step; the step size is the simulator's."""
+    advanced in place by Simulator.step; the step size is the simulator's.
+    Made by Simulator.initial_state: step reads v1 - v2 from diff and keeps
+    it up to date, so fields changed by hand need diff changed too."""
 
-    v1: np.ndarray
-    v2: np.ndarray
+    v: np.ndarray            # (2, M+1): the rows v1 and v2
+    diff: np.ndarray         # v1 - v2, carried from one step to the next
     t: float
     history: np.ndarray      # ring buffer of u rows dt apart, oldest overwritten
     head: int                # index of the row of u(t), the most recent one
+
+    @property
+    def v1(self):
+        return self.v[0]
+
+    @property
+    def v2(self):
+        return self.v[1]
 
 
 class Simulator:
@@ -44,6 +54,7 @@ class Simulator:
 
     tau and dt are fixed, so u(t - tau) always lies lag and lag + 1 rows
     behind the head of the history, with the same interpolation weight.
+    A step works in buffers the simulator allocates once.
     """
 
     def __init__(self, spec: ProblemSpec, tau: float, M: int = 256):
@@ -59,9 +70,10 @@ class Simulator:
         self.h = coeffs.h
         self.tau = float(tau)
         self.dt = CFL_LIMIT * self.h / float(np.max(self.a))
-        # per-node constants of step: upwind gains dt a / h, factors of B and u4
-        self.gain_v1 = self.dt * self.a[:-1] / self.h
-        self.gain_v2 = self.dt * self.a[1:] / self.h
+        # per-node constants of step: the upwind gains dt a / h, signed for
+        # v1 (from the right) and v2 (from the left), factors of B and u4
+        self.gains = np.stack([self.dt * self.a[:-1] / self.h,
+                               -(self.dt * self.a[1:] / self.h)])
         self.half_ax = 0.5 * self.ax
         self.half_inv_a = 0.5 / self.a
         lag, self.w = divmod(self.tau / self.dt, 1.0)
@@ -71,24 +83,32 @@ class Simulator:
             raise HistoryTooLong(
                 f"tau = {self.tau:g} spans {self.tau / self.dt:.3g} steps; its "
                 f"history ring would exceed {MAX_HISTORY_BYTES} bytes")
+        # buffers of step: the arguments u2..u4 of b, dt B, the upwind terms
+        self._u2, self._u3, self._u4, self._blend, self._dtB = np.empty((5, M + 1))
+        self._dv = np.empty((2, M))
+        self._env = {"x": self.x, "lambda": spec.lam,
+                     "u2": self._u2, "u3": self._u3, "u4": self._u4}
 
     def initial_state(self, v1=None, v2=None) -> SimState:
         """Initial fields with the displacement history over [-tau, 0]: the
         constant extension of the initial displacement (standard
         delay-equation practice; the transient is discarded anyway).
         """
-        M = len(self.x) - 1
-        v1 = np.zeros(M + 1) if v1 is None else np.array(v1, dtype=float)
-        v2 = np.zeros(M + 1) if v2 is None else np.array(v2, dtype=float)
-        u0 = displacement(v1, v2, self.a, self.h)
-        hist = np.tile(u0, (self.n_hist, 1))
-        return SimState(v1=v1, v2=v2, t=0.0, history=hist, head=self.n_hist - 1)
+        v = np.zeros((2, len(self.x)))
+        for row, field in zip(v, (v1, v2)):
+            if field is not None:
+                row[:] = field
+        diff = v[0] - v[1]
+        hist = np.tile(displacement(diff, self.a, self.h), (self.n_hist, 1))
+        return SimState(v=v, diff=diff, t=0.0, history=hist, head=self.n_hist - 1)
 
     def _delayed_displacement(self, state: SimState):
-        """u(t - tau), linear between the two history rows around it."""
+        """u(t - tau), linear between the two history rows around it; the
+        result is the simulator's u2 buffer."""
         rows, i0 = state.history, state.head - self.lag
-        return (1.0 - self.w) * rows[i0 % self.n_hist] \
-            + self.w * rows[(i0 - 1) % self.n_hist]
+        u2 = np.multiply(rows[i0 % self.n_hist], 1.0 - self.w, out=self._u2)
+        u2 += np.multiply(rows[(i0 - 1) % self.n_hist], self.w, out=self._blend)
+        return u2
 
     def step(self, state: SimState) -> None:
         """Advance state in place by one upwind step of size dt; boundary
@@ -97,38 +117,52 @@ class Simulator:
         u(t) is the head row of the history, written by the previous step;
         the step moves the head on by one row and writes u(t + dt) there.
         """
-        v1, v2, dt = state.v1, state.v2, self.dt
-        diff = v1 - v2
-        env = {"x": self.x, "lambda": self.spec.lam,
-               "u1": state.history[state.head],
-               "u2": self._delayed_displacement(state),
-               "u3": 0.5 * (v1 + v2), "u4": diff * self.half_inv_a}
-        # a fresh grid array even when b is constant in x
-        dtB = self.spec.b.eval(env) - self.half_ax * diff
-        dtB *= dt
-        new_v1 = v1 + dtB
-        new_v2 = v2 + dtB
-        # v1 rides leftward characteristics: upwind from the right
-        new_v1[:-1] += self.gain_v1 * (v1[1:] - v1[:-1])
-        # v2 rides rightward characteristics: upwind from the left
-        new_v2[1:] -= self.gain_v2 * (v2[1:] - v2[:-1])
-        new_v1[-1] = new_v2[-1]
-        new_v2[0] = -new_v1[0]
-        state.v1, state.v2, state.t = new_v1, new_v2, state.t + dt
+        v, diff, env = state.v, state.diff, self._env
+        env["u1"] = state.history[state.head]
+        self._delayed_displacement(state)
+        u3 = np.add(v[0], v[1], out=self._u3)
+        u3 *= 0.5
+        np.multiply(diff, self.half_inv_a, out=self._u4)
+        # dt B = dt (b - ax (v1 - v2) / 2), a grid array even when b is
+        # constant in x
+        dtB = np.multiply(self.half_ax, diff, out=self._dtB)
+        np.subtract(self.spec.b.eval(env), dtB, out=dtB)
+        dtB *= self.dt
+        # upwind differences of the old fields, times the signed gains
+        dv = np.subtract(v[:, 1:], v[:, :-1], out=self._dv)
+        dv *= self.gains
+        v += dtB
+        v[0, :-1] += dv[0]      # v1 rides leftward characteristics
+        v[1, 1:] += dv[1]       # v2 rides rightward characteristics
+        v[0, -1] = v[1, -1]
+        v[1, 0] = -v[0, 0]
+        np.subtract(v[0], v[1], out=diff)
+        state.t += self.dt
         state.head = (state.head + 1) % self.n_hist
-        state.history[state.head] = displacement(new_v1, new_v2, self.a, self.h)
+        displacement(diff, self.a, self.h, out=state.history[state.head])
 
 
-def _period_from_crossings(ts, ys):
-    """Mean spacing of upward zero crossings with sub-step interpolation."""
+def _crossing_gaps(ts, ys):
+    """Spacings of the upward zero crossings, with sub-step interpolation."""
     sign_change = (ys[:-1] < 0.0) & (ys[1:] >= 0.0)
     idx = np.nonzero(sign_change)[0]
-    if len(idx) < 3:
-        return None
     frac = -ys[idx] / (ys[idx + 1] - ys[idx])
     crossings = ts[idx] + frac * (ts[idx + 1] - ts[idx])
-    gaps = np.diff(crossings)
-    return float(np.mean(gaps))
+    return np.diff(crossings)
+
+
+@dataclass(frozen=True)
+class OrbitRun:
+    """What run_to_orbit measured: the period, the probe over the tail and
+    the counts behind them."""
+
+    period: float            # mean of the zero-crossing gaps
+    t: np.ndarray            # tail times
+    probe: np.ndarray        # u at the probe node over the tail
+    steps: int               # steps taken, ceil(T_end / dt)
+    crossings: int           # zero-crossing gaps averaged into period
+    period_spread: float     # largest minus smallest of those gaps
+    envelope_drift: float    # relative change of the envelope across the tail
 
 
 def run_to_orbit(sim: Simulator, state: SimState, T_end: float):
@@ -136,8 +170,7 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float):
     the probe over the last 20 percent only, estimate the period.
 
     The tail record is allocated before the first step, so a horizon too
-    long for memory fails at once. Returns (period, tail_times,
-    tail_probe). Raises NoOscillationDetected when the tail is too short
+    long for memory fails at once. Returns an OrbitRun. Raises NoOscillationDetected when the tail is too short
     to judge, when the probe amplitude sinks below NOISE_FLOOR (decay to
     the trivial state) or when the amplitude envelope drifts by more than
     SETTLE_TOL across the tail (no settled limit cycle: for instance an
@@ -173,8 +206,11 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float):
             f"amplitude envelope still drifting ({100 * drift:.1f}% across the "
             "tail): oscillation has not settled onto an orbit (amplitude is "
             "not decaying to zero either)", amplitude=amp, settled=False)
-    period = _period_from_crossings(tail_t, tail_y)
-    if period is None:
+    gaps = _crossing_gaps(tail_t, tail_y)
+    if len(gaps) < 2:
         raise NoOscillationDetected("too few zero crossings in the tail",
                                     amplitude=amp, settled=False)
-    return period, tail_t, tail_y
+    return OrbitRun(period=float(np.mean(gaps)), t=tail_t, probe=tail_y,
+                    steps=n_steps, crossings=len(gaps),
+                    period_spread=float(np.max(gaps) - np.min(gaps)),
+                    envelope_drift=drift)

@@ -6,7 +6,9 @@ before its step matrices were built elementwise, the point-query transport
 kernels, brute-force time-domain oracles of the transport operators, the
 linearized source, the reconstructed displacement field, the direction
 evaluation from a serialized certificate, and time-stepper states with a
-given history, among them one seeded on a computed orbit.
+given history, among them one seeded on a computed orbit, and the
+cumulative quadrature and time step as they were before they were cut to
+fewer numpy calls.
 
 Fields are coefficient arrays of shape (..., N+1, 2, M+1), as in
 `hopfwave.periodic`."""
@@ -380,7 +382,93 @@ def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
     """
     v_hat = cubic_interp(orbit.v, 0.0, ctx.h, sim.x)    # (N+1, 2, M+1)
     v1_hat, v2_hat = v_hat[:, 0], v_hat[:, 1]
-    u_hat = displacement(v1_hat, v2_hat, sim.a, sim.h)
+    u_hat = displacement(v1_hat - v2_hat, sim.a, sim.h)
     v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0])[:, 0]
     return state_with_history(
         sim, lambda t: harmonic_synthesis(u_hat, [orbit.omega * t])[0], v1=v1, v2=v2)
+
+
+def cumulative_integral_reference(y, h):
+    """`quadrature.cumulative_integral` before its interior terms shared one
+    13 y and ran in place: each term a fresh array, both end intervals as
+    array expressions."""
+    y = np.asarray(y)
+    n = y.shape[-1]
+    if n < 4:
+        raise ValueError("cumulative_integral needs at least 4 nodes")
+    inc = np.empty(y.shape[:-1] + (n - 1,), dtype=y.dtype)
+    # first interval: one-sided cubic through nodes 0..3
+    inc[..., 0] = (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2] + y[..., 3]) * (h / 24.0)
+    # interior intervals [j, j+1] with stencil j-1..j+2
+    inc[..., 1:-1] = (
+        -y[..., :-3] + 13 * y[..., 1:-2] + 13 * y[..., 2:-1] - y[..., 3:]
+    ) * (h / 24.0)
+    # last interval mirrored
+    inc[..., -1] = (y[..., -4] - 5 * y[..., -3] + 19 * y[..., -2] + 9 * y[..., -1]) * (h / 24.0)
+    out = np.zeros(y.shape, dtype=inc.dtype)
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    return out
+
+
+@dataclass
+class ReferenceState:
+    """The time-stepper state as the reference step advances it: separate
+    v1 and v2 arrays, rebound by each step, and no carried v1 - v2."""
+
+    v1: np.ndarray
+    v2: np.ndarray
+    t: float
+    history: np.ndarray
+    head: int
+
+    @classmethod
+    def copy_of(cls, state: SimState):
+        return cls(state.v1.copy(), state.v2.copy(), state.t,
+                   state.history.copy(), state.head)
+
+
+class ReferenceStepper:
+    """`Simulator.step` before it carried v1 - v2, worked in buffers and
+    fused its two upwind products, with the per-node constants it read;
+    `step` and `_delayed_displacement` are the old bodies verbatim, and the
+    displacement is the old rule over cumulative_integral_reference."""
+
+    def __init__(self, sim: Simulator):
+        self.spec, self.x, self.a, self.h = sim.spec, sim.x, sim.a, sim.h
+        self.dt, self.lag, self.w, self.n_hist = sim.dt, sim.lag, sim.w, sim.n_hist
+        self.gain_v1 = self.dt * self.a[:-1] / self.h
+        self.gain_v2 = self.dt * self.a[1:] / self.h
+        self.half_ax = 0.5 * sim.ax
+        self.half_inv_a = 0.5 / self.a
+
+    @staticmethod
+    def displacement(v1, v2, a, h):
+        return 0.5 * cumulative_integral_reference((v1 - v2) / a, h)
+
+    def _delayed_displacement(self, state):
+        """u(t - tau), linear between the two history rows around it."""
+        rows, i0 = state.history, state.head - self.lag
+        return (1.0 - self.w) * rows[i0 % self.n_hist] \
+            + self.w * rows[(i0 - 1) % self.n_hist]
+
+    def step(self, state: ReferenceState) -> None:
+        v1, v2, dt = state.v1, state.v2, self.dt
+        diff = v1 - v2
+        env = {"x": self.x, "lambda": self.spec.lam,
+               "u1": state.history[state.head],
+               "u2": self._delayed_displacement(state),
+               "u3": 0.5 * (v1 + v2), "u4": diff * self.half_inv_a}
+        # a fresh grid array even when b is constant in x
+        dtB = self.spec.b.eval(env) - self.half_ax * diff
+        dtB *= dt
+        new_v1 = v1 + dtB
+        new_v2 = v2 + dtB
+        # v1 rides leftward characteristics: upwind from the right
+        new_v1[:-1] += self.gain_v1 * (v1[1:] - v1[:-1])
+        # v2 rides rightward characteristics: upwind from the left
+        new_v2[1:] -= self.gain_v2 * (v2[1:] - v2[:-1])
+        new_v1[-1] = new_v2[-1]
+        new_v2[0] = -new_v1[0]
+        state.v1, state.v2, state.t = new_v1, new_v2, state.t + dt
+        state.head = (state.head + 1) % self.n_hist
+        state.history[state.head] = self.displacement(new_v1, new_v2, self.a, self.h)

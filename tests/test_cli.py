@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfwave import cli
+from hopfwave import cli, timedomain
 from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec
 from oracles import direction_from_document
@@ -239,6 +240,23 @@ def test_simulate_command(tmp_path):
     assert doc["period_estimate"] > 0
     csv_path = out.with_suffix(".csv")
     assert csv_path.read_text().splitlines()[0] == "t,u_probe"
+
+
+def test_simulate_diagnostics(tmp_path):
+    # the counts behind period_estimate follow the existing keys
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", cfg, "--tau", "1.6", "--T", "120",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["tau", "T_end", "period_estimate", "amplitude", "seed",
+                         "steps", "dt", "lag", "w", "crossings",
+                         "period_spread", "envelope_drift"]
+    assert doc["steps"] == math.ceil(120 / doc["dt"])
+    assert doc["lag"] + doc["w"] == pytest.approx(1.6 / doc["dt"], rel=1e-12)
+    assert doc["crossings"] >= 2
+    assert 0.0 <= doc["period_spread"] < doc["period_estimate"]
+    assert doc["envelope_drift"] <= timedomain.SETTLE_TOL
 
 
 def test_simulate_negative_delay(tmp_path):

@@ -7,7 +7,9 @@ import pytest
 from hopfwave import cli, model, timedomain
 from hopfwave.errors import NegativeDelayUnsupported, NoOscillationDetected
 from hopfwave.model import ProblemSpec
-from oracles import seed_from_orbit, state_with_history
+from oracles import ReferenceState, ReferenceStepper, seed_from_orbit, state_with_history
+
+SUPER = Path(__file__).resolve().parents[1] / "configs" / "benchmark_super.json"
 
 
 def test_zero_state_stays_zero(spec_cubic_down):
@@ -54,7 +56,7 @@ def test_boundary_rows_exact(cert_down, ctx_down, super_orbit):
 def test_period_matches_orbit(cert_down, ctx_down, super_orbit):
     sim = timedomain.Simulator(ctx_down.spec, tau=super_orbit.tau, M=128)
     state = seed_from_orbit(sim, super_orbit, ctx_down)
-    period, ts, ys = timedomain.run_to_orbit(sim, state, 120.0)
+    period = timedomain.run_to_orbit(sim, state, 120.0).period
     expected = 2 * np.pi / super_orbit.omega
     assert abs(period - expected) / expected < 0.02
 
@@ -64,7 +66,7 @@ def test_refinement_consistency(cert_down, ctx_down, super_orbit):
     for M in (64, 128, 256):
         sim = timedomain.Simulator(ctx_down.spec, tau=super_orbit.tau, M=M)
         state = seed_from_orbit(sim, super_orbit, ctx_down)
-        periods[M], *_ = timedomain.run_to_orbit(sim, state, 150.0)
+        periods[M] = timedomain.run_to_orbit(sim, state, 150.0).period
     d_coarse = abs(periods[128] - periods[64])
     d_fine = abs(periods[256] - periods[128])
     assert d_fine <= d_coarse + 1e-4
@@ -130,7 +132,7 @@ def test_head_row_is_displacement_of_fields(spec_cubic_down):
     for _ in range(100):
         assert np.array_equal(
             state.history[state.head],
-            model.displacement(state.v1, state.v2, sim.a, sim.h))
+            model.displacement(state.v1 - state.v2, sim.a, sim.h))
         sim.step(state)
 
 
@@ -168,6 +170,38 @@ def test_fused_step_matches_unfused_formula(seed):
         assert np.max(np.abs(got_v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
 
 
+@pytest.mark.parametrize("problem, seed", [
+    ("varying-a", 0), ("varying-a", 1), ("super", 7), ("super", None)],
+    ids=["varying-a-0", "varying-a-1", "super-random", "super-kick"])
+def test_step_bit_identical_to_reference(problem, seed):
+    # the buffered step with its carried v1 - v2 and fused upwind product
+    # against the step it replaced, through a full turn of the history ring;
+    # bytes, since np.array_equal does not tell -0.0 from +0.0
+    if problem == "varying-a":
+        spec = ProblemSpec.from_expressions(a="1 + x^2/2 + sin(3*x)/4",
+                                            b="-u1^3/6 - u2 - u3 + x*u4")
+        sim = timedomain.Simulator(spec, tau=0.7, M=64)
+    else:
+        spec, settings = cli.load_problem(str(SUPER))
+        sim = timedomain.Simulator(spec, tau=1.6, M=settings.M)
+    if seed is None:    # the initial state of the simulate command
+        kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
+        state = sim.initial_state(v1=kick, v2=kick)
+    else:               # random fields and history
+        rng, n = np.random.default_rng(seed), len(sim.x)
+        state = state_with_history(sim, lambda t: rng.standard_normal(n),
+                                   v1=rng.standard_normal(n),
+                                   v2=rng.standard_normal(n))
+    ref, ref_state = ReferenceStepper(sim), ReferenceState.copy_of(state)
+    for _ in range(sim.n_hist + 50):
+        sim.step(state)
+        ref.step(ref_state)
+        assert (state.t, state.head) == (ref_state.t, ref_state.head)
+        assert state.v1.tobytes() == ref_state.v1.tobytes()
+        assert state.v2.tobytes() == ref_state.v2.tobytes()
+    assert state.history.tobytes() == ref_state.history.tobytes()
+
+
 def test_step_advances_state_in_place(spec_cubic_down):
     # one state, advanced by the simulator's dt: the head moves one ring
     # slot on and holds the displacement of the new fields
@@ -181,14 +215,13 @@ def test_step_advances_state_in_place(spec_cubic_down):
         assert state.head == (head + 1) % sim.n_hist
         assert not np.array_equal(state.v1, v1)
         assert np.array_equal(state.history[state.head],
-                              model.displacement(state.v1, state.v2, sim.a, sim.h))
+                              model.displacement(state.v1 - state.v2, sim.a, sim.h))
 
 
 def test_benchmark_period_pinned(tmp_path):
     # value of the stepper before the delay lookup moved to fixed offsets
-    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_super.json"
     out = tmp_path / "sim.json"
-    assert cli.main(["simulate", str(config), "--tau", "1.6", "--T", "200",
+    assert cli.main(["simulate", str(SUPER), "--tau", "1.6", "--T", "200",
                      "--out", str(out)]) == 0
     period = json.loads(out.read_text())["period_estimate"]
     assert period == pytest.approx(6.330693643560994, rel=1e-9)
