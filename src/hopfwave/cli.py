@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -184,12 +185,6 @@ def certificate_document(cert: eigen.HopfCertificate) -> dict:
     return doc
 
 
-def direction_document(result: direction_mod.DirectionResult) -> dict:
-    return {"d2tau": result.d2tau, "d2tau_literature": result.d2tau_literature,
-            "indicator": result.indicator, "supercritical": result.supercritical,
-            "caveat": result.caveat}
-
-
 def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
     """Snapshot of one orbit: scalars plus harmonic coefficients as
     [re, im] pairs indexed [harmonic][component][node]."""
@@ -282,7 +277,7 @@ def _add_direction(doc, spec, cert):
     except HopfwaveError as err:
         doc["direction_error"] = str(err)
         return err
-    doc["direction"] = direction_document(result)
+    doc["direction"] = dataclasses.asdict(result)
     return None
 
 
@@ -334,7 +329,8 @@ def cmd_branch(args):
     })
     if "direction" in summary:
         d2 = summary["direction_d2tau"] = summary["direction"]["d2tau"]
-        summary["relative_gap"] = abs(branch.fit_tau_curvature - d2) / abs(d2)
+        summary["relative_gap"] = (abs(branch.fit_tau_curvature - d2) / abs(d2)
+                                   if d2 != 0.0 else None)
     _emit(args, summary)
     if args.out:
         _write_csv(_companion(args.out, ".csv"),

@@ -41,8 +41,8 @@ _CHECK_SAMPLES = 64
 class DirectionResult:
     d2tau: float
     d2tau_literature: float
-    supercritical: bool
     indicator: float        # sign(rho * d2tau)
+    supercritical: bool
     caveat: str = STABILITY_CAVEAT
 
 
@@ -82,8 +82,8 @@ def check_structure(spec: ProblemSpec, grid) -> np.ndarray:
 def tau_curvatures(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h):
     """Delay curvature with the validated prefactor -1/(4 rho) and with the
     published +3/(8 rho), from one projection integral I3 on the adjoint."""
-    if rho == 0.0:
-        raise RhoZero("direction undefined at rho = 0")
+    if not (np.isfinite(rho) and rho != 0.0):
+        raise RhoZero(f"direction undefined: rho = {rho} is zero or was never computed")
     b1c, b2c, b3c, b4c = cubic
     ed = np.exp(-1j * tau0)
     core = ((b1c + b2c * ed + 1j * b3c) * np.abs(u0) ** 2 * u0
@@ -95,14 +95,11 @@ def tau_curvatures(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h):
 
 def compute_direction(spec: ProblemSpec, cert) -> DirectionResult:
     """Direction data from a certificate (normalized adjoint convention),
-    after check_structure has passed on the certificate grid."""
+    after check_structure has passed on the certificate grid. A missing u0
+    or u* leaves rho NaN, which tau_curvatures rejects with RhoZero."""
     cubic = check_structure(spec, cert.coeffs.x)
-    if cert.u0 is None or cert.u_star is None:
-        raise RhoZero("certificate lacks eigen data; cannot evaluate direction")
-    if abs(cert.rho) == 0.0 or not np.isfinite(cert.rho):
-        raise RhoZero("crossing speed rho vanished; direction undefined")
     d2, d2_lit = tau_curvatures(cert.u0, cert.u0_prime, cert.u_star, cert.sigma,
                                 cert.rho, cert.tau0, cubic, cert.coeffs.h)
     indicator = float(np.sign(cert.rho * d2))
     return DirectionResult(d2tau=d2, d2tau_literature=d2_lit,
-                           supercritical=indicator > 0, indicator=indicator)
+                           indicator=indicator, supercritical=indicator > 0)

@@ -55,7 +55,7 @@ class AdjointInconsistent(HopfwaveError):
 
 
 class RhoZero(HopfwaveError):
-    """Crossing speed vanished."""
+    """Crossing speed zero or never computed."""
 
 
 class NotSeparable(HopfwaveError):

@@ -102,11 +102,10 @@ class LinearizedCoeffs:
 
     Arrays live on the refined grid xx (nodes plus midpoints, 2M+1 points)
     so the fixed-step RK4 shooting can evaluate at half steps; the public
-    node views slice every other point. Every field is sampled at the
-    stored lam.
+    node views slice every other point. Every field is sampled at the lam
+    passed to `linearize`.
     """
 
-    lam: float
     M: int
     xx: np.ndarray
     a: np.ndarray
@@ -155,7 +154,7 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
     a, ax, axx = sample(spec.a), sample(spec.a.diff("x")), sample(spec.a.diff("x", 2))
     b3, b4, b5, b6 = (sample(spec.b.diff(u)) for u in _UVARS)
     return LinearizedCoeffs(
-        lam=float(lam), M=M, xx=xx, a=a, ax=ax, axx=axx,
+        M=M, xx=xx, a=a, ax=ax, axx=axx,
         b3=b3, b4=b4, b5=b5, b6=b6, b6x=sample(spec.b.diff("u4").diff("x")),
         b1=0.5 * (-ax + b5 + b6 / a), b2=0.5 * (ax + b5 - b6 / a))
 

@@ -294,10 +294,9 @@ def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
     return ModeBasis(v0=v0, nrm=nrm, tau0=cert.tau0)
 
 
-def predictor(cert, eps, N, ctx: OperatorContext) -> PeriodicOrbit:
+def predictor(basis: ModeBasis, eps, N, ctx: OperatorContext) -> PeriodicOrbit:
     """Tangent-space initial guess: pure first harmonic along the critical
     mode at amplitude eps, with omega = 1 and tau at the critical delay."""
-    basis = mode_basis(cert, ctx)
     v = np.zeros((N + 1, 2, ctx.coeffs.M + 1), dtype=complex)
     v[1] = 0.5 * eps * basis.v0
     return PeriodicOrbit(v=v, omega=1.0, tau=basis.tau0, eps=eps, lam=ctx.lam)
@@ -321,13 +320,13 @@ def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
 
 def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
              harmonic_diagonal: bool = False):
-    """Exact derivative of `residual` at orbit, as a map on packed
-    directions of shape (..., n), in the residual's own packing.
+    """Exact derivative of `residual` at orbit as (apply, omega_tau): apply
+    maps packed directions (..., n) in the residual's own packing.
 
     The harmonic part applies I - C - D dB, with dB the linearization of
     apply_B from the exact partials b_{u_j} on the same collocation grid;
-    the amplitude and phase rows are linear. Two fixed columns carry the
-    analytic (omega, tau) derivatives of the phase factors.
+    the amplitude and phase rows are linear. omega_tau (2, n) holds the
+    analytic (omega, tau) columns of the phase factors, which apply adds.
 
     With harmonic_diagonal, dB uses the time averages of the partials,
     which map each harmonic to itself: the harmonic part is then
@@ -362,7 +361,7 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
         return (np.concatenate([_defect(dv, dBv, omega, ctx), rows], axis=-1)
                 + dz[..., -2:] @ omega_tau)
 
-    return apply
+    return apply, omega_tau
 
 
 RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of a block
@@ -414,9 +413,9 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     yields a column of every block at once; the probes go through the
     tangent in chunks of M+1. The k = 1 block is singular at the Hopf
     point, so it is bordered by the amplitude and phase rows and by the
-    exact (omega, tau) columns at orbit (two more applications); the other
+    exact (omega, tau) columns `_tangent` returns with it; the other
     harmonics meet those columns below the diagonal only, so the solve is
-    block lower-triangular. In all, 4(M+1) + 2 directions per build.
+    block lower-triangular. In all, 4(M+1) directions per build.
 
     Each block is inverted by `numpy.linalg.inv`, and its reciprocal 1-norm
     condition 1 / (|A|_1 |A^-1|_1) is computed exactly from that inverse.
@@ -429,8 +428,7 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     n = len(_pack(orbit))
     slices = _harmonic_slices(N, M)
     sizes = [s.stop - s.start for s in slices]
-    tangent = _tangent(orbit, ctx, basis, harmonic_diagonal=True)
-    omega_tau = tangent(np.eye(2, n, n - 2))
+    tangent, omega_tau = _tangent(orbit, ctx, basis, harmonic_diagonal=True)
     blocks = [np.empty((m, m)) for m in sizes]
     blocks[1] = np.zeros((sizes[1] + 2,) * 2)
     blocks[1][:-2, -2:] = omega_tau[:, slices[1]].T
@@ -543,7 +541,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     limit = f"iteration limit {max_iter}"
     while n_iter < max_iter:
         n_iter += 1
-        tangent = _tangent(orbit_at(z), ctx, basis)
+        tangent, _ = _tangent(orbit_at(z), ctx, basis)
         for attempt in range(2):
             step, converged, products = gmres(tangent, -r, precond,
                                               GMRES_RTOL, GMRES_MAX)
@@ -589,10 +587,12 @@ class BranchResult:
 
 
 def _fit_slope_curvature(eps, values, base):
-    """Least squares of value - base = s*eps + (c/2)*eps^2 on given points."""
+    """Least squares of value - base = s*eps + (c/2)*eps^2 on given points,
+    returning (c, s); base None fits a free intercept in its place."""
     eps = np.asarray(eps, dtype=float)
-    A = np.vstack([eps, eps ** 2 / 2.0]).T
-    sol, *_ = np.linalg.lstsq(A, np.asarray(values) - base, rcond=None)
+    cols = [eps, eps ** 2 / 2.0] + ([np.ones_like(eps)] if base is None else [])
+    rhs = np.asarray(values) - (0.0 if base is None else base)
+    sol, *_ = np.linalg.lstsq(np.vstack(cols).T, rhs, rcond=None)
     return float(sol[1]), float(sol[0])
 
 
@@ -612,7 +612,7 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
         raise ValueError("eps_grid must be at least 3 increasing positive values")
     basis = mode_basis(cert, ctx)
     orbits = []
-    guess = predictor(cert, eps_grid[0], N, ctx)
+    guess = predictor(basis, eps_grid[0], N, ctx)
     try:
         precond = block_preconditioner(guess, ctx, basis)
         for eps in eps_grid:
@@ -625,16 +625,10 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     taus = [o.tau for o in smallest]
     omegas = [o.omega for o in smallest]
     epss = [o.eps for o in smallest]
-    if ctx.lam == 0.0:
-        tau_c, tau_s = _fit_slope_curvature(epss, taus, cert.tau0)
-        om_c, om_s = _fit_slope_curvature(epss, omegas, 1.0)
-    else:
-        # the branch root moves with lambda: include a free intercept
-        A = np.vstack([np.ones(3), epss, np.square(epss) / 2.0]).T
-        tsol = np.linalg.solve(A, np.array(taus))
-        osol = np.linalg.solve(A, np.array(omegas))
-        tau_s, tau_c = float(tsol[1]), float(tsol[2])
-        om_s, om_c = float(osol[1]), float(osol[2])
+    # the branch root moves with lambda: away from 0, fit a free intercept
+    tau_base, om_base = (cert.tau0, 1.0) if ctx.lam == 0.0 else (None, None)
+    tau_c, tau_s = _fit_slope_curvature(epss, taus, tau_base)
+    om_c, om_s = _fit_slope_curvature(epss, omegas, om_base)
     return BranchResult(orbits=orbits, fit_tau_curvature=tau_c,
                         fit_tau_slope=tau_s, fit_omega_curvature=om_c,
                         fit_omega_slope=om_s,

@@ -54,7 +54,7 @@ def flagship_branch(cert_up, ctx_up):
 def super_orbit(cert_down, ctx_down):
     """A small supercritical orbit of the dissipative benchmark."""
     basis = periodic.mode_basis(cert_down, ctx_down)
-    guess = periodic.predictor(cert_down, 0.05, 8, ctx_down)
+    guess = periodic.predictor(basis, 0.05, 8, ctx_down)
     return periodic.newton_solve(guess, 0.05, ctx_down, basis)
 
 

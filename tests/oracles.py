@@ -51,7 +51,7 @@ def jacobian(orbit, ctx, basis):
     M+1 columns (one harmonic, real or imaginary part, and component) at a
     time, the (omega, tau) pair last; column norms are taken per block.
     """
-    tangent = periodic._tangent(orbit, ctx, basis)
+    tangent, _ = periodic._tangent(orbit, ctx, basis)
     n = len(periodic._pack(orbit))
     J = np.empty((n, n), order="F")
     col_norms = np.empty(n)
@@ -238,7 +238,8 @@ class CharKernels:
 
 
 def kernels(coeffs: LinearizedCoeffs) -> CharKernels:
-    """Build the cumulative tables behind c1, c2, A at coeffs.lam."""
+    """Build the cumulative tables behind c1, c2, A at the lambda coeffs was
+    linearized at."""
     F, logE1, logE2 = antiderivative_tables(coeffs)
     return CharKernels(xx=coeffs.xx, F=F, logE1=logE1, logE2=logE2)
 

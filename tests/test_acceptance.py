@@ -247,7 +247,7 @@ def test_criterion_6_resonance_detection():
     basis = periodic.mode_basis(cert, ctx)
     raised = False
     try:
-        periodic.newton_solve(periodic.predictor(cert, 0.01, 4, ctx),
+        periodic.newton_solve(periodic.predictor(basis, 0.01, 4, ctx),
                               0.01, ctx, basis)
     except JacobianSingular:
         raised = True

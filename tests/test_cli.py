@@ -156,6 +156,21 @@ def test_branch_command(tmp_path):
                - doc["eps"][0]) < 1e-15
 
 
+def test_branch_without_cubic_terms(tmp_path):
+    # d2tau is 0, so the gap to the fitted curvature has no scale: null
+    cfg = write_config(
+        tmp_path, b="-u2 - u3",
+        solver={"M": 128, "M_solve": 32, "N": 4, "K_max": 4,
+                "eps_grid": [0.01, 0.02, 0.03]})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == 0
+    doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert doc["direction_d2tau"] == 0.0
+    assert doc["relative_gap"] is None
+    assert (tmp_path / "branch.csv").exists()
+    assert (tmp_path / "branch_orbits.json").exists()
+
+
 def test_branch_deterministic(tmp_path):
     cfg = write_config(
         tmp_path,

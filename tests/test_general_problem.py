@@ -73,7 +73,7 @@ def test_direction_matches_branch(gcert, gspec):
 def test_orbit_checks_on_variable_coefficients(gcert, gspec):
     ctx = periodic.operator_context(gspec, 0.0, 64)
     basis = periodic.mode_basis(gcert, ctx)
-    orbit = periodic.newton_solve(periodic.predictor(gcert, 0.03, 6, ctx),
+    orbit = periodic.newton_solve(periodic.predictor(basis, 0.03, 6, ctx),
                                   0.03, ctx, basis)
     rec = reconstruct_u(orbit, ctx)
     assert np.max(np.abs(rec.u[:, 0])) == 0.0

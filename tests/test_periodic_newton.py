@@ -11,7 +11,7 @@ from oracles import jacobian, reconstruct_u, time_shifted
 
 def test_newton_near_hopf_point(cert_up, ctx_up):
     basis = periodic.mode_basis(cert_up, ctx_up)
-    guess = periodic.predictor(cert_up, 1e-3, 8, ctx_up)
+    guess = periodic.predictor(basis, 1e-3, 8, ctx_up)
     orbit = periodic.newton_solve(guess, 1e-3, ctx_up, basis, max_iter=5)
     assert orbit.residual_norm <= 1e-9
     assert abs(orbit.omega - 1.0) <= 1e-5
@@ -20,7 +20,7 @@ def test_newton_near_hopf_point(cert_up, ctx_up):
 
 def test_newton_eps_zero_returns_zero_orbit(cert_up, ctx_up):
     basis = periodic.mode_basis(cert_up, ctx_up)
-    guess = periodic.predictor(cert_up, 0.0, 8, ctx_up)
+    guess = periodic.predictor(basis, 0.0, 8, ctx_up)
     orbit = periodic.newton_solve(guess, 0.0, ctx_up, basis)
     assert np.max(np.abs(orbit.v)) == 0.0
     assert orbit.omega == 1.0 and orbit.tau == cert_up.tau0
@@ -87,7 +87,7 @@ def test_lambda_sweep_continuity():
     for lam in (0.0, 0.01, 0.02):
         ctx = periodic.operator_context(spec, lam, 64)
         basis = periodic.mode_basis(cert, ctx)
-        guess = periodic.predictor(cert, eps, 6, ctx)
+        guess = periodic.predictor(basis, eps, 6, ctx)
         orbits[lam] = periodic.newton_solve(guess, eps, ctx, basis)
     d_small = np.max(np.abs(orbits[0.01].v - orbits[0.0].v))
     d_large = np.max(np.abs(orbits[0.02].v - orbits[0.0].v))
@@ -109,6 +109,18 @@ def test_branch_at_nonzero_lambda():
                                                  rel=0.2)
 
 
+def test_fit_with_free_intercept_recovers_quadratic():
+    eps = [0.01, 0.02, 0.03]
+    intercept, slope, curvature = 1.5, -0.3, 0.7
+    values = [intercept + slope * e + 0.5 * curvature * e ** 2 for e in eps]
+    c, s = periodic._fit_slope_curvature(eps, values, None)
+    assert c == pytest.approx(curvature, abs=1e-9)
+    assert s == pytest.approx(slope, abs=1e-9)
+    # the intercept the free fit absorbed is the one a fixed base removes
+    assert periodic._fit_slope_curvature(eps, values, intercept) == pytest.approx(
+        (c, s), abs=1e-9)
+
+
 def test_reconstruct_boundary_conditions(super_orbit, ctx_down):
     rec = reconstruct_u(super_orbit, ctx_down, n_times=40)
     assert np.max(np.abs(rec.u[:, 0])) == 0.0            # Dirichlet edge
@@ -122,7 +134,8 @@ def test_reconstruct_boundary_conditions(super_orbit, ctx_down):
 
 
 def test_pde_residual_zero_orbit(ctx_down, cert_down):
-    orbit = periodic.predictor(cert_down, 0.0, 6, ctx_down)
+    orbit = periodic.predictor(periodic.mode_basis(cert_down, ctx_down), 0.0, 6,
+                               ctx_down)
     assert periodic.pde_residual_check(orbit, ctx_down) == 0.0
 
 
@@ -134,7 +147,7 @@ def test_pde_residual_converges_with_grid(cert_down, spec_cubic_down):
     for M in (32, 64):
         ctx = periodic.operator_context(spec_cubic_down, 0.0, M)
         basis = periodic.mode_basis(cert_down, ctx)
-        guess = periodic.predictor(cert_down, eps, 6, ctx)
+        guess = periodic.predictor(basis, eps, 6, ctx)
         orbit = periodic.newton_solve(guess, eps, ctx, basis)
         res[M] = periodic.pde_residual_check(orbit, ctx)
     assert res[32] / res[64] >= 8.0
@@ -152,7 +165,7 @@ def test_negative_delay_branch():
     assert cert.tau0 < 0
     ctx = periodic.operator_context(spec, 0.0, 32)
     basis = periodic.mode_basis(cert, ctx)
-    orbit = periodic.newton_solve(periodic.predictor(cert, 0.02, 6, ctx),
+    orbit = periodic.newton_solve(periodic.predictor(basis, 0.02, 6, ctx),
                                   0.02, ctx, basis)
     assert orbit.tau == pytest.approx(tau_neg, abs=1e-3)
     assert orbit.residual_norm <= 1e-9
@@ -160,7 +173,7 @@ def test_negative_delay_branch():
 
 def test_no_convergence_names_iteration_limit(cert_down, ctx_down):
     basis = periodic.mode_basis(cert_down, ctx_down)
-    guess = periodic.predictor(cert_down, 0.3, 4, ctx_down)
+    guess = periodic.predictor(basis, 0.3, 4, ctx_down)
     with pytest.raises(NoConvergence,
                        match=r"iteration limit 1 after 1 iterations and 1 "
                              r"preconditioner builds"):
@@ -196,7 +209,7 @@ def test_newton_resolves_tau_near_hopf_point(cert_up, ctx_up):
     # still iterate to roundoff to resolve tau - tau0 ~ d2tau eps^2 / 2
     eps = 1e-3
     basis = periodic.mode_basis(cert_up, ctx_up)
-    guess = periodic.predictor(cert_up, eps, 8, ctx_up)
+    guess = periodic.predictor(basis, eps, 8, ctx_up)
     orbit = periodic.newton_solve(guess, eps, ctx_up, basis)
     assert orbit.residual_norm <= 1e-14
     d2tau = (3 / 16) * (2 / np.pi) ** 2
@@ -238,7 +251,7 @@ def test_gmres_failure_rebuilds_preconditioner_once(cert_down, ctx_down,
 
     monkeypatch.setattr(periodic, "gmres", recording)
     basis = periodic.mode_basis(cert_down, ctx_down)
-    guess = periodic.predictor(cert_down, 0.02, 8, ctx_down)
+    guess = periodic.predictor(basis, 0.02, 8, ctx_down)
     zero = SimpleNamespace(matvec=np.zeros_like)
     orbit = periodic.newton_solve(guess, 0.02, ctx_down, basis, precond=zero)
     assert failed[0]
@@ -286,7 +299,7 @@ def test_jacobian_matches_central_differences():
     cert = eigen.certify(spec, 1.4, M=128, K_max=4)
     ctx = periodic.operator_context(spec, lam, M)
     basis = periodic.mode_basis(cert, ctx)
-    orbit = periodic.newton_solve(periodic.predictor(cert, eps, N, ctx),
+    orbit = periodic.newton_solve(periodic.predictor(basis, eps, N, ctx),
                                   eps, ctx, basis)
     J, anorm = jacobian(orbit, ctx, basis)
     assert J.flags.f_contiguous
@@ -322,7 +335,7 @@ def test_resonance_detected_with_live_delay_column():
         flags={"pass": False}, coeffs=co)
     ctx = periodic.operator_context(spec, 0.0, 32)
     basis = periodic.mode_basis(cert, ctx)
-    guess = periodic.predictor(cert, 0.01, 4, ctx)
+    guess = periodic.predictor(basis, 0.01, 4, ctx)
     J, _ = jacobian(guess, ctx, basis)
     assert np.max(np.abs(J[:, -1])) > 1e-3
     # the numerical null space lives on harmonic 3 alone
@@ -355,7 +368,7 @@ def _live_delay_resonance():
 
 def test_resonance_error_names_harmonic():
     cert, ctx, basis = _live_delay_resonance()
-    guess = periodic.predictor(cert, 0.01, 4, ctx)
+    guess = periodic.predictor(basis, 0.01, 4, ctx)
     with pytest.raises(JacobianSingular, match=r"harmonic 3 \(.*resonance at 3i"
                        ) as info:
         periodic.newton_solve(guess, 0.01, ctx, basis)
@@ -370,8 +383,8 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # packing offset breaks the round trip
     basis = periodic.mode_basis(cert_down, ctx_down)
     precond = periodic.block_preconditioner(super_orbit, ctx_down, basis)
-    tangent = periodic._tangent(super_orbit, ctx_down, basis,
-                                harmonic_diagonal=True)
+    tangent, _ = periodic._tangent(super_orbit, ctx_down, basis,
+                                   harmonic_diagonal=True)
     rng = np.random.default_rng(8)
     n = len(periodic._pack(super_orbit))
     for z in rng.normal(size=(3, n)):
@@ -387,10 +400,10 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
         assert precond.rcond[k] == pytest.approx(1 / np.linalg.cond(blk, 1),
                                                  rel=1e-12)
     # at v = 0 the harmonic-diagonal tangent is the exact tangent
-    trivial = periodic.predictor(cert_down, 0.0, 8, ctx_down)
+    trivial = periodic.predictor(basis, 0.0, 8, ctx_down)
     z = rng.normal(size=(2, n))
-    exact = periodic._tangent(trivial, ctx_down, basis)(z)
-    diag = periodic._tangent(trivial, ctx_down, basis, harmonic_diagonal=True)(z)
+    exact = periodic._tangent(trivial, ctx_down, basis)[0](z)
+    diag = periodic._tangent(trivial, ctx_down, basis, harmonic_diagonal=True)[0](z)
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
@@ -399,17 +412,17 @@ def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):
     tangent = periodic._tangent
 
     def counting(*args, **kwargs):
-        apply = tangent(*args, **kwargs)
+        apply, omega_tau = tangent(*args, **kwargs)
 
         def counted(dz):
             directions.append(int(np.prod(np.shape(dz)[:-1])))
             return apply(dz)
-        return counted
+        return counted, omega_tau
 
     monkeypatch.setattr(periodic, "_tangent", counting)
     basis = periodic.mode_basis(cert_down, ctx_down)
     periodic.block_preconditioner(super_orbit, ctx_down, basis)
-    assert sum(directions) <= 4 * (ctx_down.coeffs.M + 1) + 2
+    assert sum(directions) == 4 * (ctx_down.coeffs.M + 1)
 
 
 def test_branch_at_fine_grid_without_dense_matrix(cert_down, spec_cubic_down):

@@ -210,11 +210,11 @@ def test_inner_product_matches_brute_force(gctx):
 
 
 def test_predictor_properties(cert_up, ctx_up):
-    orb0 = periodic.predictor(cert_up, 0.0, 6, ctx_up)
+    basis = periodic.mode_basis(cert_up, ctx_up)
+    orb0 = periodic.predictor(basis, 0.0, 6, ctx_up)
     assert np.max(np.abs(orb0.v)) == 0.0 and orb0.omega == 1.0 and orb0.tau == cert_up.tau0
     eps = 0.01
-    orb = periodic.predictor(cert_up, eps, 6, ctx_up)
-    basis = periodic.mode_basis(cert_up, ctx_up)
+    orb = periodic.predictor(basis, eps, 6, ctx_up)
     proj = basis.projection(orb.v, ctx_up.h)
     assert proj.real / basis.nrm == pytest.approx(eps, abs=1e-12)
     assert proj.imag == pytest.approx(0.0, abs=1e-14)
@@ -228,14 +228,14 @@ def test_predictor_properties(cert_up, ctx_up):
 
 def test_residual_of_zero_predictor(cert_up, ctx_up):
     basis = periodic.mode_basis(cert_up, ctx_up)
-    orb = periodic.predictor(cert_up, 0.0, 6, ctx_up)
+    orb = periodic.predictor(basis, 0.0, 6, ctx_up)
     r = periodic.residual(orb, ctx_up, basis)
     field_part = r[:-2]
     assert np.max(np.abs(field_part)) == 0.0
 
 
 def test_critical_mode_is_linear_fixed_point(cert_up, ctx_up):
-    orb = periodic.predictor(cert_up, 1.0, 6, ctx_up)
+    orb = periodic.predictor(periodic.mode_basis(cert_up, ctx_up), 1.0, 6, ctx_up)
     v = orb.v
     lin = (v
            - periodic.apply_C(v, 1.0, ctx_up)
@@ -336,7 +336,7 @@ def test_operators_leave_inputs_unchanged(gctx):
         periodic.flatten(v)
         assert np.array_equal(v, before)
     orbit_v = orbit.v.copy()
-    tangent = periodic._tangent(orbit, gctx, basis)
+    tangent, _ = periodic._tangent(orbit, gctx, basis)
     n = len(periodic._pack(orbit))
     for dz in (rng.normal(size=n), rng.normal(size=(3, n))):
         before = dz.copy()
