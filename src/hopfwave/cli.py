@@ -15,9 +15,10 @@ Unknown keys are rejected, and so are values of the wrong type: a, b and
 the beta entries are strings; lambda, tau_guess and the eps_grid entries
 real numbers; N >= 1, M >= 16, M_solve >= 16 (a divisor of M), K_max >= 2
 and max_iter >= 1 integers. The certification and orbit tolerances are
-fixed (eigen.TOL_*, periodic.TOL_ORBIT). Outputs are UTF-8 JSON (complex
-numbers as [re, im] pairs, numbers never computed as null) and CSV with a
-header row and LF line endings.
+fixed (eigen.TOL_*, periodic.TOL_ORBIT). Outputs are UTF-8 JSON, each
+document on one line followed by LF (complex numbers as [re, im] pairs,
+numbers never computed as null, floats as their shortest repr), and CSV
+with a header row and LF line endings.
 Every command is deterministic given the file and the seed, which is
 recorded in the output.
 
@@ -200,9 +201,9 @@ def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
 def branch_diagnostics(branch: periodic.BranchResult) -> dict:
     """Solver counts of a branch, per eps where they vary: preconditioner
     builds, Newton iterations, tangent products inside GMRES, line-search
-    halvings, and the smallest block reciprocal condition with its
-    harmonic. Counts only, no timings, so the document stays
-    byte-identical for the same file and seed."""
+    halvings, the smallest block reciprocal condition with its harmonic,
+    and why each solve stopped. Counts and labels only, no timings, so the
+    document stays byte-identical for the same file and seed."""
     rcond, harmonic = min((float(r[k]), k) for r in branch.rconds
                           for k in range(len(r)))
     return {
@@ -212,11 +213,13 @@ def branch_diagnostics(branch: periodic.BranchResult) -> dict:
         "line_search_halvings": [o.stats.halvings for o in branch.orbits],
         "min_block_rcond": rcond,
         "min_block_rcond_harmonic": harmonic,
+        "newton_stop": [o.stats.stop for o in branch.orbits],
     }
 
 
 def _dumps(doc):
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+    """One line of JSON: without indent, json runs its C encoder."""
+    return json.dumps(doc, ensure_ascii=False)
 
 
 def _write_json(path, doc):

@@ -249,6 +249,8 @@ class NewtonStats:
     matvecs: int            # tangent products inside GMRES
     halvings: int           # line-search step halvings
     rconds: tuple           # per-harmonic block rcond of each preconditioner built
+    stop: str               # why iteration stopped: "roundoff floor",
+                            # "no decrease" or "iteration limit"
 
 
 @dataclass
@@ -508,11 +510,14 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     Each step solves the `_tangent` system by `gmres`, preconditioned by
     `precond`, a `block_preconditioner` (built at the guess if not given,
     rebuilt at the current point if GMRES fails above TOL_ORBIT). A trial
-    step on which b leaves its domain fails and is halved. The solve stops
-    when a full step no longer lowers a residual at or below TOL_ORBIT;
-    otherwise NoConvergence names the line search or the iteration limit.
-    Unknowns are the harmonics plus (omega, tau). The returned orbit's
-    `stats` count the iterations, tangent products, halvings and builds.
+    step on which b leaves its domain fails and is halved. Once the
+    residual is at or below TOL_ORBIT, steps are taken in full, and the
+    solve stops at the roundoff floor: after the first step that lowers
+    the residual by a smaller factor than the step before it did, or at a
+    step that does not lower it at all. Above TOL_ORBIT, NoConvergence
+    names the line search or the iteration limit. Unknowns are the
+    harmonics plus (omega, tau). The returned orbit's `stats` count the
+    iterations, tangent products, halvings and builds, and name the stop.
     """
     N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
     z = _pack(replace(guess, eps=eps))
@@ -538,7 +543,8 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
         # only at the trivial orbit, the bifurcation point itself, is the
         # Newton matrix legitimately singular
         build()
-    limit = f"iteration limit {max_iter}"
+    stop = "iteration limit"
+    contraction = np.inf    # rn_new / rn of the last accepted step
     while n_iter < max_iter:
         n_iter += 1
         tangent, _ = _tangent(orbit_at(z), ctx, basis)
@@ -561,10 +567,18 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
                 break
         halvings += i
         if not rn_new < rn:
-            limit = "line search"
+            stop = "no decrease" if rn <= TOL_ORBIT else "line search"
             break
-        z, r, rn = z + t * step, r_new, rn_new
+        # quadratic convergence contracts each step more than the last; a
+        # step from below TOL_ORBIT that does not has met the roundoff floor
+        ratio = rn_new / rn
+        at_floor = rn <= TOL_ORBIT and ratio >= contraction
+        z, r, rn, contraction = z + t * step, r_new, rn_new, ratio
+        if at_floor:
+            stop = "roundoff floor"
+            break
     if rn > TOL_ORBIT:
+        limit = f"iteration limit {max_iter}" if stop == "iteration limit" else stop
         raise NoConvergence(
             f"orbit residual {rn:.3e} above {TOL_ORBIT:.1e}: stopped by "
             f"the {limit} after {n_iter} iterations and {len(rconds)} "
@@ -572,7 +586,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
     out = orbit_at(z)
     out.residual_norm = rn
     out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
-                            halvings=halvings, rconds=tuple(rconds))
+                            halvings=halvings, rconds=tuple(rconds), stop=stop)
     return out
 
 
@@ -596,15 +610,29 @@ def _fit_slope_curvature(eps, values, base):
     return float(sol[1]), float(sol[0])
 
 
+def _secant(prev: PeriodicOrbit, last: PeriodicOrbit, eps) -> PeriodicOrbit:
+    """Linear extrapolation in eps of v, omega and tau through two orbits."""
+    s = (eps - last.eps) / (last.eps - prev.eps)
+    return PeriodicOrbit(v=last.v + s * (last.v - prev.v),
+                         omega=last.omega + s * (last.omega - prev.omega),
+                         tau=last.tau + s * (last.tau - prev.tau),
+                         eps=eps, lam=last.lam)
+
+
 def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
                     max_iter: int = 30) -> BranchResult:
-    """March the orbit family over increasing eps, Newton from the previous
-    point, then fit the delay and frequency laws on the three smallest eps.
+    """March the orbit family over increasing eps by Newton, then fit the
+    delay and frequency laws on the three smallest eps.
 
-    One `block_preconditioner`, condition-checked at the first predictor,
-    preconditions every solve; `rconds` lists its block conditions and
-    those of any rebuild inside a solve. A solver error carries the last
-    good amplitude as `last_good`.
+    The first amplitude starts from the tangent-space `predictor`, the
+    second from the first orbit, and every later one from the secant
+    through the two previous orbits (Allgower & Georg 1990). If the solve
+    from the secant raises EvalDomainError or NoConvergence, it is repeated
+    from the previous orbit; each orbit's `stats` count the solve that
+    succeeded. One `block_preconditioner`, condition-checked at the first
+    predictor, preconditions every solve; `rconds` lists its block
+    conditions and those of any rebuild inside a solve. A solver error
+    carries the last good amplitude as `last_good`.
     """
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3 or any(e <= 0 for e in eps_grid) \
@@ -616,8 +644,17 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     try:
         precond = block_preconditioner(guess, ctx, basis)
         for eps in eps_grid:
-            guess = newton_solve(guess, eps, ctx, basis, max_iter, precond)
-            orbits.append(guess)
+            orbit = None
+            if len(orbits) >= 2:
+                try:
+                    orbit = newton_solve(_secant(*orbits[-2:], eps), eps, ctx,
+                                         basis, max_iter, precond)
+                except (EvalDomainError, NoConvergence):
+                    pass    # solve again from the previous orbit
+            if orbit is None:
+                orbit = newton_solve(orbits[-1] if orbits else guess, eps, ctx,
+                                     basis, max_iter, precond)
+            orbits.append(orbit)
     except HopfwaveError as err:
         err.last_good = orbits[-1].eps if orbits else None
         raise

@@ -219,6 +219,34 @@ def test_outputs_identical_across_processes(tmp_path, args, runs):
         assert result == results[0]
 
 
+def _strict_json_line(path):
+    """The document in path, which must be one line of JSON plus LF with
+    no NaN or Infinity token."""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1, path.name
+    return json.loads(text, parse_constant=pytest.fail)
+
+
+def test_documents_are_one_strict_json_line(tmp_path):
+    cfg = write_config(
+        tmp_path, solver={"M": 128, "M_solve": 32, "N": 4, "K_max": 4,
+                          "eps_grid": [0.02, 0.03, 0.04]})
+    for args in (["certificate"], ["direction"], ["branch"],
+                 ["simulate", "--tau", "1.6", "--T", "120"]):
+        out = tmp_path / f"{args[0]}.json"
+        assert run_cli(args[0], cfg, *args[1:], "--out", str(out)) == 0
+    docs = {p.name: _strict_json_line(p) for p in tmp_path.glob("*.json")
+            if p.name != "prob.json"}
+    assert sorted(docs) == ["branch.json", "branch_orbits.json",
+                            "certificate.json", "direction.json",
+                            "simulate.json"]
+    # why each solve stopped, after the existing diagnostics
+    diag = docs["branch.json"]["diagnostics"]
+    assert list(diag)[-2:] == ["min_block_rcond_harmonic", "newton_stop"]
+    assert len(diag["newton_stop"]) == 3
+    assert set(diag["newton_stop"]) <= {"roundoff floor", "no decrease"}
+
+
 def test_branch_rejects_degenerate_grid(tmp_path):
     cfg = write_config(tmp_path, solver={"eps_grid": [0]})
     assert run_cli("branch", cfg) == 2

@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfwave import exprlang
 from hopfwave.errors import EvalDomainError, ParseError, UnknownIdentifier
@@ -240,8 +240,12 @@ def _walk(e, env):
     if isinstance(e, E.Fun):
         return getattr(np, e.name)(_walk(e.arg, env))
     if isinstance(e, E.Pow):
-        b = _walk(e.base, env)
-        return b ** e.n if e.n >= 0 else 1.0 / b ** (-e.n)
+        # IEEE powers, as the compiled products give them: an overflow is
+        # inf, where a Python float's ** raises OverflowError; a scalar
+        # power goes back to a Python float, so 1/0 still raises
+        p = np.float64(_walk(e.base, env)) ** abs(e.n)
+        p = float(p) if np.ndim(p) == 0 else p
+        return p if e.n >= 0 else 1.0 / p
     a, b = _walk(e.a, env), _walk(e.b, env)
     return {"+": operator.add, "-": operator.sub,
             "*": operator.mul, "/": operator.truediv}[e.op](a, b)
@@ -290,8 +294,17 @@ def _outcome(fn, e, env):
         return None
 
 
+# a power that overflows: the compiled products give inf and 1/inf = 0, on
+# a constant base and on a base in u1 with a scalar and an array env
+_HUGE = E.BinOp("/", E.Num(1.0), E.Num(4.98e-262))
+_HUGE_U1 = E.BinOp("/", E.Var("u1"), E.Num(4.98e-262))
+
+
 @PROPERTY
 @given(TREES, ENVS)
+@example(E.Pow(_HUGE, -2), {v: 0.0 for v in exprlang.VARIABLES})
+@example(E.Pow(_HUGE_U1, -2), {v: 1.0 for v in exprlang.VARIABLES})
+@example(E.Pow(_HUGE_U1, -2), {v: np.ones(3) for v in exprlang.VARIABLES})
 def test_compiled_eval_matches_tree_walk(e, env):
     want = _outcome(reference_eval, e, env)
     got = _outcome(lambda e, env: e.eval(env), e, env)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopfwave import direction, eigen, periodic
-from hopfwave.errors import JacobianSingular, NoConvergence
+from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec, linearize
 from oracles import jacobian, reconstruct_u, time_shifted
 
@@ -202,6 +202,53 @@ def test_dissipative_branch_converges(cert_down, ctx_down):
     br = periodic.continue_branch(cert_down, [0.01, 0.02, 0.03, 0.04, 0.05],
                                   ctx_down, 8)
     assert all(o.residual_norm <= periodic.TOL_ORBIT for o in br.orbits)
+    # below TOL_ORBIT Newton stops at the first step that contracts less
+    # than the one before; iterating on rounding noise took up to 9 steps
+    assert all(o.stats.iterations <= 5 for o in br.orbits)
+    assert all(o.stats.stop in ("roundoff floor", "no decrease")
+               for o in br.orbits)
+
+
+def test_flagship_branch_tangent_products(flagship_branch):
+    # the secant predictor and the roundoff-floor stop; 179 products
+    # without either
+    assert sum(o.stats.matvecs for o in flagship_branch.orbits) <= 120
+
+
+@pytest.mark.parametrize("error", [EvalDomainError("not finite"),
+                                   NoConvergence("line search")],
+                         ids=["domain", "convergence"])
+def test_secant_failure_solves_from_previous_orbit(cert_down, spec_cubic_down,
+                                                   monkeypatch, error):
+    # a failed solve from the secant guess is repeated from the previous
+    # orbit, which gives the orbits of a march without the predictor
+    ctx = periodic.operator_context(spec_cubic_down, 0.0, 32)
+    eps_grid, N = [0.01, 0.02, 0.03, 0.04], 4
+    basis = periodic.mode_basis(cert_down, ctx)
+    guess = periodic.predictor(basis, eps_grid[0], N, ctx)
+    precond = periodic.block_preconditioner(guess, ctx, basis)
+    want = []
+    for eps in eps_grid:
+        guess = periodic.newton_solve(guess, eps, ctx, basis, precond=precond)
+        want.append(guess)
+    secants, secant, solve = [], periodic._secant, periodic.newton_solve
+
+    def recording(*args):
+        secants.append(secant(*args))
+        return secants[-1]
+
+    def failing(guess, *args, **kwargs):
+        if any(guess is s for s in secants):
+            raise error
+        return solve(guess, *args, **kwargs)
+
+    monkeypatch.setattr(periodic, "_secant", recording)
+    monkeypatch.setattr(periodic, "newton_solve", failing)
+    br = periodic.continue_branch(cert_down, eps_grid, ctx, N)
+    assert [s.eps for s in secants] == eps_grid[2:]
+    for got, ref in zip(br.orbits, want, strict=True):
+        assert got.v.tobytes() == ref.v.tobytes()
+        assert (got.omega, got.tau, got.stats) == (ref.omega, ref.tau, ref.stats)
 
 
 def test_newton_resolves_tau_near_hopf_point(cert_up, ctx_up):
