@@ -199,15 +199,15 @@ def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
 
 
 def branch_diagnostics(branch: periodic.BranchResult) -> dict:
-    """Solver counts of a branch, per eps where they vary: preconditioner
-    builds, Newton iterations, tangent products inside GMRES, line-search
-    halvings, the smallest block reciprocal condition with its harmonic,
-    and why each solve stopped. Counts and labels only, no timings, so the
-    document stays byte-identical for the same file and seed."""
-    rcond, harmonic = min((float(r[k]), k) for r in branch.rconds
-                          for k in range(len(r)))
+    """Solver counts of a branch from its orbits' `stats`, per eps where
+    they vary: preconditioner builds, Newton iterations, tangent products
+    inside GMRES, line-search halvings, the smallest block reciprocal
+    condition with its harmonic, and why each solve stopped. Counts and
+    labels only, no timings, so the same file and seed give the same bytes."""
+    rconds = [r for o in branch.orbits for r in o.stats.rconds]
+    rcond, harmonic = min((float(x), k) for r in rconds for k, x in enumerate(r))
     return {
-        "preconditioner_builds": len(branch.rconds),
+        "preconditioner_builds": len(rconds),
         "newton_iterations": [o.stats.iterations for o in branch.orbits],
         "gmres_matvecs": [o.stats.matvecs for o in branch.orbits],
         "line_search_halvings": [o.stats.halvings for o in branch.orbits],

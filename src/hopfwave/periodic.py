@@ -13,22 +13,22 @@ times, which de-aliases cubic products exactly. Newton treats the stacked
 harmonic coefficients plus (omega, tau) as unknowns, with an amplitude
 projection on the critical mode and a phase condition closing the system.
 Each step is `gmres` on the exact derivative of that residual, preconditioned
-by one block build per branch. With the partials of b averaged over time
-(exact at v = 0) the derivative splits harmonic by harmonic; only k = 1 is
-singular at the Hopf point, and it is bordered by the amplitude and phase
-rows and the (omega, tau) columns, as in the Lyapunov-Schmidt reduction
-onto the critical mode. No dense matrix of the full system is formed.
+by a block build kept until GMRES fails. With the partials of b averaged
+over time (exact at v = 0) the derivative splits harmonic by harmonic; only
+k = 1 is singular at the Hopf point, and it is bordered by the amplitude and
+phase rows and the (omega, tau) columns, as in the Lyapunov-Schmidt
+reduction onto the critical mode. No dense matrix of the system is formed.
 
 A field v(t, x) = sum_k vhat_k(x) e^{ikt} is a plain complex array of
 shape (..., N+1, 2, M+1): optional batch axes, harmonic 0..N, component,
-node. Negative harmonics are the conjugates (the field is real) and the
-k = 0 slice is kept real. Operators accept the batch axes, which lets the
-preconditioner build apply the tangent to a whole chunk of probe
-directions at once.
+node. Negative harmonics are the conjugates (the field is real); the k = 0
+slice is real by construction and packed without its imaginary part.
+Operators accept the batch axes, which lets the preconditioner build apply
+the tangent to a whole chunk of probe directions at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,14 +61,12 @@ def harmonic_analysis(values, N):
 
     values: (..., T, X) real with T >= 2N+1; content above T-N-1 aliases,
     so callers supply enough samples for their nonlinearity degree. The
-    k = 0 harmonic comes back real.
+    k = 0 harmonic comes back real (its sine row is zero).
     """
     T = values.shape[-2]
     arg = np.outer(np.arange(N + 1), 2.0 * np.pi * np.arange(T) / T)
     parts = (np.concatenate([np.cos(arg), -np.sin(arg)]) / T) @ values
-    coef = parts[..., :N + 1, :] + 1j * parts[..., N + 1:, :]
-    coef[..., 0, :] = coef[..., 0, :].real
-    return coef
+    return parts[..., :N + 1, :] + 1j * parts[..., N + 1:, :]
 
 
 def _collocation_times(N):
@@ -77,16 +75,10 @@ def _collocation_times(N):
 
 
 # ---------------------------------------------------------------------------
-# coefficient arrays: symmetry and the real packing of the Newton unknowns
-
-def enforce_symmetry(coef):
-    """Make the k = 0 slice real in place; returns coef."""
-    coef[..., 0, :, :] = coef[..., 0, :, :].real
-    return coef
-
+# coefficient arrays: the real packing of the Newton unknowns
 
 # packing order: Re v_0, then Re v_k, Im v_k for k = 1..N, each block
-# (component, node); the always-zero Im v_0 block is dropped
+# (component, node); Im v_0 is dropped, and unflatten zeroes it
 def flatten(coef):
     parts = np.stack([coef.real, coef.imag], axis=-3)
     flat = parts.reshape(parts.shape[:-4] + (-1,))
@@ -145,7 +137,7 @@ def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
     out[..., 0, :] = -(1.0 / ctx.E1) * phase * v[..., 1, 0][..., None]
     tail_phase = np.exp(-1j * omega * ks * (ctx.F - ctx.F[-1]))
     out[..., 1, :] = (ctx.E2 / ctx.E2[-1]) * tail_phase * v[..., 0, -1][..., None]
-    return enforce_symmetry(out)
+    return out
 
 
 def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
@@ -167,7 +159,7 @@ def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
     g2 = ph / ctx.E2 * f[..., 1, :] / ctx.a
     cum2 = cumulative_integral(g2, ctx.h)
     out[..., 1, :] = -(ctx.E2 / ph) * (cum2[..., -1][..., None] - cum2)
-    return enforce_symmetry(out)
+    return out
 
 
 def _transport_domega(v: np.ndarray, f: np.ndarray, omega: float,
@@ -255,6 +247,8 @@ class NewtonStats:
 
 @dataclass
 class PeriodicOrbit:
+    """Harmonics, (omega, tau) and eps; `precond` starts the next solve."""
+
     v: np.ndarray       # harmonics, (N+1, 2, M+1) complex as in the module docstring
     omega: float
     tau: float
@@ -262,6 +256,7 @@ class PeriodicOrbit:
     lam: float
     residual_norm: float = np.inf
     stats: NewtonStats | None = None    # set on the orbits newton_solve returns
+    precond: BlockPreconditioner | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -502,25 +497,25 @@ def _unpack(z, N, M, eps, lam):
                          tau=float(z[-1]), eps=eps, lam=lam)
 
 
-def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
-                 basis: ModeBasis, max_iter: int = 30,
-                 precond=None) -> PeriodicOrbit:
-    """Damped Newton-Krylov on the exact tangent, iterated to roundoff.
+def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
+                 basis: ModeBasis, max_iter: int = 30) -> PeriodicOrbit:
+    """Damped Newton-Krylov at amplitude guess.eps, iterated to roundoff.
 
     Each step solves the `_tangent` system by `gmres`, preconditioned by
-    `precond`, a `block_preconditioner` (built at the guess if not given,
-    rebuilt at the current point if GMRES fails above TOL_ORBIT). A trial
-    step on which b leaves its domain fails and is halved. Once the
+    guess.precond, or else by a `block_preconditioner` built at the guess;
+    GMRES failing above TOL_ORBIT rebuilds it at the current point. A
+    trial step on which b leaves its domain fails and is halved. Once the
     residual is at or below TOL_ORBIT, steps are taken in full, and the
     solve stops at the roundoff floor: after the first step that lowers
     the residual by a smaller factor than the step before it did, or at a
     step that does not lower it at all. Above TOL_ORBIT, NoConvergence
-    names the line search or the iteration limit. Unknowns are the
-    harmonics plus (omega, tau). The returned orbit's `stats` count the
-    iterations, tangent products, halvings and builds, and name the stop.
+    names the line search or the iteration limit. The returned orbit
+    carries the last `precond`, and `stats` that count the iterations,
+    tangent products, halvings and builds, and name the stop.
     """
     N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
-    z = _pack(replace(guess, eps=eps))
+    eps, precond = guess.eps, guess.precond
+    z = _pack(guess)
 
     def orbit_at(zv):
         return _unpack(zv, N, M, eps, ctx.lam)
@@ -584,7 +579,7 @@ def newton_solve(guess: PeriodicOrbit, eps: float, ctx: OperatorContext,
             f"the {limit} after {n_iter} iterations and {len(rconds)} "
             f"preconditioner builds", last_good=None)
     out = orbit_at(z)
-    out.residual_norm = rn
+    out.residual_norm, out.precond = rn, precond
     out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
                             halvings=halvings, rconds=tuple(rconds), stop=stop)
     return out
@@ -597,7 +592,6 @@ class BranchResult:
     fit_tau_slope: float
     fit_omega_curvature: float
     fit_omega_slope: float
-    rconds: list            # per-harmonic block rcond of every preconditioner built
 
 
 def _fit_slope_curvature(eps, values, base):
@@ -616,7 +610,7 @@ def _secant(prev: PeriodicOrbit, last: PeriodicOrbit, eps) -> PeriodicOrbit:
     return PeriodicOrbit(v=last.v + s * (last.v - prev.v),
                          omega=last.omega + s * (last.omega - prev.omega),
                          tau=last.tau + s * (last.tau - prev.tau),
-                         eps=eps, lam=last.lam)
+                         eps=eps, lam=last.lam, precond=last.precond)
 
 
 def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
@@ -629,10 +623,10 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     through the two previous orbits (Allgower & Georg 1990). If the solve
     from the secant raises EvalDomainError or NoConvergence, it is repeated
     from the previous orbit; each orbit's `stats` count the solve that
-    succeeded. One `block_preconditioner`, condition-checked at the first
-    predictor, preconditions every solve; `rconds` lists its block
-    conditions and those of any rebuild inside a solve. A solver error
-    carries the last good amplitude as `last_good`.
+    succeeded. Each guess carries the newest orbit's preconditioner: the
+    first solve builds one at the first predictor, and a rebuild in any
+    solve serves the amplitudes after it. A solver error carries the last
+    good amplitude as `last_good`.
     """
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3 or any(e <= 0 for e in eps_grid) \
@@ -640,20 +634,21 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
         raise ValueError("eps_grid must be at least 3 increasing positive values")
     basis = mode_basis(cert, ctx)
     orbits = []
-    guess = predictor(basis, eps_grid[0], N, ctx)
     try:
-        precond = block_preconditioner(guess, ctx, basis)
         for eps in eps_grid:
             orbit = None
             if len(orbits) >= 2:
                 try:
-                    orbit = newton_solve(_secant(*orbits[-2:], eps), eps, ctx,
-                                         basis, max_iter, precond)
+                    orbit = newton_solve(_secant(*orbits[-2:], eps), ctx, basis,
+                                         max_iter)
                 except (EvalDomainError, NoConvergence):
                     pass    # solve again from the previous orbit
             if orbit is None:
-                orbit = newton_solve(orbits[-1] if orbits else guess, eps, ctx,
-                                     basis, max_iter, precond)
+                guess = (replace(orbits[-1], eps=eps) if orbits
+                         else predictor(basis, eps, N, ctx))
+                orbit = newton_solve(guess, ctx, basis, max_iter)
+            if orbits:
+                orbits[-1].precond = None
             orbits.append(orbit)
     except HopfwaveError as err:
         err.last_good = orbits[-1].eps if orbits else None
@@ -663,14 +658,12 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     omegas = [o.omega for o in smallest]
     epss = [o.eps for o in smallest]
     # the branch root moves with lambda: away from 0, fit a free intercept
-    tau_base, om_base = (cert.tau0, 1.0) if ctx.lam == 0.0 else (None, None)
+    tau_base, om_base = (basis.tau0, 1.0) if ctx.lam == 0.0 else (None, None)
     tau_c, tau_s = _fit_slope_curvature(epss, taus, tau_base)
     om_c, om_s = _fit_slope_curvature(epss, omegas, om_base)
     return BranchResult(orbits=orbits, fit_tau_curvature=tau_c,
                         fit_tau_slope=tau_s, fit_omega_curvature=om_c,
-                        fit_omega_slope=om_s,
-                        rconds=[precond.rcond] + [r for o in orbits
-                                                  for r in o.stats.rconds])
+                        fit_omega_slope=om_s)
 
 
 # ---------------------------------------------------------------------------

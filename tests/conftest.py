@@ -55,7 +55,7 @@ def super_orbit(cert_down, ctx_down):
     """A small supercritical orbit of the dissipative benchmark."""
     basis = periodic.mode_basis(cert_down, ctx_down)
     guess = periodic.predictor(basis, 0.05, 8, ctx_down)
-    return periodic.newton_solve(guess, 0.05, ctx_down, basis)
+    return periodic.newton_solve(guess, ctx_down, basis)
 
 
 def sin_convention(cert):

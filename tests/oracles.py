@@ -22,8 +22,7 @@ from hopfwave import eigen, periodic
 from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
 from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables, displacement
 from hopfwave.periodic import (OperatorContext, PeriodicOrbit, _delay_phase,
-                               _displacement, enforce_symmetry, harmonic_analysis,
-                               harmonic_synthesis)
+                               _displacement, harmonic_analysis, harmonic_synthesis)
 from hopfwave.quadrature import cumulative_integral, integral
 from hopfwave.timedomain import SimState, Simulator
 
@@ -101,7 +100,8 @@ def random_field(rng, N, M, decay=1.6):
                     + rng.normal() * np.cos(2 * np.pi * x))
             prof2 = (rng.normal() * np.cos(np.pi * x) + rng.normal() * x ** 2)
             f[k, j, :] = amp * (prof + (0.0 if k == 0 else 1j * prof2))
-    return enforce_symmetry(f)
+    f[..., 0, :, :] = f[..., 0, :, :].real
+    return f
 
 
 def worked_example_curvature(coeffs: LinearizedCoeffs, cubic: np.ndarray,
@@ -303,7 +303,8 @@ def apply_JK(v, omega: float, tau: float, ctx: OperatorContext):
     out = np.empty_like(v)
     out[..., 0, :] = mix + ctx.b2 * v[..., 1, :]
     out[..., 1, :] = mix + ctx.b1 * v[..., 0, :]
-    return enforce_symmetry(out)
+    out[..., 0, :, :] = out[..., 0, :, :].real
+    return out
 
 
 @dataclass

@@ -247,8 +247,7 @@ def test_criterion_6_resonance_detection():
     basis = periodic.mode_basis(cert, ctx)
     raised = False
     try:
-        periodic.newton_solve(periodic.predictor(basis, 0.01, 4, ctx),
-                              0.01, ctx, basis)
+        periodic.newton_solve(periodic.predictor(basis, 0.01, 4, ctx), ctx, basis)
     except JacobianSingular:
         raised = True
     _report(6, scan_fails and raised,

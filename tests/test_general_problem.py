@@ -73,8 +73,8 @@ def test_direction_matches_branch(gcert, gspec):
 def test_orbit_checks_on_variable_coefficients(gcert, gspec):
     ctx = periodic.operator_context(gspec, 0.0, 64)
     basis = periodic.mode_basis(gcert, ctx)
-    orbit = periodic.newton_solve(periodic.predictor(basis, 0.03, 6, ctx),
-                                  0.03, ctx, basis)
+    orbit = periodic.newton_solve(periodic.predictor(basis, 0.03, 6, ctx), ctx,
+                                  basis)
     rec = reconstruct_u(orbit, ctx)
     assert np.max(np.abs(rec.u[:, 0])) == 0.0
     assert np.max(np.abs(rec.u_x[:, -1])) < 1e-7

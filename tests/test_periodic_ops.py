@@ -285,7 +285,9 @@ def test_packing_round_trip(N, M, data):
     v = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
          + 1j * data.draw(hnp.arrays(np.float64, shape, elements=finite)))
     back = periodic.unflatten(periodic.flatten(v), N, M)
-    assert np.array_equal(back, periodic.enforce_symmetry(v.copy()))
+    want = v.copy()
+    want[0] = v[0].real
+    assert np.array_equal(back, want)
     assert np.all(back[0].imag == 0.0)
 
 
