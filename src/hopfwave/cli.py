@@ -200,14 +200,20 @@ def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
 
 def branch_diagnostics(branch: periodic.BranchResult) -> dict:
     """Solver counts of a branch from its orbits' `stats`, per eps where
-    they vary: preconditioner builds, Newton iterations, tangent products
-    inside GMRES, line-search halvings, the smallest block reciprocal
-    condition with its harmonic, and why each solve stopped. Counts and
-    labels only, no timings, so the same file and seed give the same bytes."""
-    rconds = [r for o in branch.orbits for r in o.stats.rconds]
-    rcond, harmonic = min((float(x), k) for r in rconds for k, x in enumerate(r))
+    they vary: the harmonics Newton carried ("odd" when every orbit was
+    solved on the odd ones), preconditioner builds, Newton iterations,
+    tangent products inside GMRES, line-search halvings, the smallest
+    reciprocal condition over the blocks solved with its harmonic, and why
+    each solve stopped. Counts and labels only, no timings, so the same
+    file and seed give the same bytes."""
+    odd = [o.stats.harmonics == "odd" for o in branch.orbits]
+    builds = [(periodic.harmonics(o.v.shape[0] - 1, is_odd), r)
+              for o, is_odd in zip(branch.orbits, odd) for r in o.stats.rconds]
+    rcond, harmonic = min((float(x), int(k)) for ks, r in builds
+                          for k, x in zip(ks, r))
     return {
-        "preconditioner_builds": len(rconds),
+        "harmonics": "odd" if all(odd) else "all",
+        "preconditioner_builds": len(builds),
         "newton_iterations": [o.stats.iterations for o in branch.orbits],
         "gmres_matvecs": [o.stats.matvecs for o in branch.orbits],
         "line_search_halvings": [o.stats.halvings for o in branch.orbits],

@@ -18,8 +18,10 @@ constant folding on construction). No stronger simplification is attempted:
 only evaluation equivalence is guaranteed.
 
 Each node is compiled once, on its first `eval`, into a Python function of
-straight-line numpy code cached on the node. Integer powers are evaluated by
-square-and-multiply, so a result may differ from `pow` in the last bits.
+straight-line numpy code cached on the node, which runs with numpy's
+floating-point warnings off (one `np.errstate` per node, not per call).
+Integer powers are evaluated by square-and-multiply, so a result may differ
+from `pow` in the last bits.
 """
 from __future__ import annotations
 
@@ -76,13 +78,13 @@ class Expr:
         """
         fn = getattr(self, "_fn", None) or self._compile()
         try:
-            with np.errstate(all="ignore"):
-                val = fn(env)
+            val = fn(env)
         except KeyError as err:
             raise EvalDomainError(f"unbound variable {err.args[0]!r}") from None
         except (ZeroDivisionError, OverflowError) as err:
             raise EvalDomainError(f"{err} in: {self}") from None
-        if not np.isfinite(val).all():
+        # the ufunc reduction itself: ndarray.all adds a Python-level call
+        if not np.logical_and.reduce(np.isfinite(val), axis=None):
             raise EvalDomainError(f"expression not finite at the given point: {self}")
         return val
 
@@ -93,7 +95,8 @@ class Expr:
             body = "".join(f"    {line}\n" for line in em.lines)
             exec(compile(f"def fn(env):\n{body}    return {out}\n", "<exprlang>",
                          "exec"), em.ns)
-            fn = em.ns.pop("fn")    # so em.ns, fn's globals, holds no cycle back
+            # so em.ns, fn's globals, holds no cycle back
+            fn = np.errstate(all="ignore")(em.ns.pop("fn"))
         else:   # a constant: no statements, so no code to compile
             fn = lambda env, value=em.ns[out]: value
         object.__setattr__(self, "_fn", fn)

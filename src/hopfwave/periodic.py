@@ -20,11 +20,16 @@ phase rows and the (omega, tau) columns, as in the Lyapunov-Schmidt
 reduction onto the critical mode. No dense matrix of the system is formed.
 
 A field v(t, x) = sum_k vhat_k(x) e^{ikt} is a plain complex array of
-shape (..., N+1, 2, M+1): optional batch axes, harmonic 0..N, component,
-node. Negative harmonics are the conjugates (the field is real); the k = 0
-slice is real by construction and packed without its imaginary part.
-Operators accept the batch axes, which lets the preconditioner build apply
-the tangent to a whole chunk of probe directions at once.
+shape (..., len(ks), 2, M+1): optional batch axes, the harmonics ks,
+component, node. ks is an increasing integer array, by default every
+harmonic 0..N; negative harmonics are the conjugates (the field is real),
+and a k = 0 slice is real by construction and packed without its imaginary
+part. When b is odd in (u1..u4), v(t + pi) = -v(t) is a symmetry of the
+whole system (Golubitsky, Stewart & Schaeffer, Singularities and Groups in
+Bifurcation Theory II, 1988), so Newton carries only ks = 1, 3, ..., <= N
+and the orbits it returns hold exact zeros on the even harmonics. Operators
+accept the batch axes, which lets the preconditioner build apply the
+tangent to a whole chunk of probe directions at once.
 """
 from __future__ import annotations
 
@@ -42,57 +47,64 @@ from .quadrature import cumulative_integral, integral
 # ---------------------------------------------------------------------------
 # Fourier synthesis and analysis: the one path for every operator
 
-def harmonic_synthesis(hats, times):
-    """Real values at the given times of harmonics 0..N held on axis -2.
+def harmonic_synthesis(hats, times, ks=None):
+    """Real values at the given times of the harmonics ks held on axis -2.
 
-    hats: (..., N+1, X) complex; returns (..., len(times), X). Negative
-    harmonics are the conjugates, so k >= 1 carries weight 2. Computed as
-    one real product [w cos(kt), -w sin(kt)] @ [Re hat; Im hat].
+    hats: (..., len(ks), X) complex, ks by default 0..N; returns
+    (..., len(times), X). Negative harmonics are the conjugates, so k >= 1
+    carries weight 2. Computed as one real product
+    [w cos(kt), -w sin(kt)] @ [Re hat; Im hat].
     """
-    ks = np.arange(hats.shape[-2])
+    ks = np.arange(hats.shape[-2]) if ks is None else ks
     w = np.where(ks == 0, 1.0, 2.0)
     arg = np.outer(times, ks)
     basis = np.concatenate([w * np.cos(arg), -w * np.sin(arg)], axis=1)
     return basis @ np.concatenate([hats.real, hats.imag], axis=-2)
 
 
-def harmonic_analysis(values, N):
-    """Harmonics 0..N of equispaced samples over one period on axis -2.
+def harmonic_analysis(values, ks):
+    """Harmonics ks of equispaced samples over one period on axis -2.
 
-    values: (..., T, X) real with T >= 2N+1; content above T-N-1 aliases,
-    so callers supply enough samples for their nonlinearity degree. The
-    k = 0 harmonic comes back real (its sine row is zero).
+    values: (..., T, X) real with T >= 2 max(ks) + 1; content above
+    T - max(ks) - 1 aliases, so callers supply enough samples for their
+    nonlinearity degree. A k = 0 harmonic comes back real (its sine row is
+    zero).
     """
-    T = values.shape[-2]
-    arg = np.outer(np.arange(N + 1), 2.0 * np.pi * np.arange(T) / T)
+    T, n = values.shape[-2], len(ks)
+    arg = np.outer(ks, 2.0 * np.pi * np.arange(T) / T)
     parts = (np.concatenate([np.cos(arg), -np.sin(arg)]) / T) @ values
-    return parts[..., :N + 1, :] + 1j * parts[..., N + 1:, :]
+    return parts[..., :n, :] + 1j * parts[..., n:, :]
 
 
-def _collocation_times(N):
-    T = 4 * N + 1
+def _collocation_times(ks):
+    """4N+1 equispaced times, N the highest harmonic in ks: cubic products
+    of the harmonics ks are analyzed back without aliasing."""
+    T = 4 * int(ks[-1]) + 1
     return 2.0 * np.pi * np.arange(T) / T
 
 
 # ---------------------------------------------------------------------------
 # coefficient arrays: the real packing of the Newton unknowns
 
-# packing order: Re v_0, then Re v_k, Im v_k for k = 1..N, each block
-# (component, node); Im v_0 is dropped, and unflatten zeroes it
-def flatten(coef):
+# packing order: Re v_k, Im v_k for each k in ks, each block (component,
+# node); Im v_0 is dropped when ks starts at 0, and unflatten zeroes it
+def flatten(coef, ks=None):
     parts = np.stack([coef.real, coef.imag], axis=-3)
     flat = parts.reshape(parts.shape[:-4] + (-1,))
+    if ks is not None and ks[0] != 0:
+        return flat
     blk = 2 * coef.shape[-1]
     return np.concatenate([flat[..., :blk], flat[..., 2 * blk:]], axis=-1)
 
 
-def unflatten(vec, N, M):
+def unflatten(vec, ks, M):
     vec = np.asarray(vec)
     lead = vec.shape[:-1]
     blk = 2 * (M + 1)
-    parts = np.concatenate([vec[..., :blk], np.zeros(lead + (blk,)),
-                            vec[..., blk:]], axis=-1)
-    parts = parts.reshape(lead + (N + 1, 2, 2, M + 1))
+    if ks[0] == 0:
+        vec = np.concatenate([vec[..., :blk], np.zeros(lead + (blk,)),
+                              vec[..., blk:]], axis=-1)
+    parts = vec.reshape(lead + (len(ks), 2, 2, M + 1))
     return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
@@ -114,6 +126,32 @@ class OperatorContext:
     E1: np.ndarray     # exp of antiderivative of b1/a
     E2: np.ndarray
     b_u: tuple[Expr, ...]   # exact partials of b in u1..u4, for the tangent
+    odd: bool               # b odd in u1..u4 (`odd_in_u`): Newton on odd harmonics
+
+
+_ODD_SAMPLES = 64
+
+
+def odd_in_u(b: Expr, lam: float) -> bool:
+    """Sampled verdict that b(x, lam, -u) = -b(x, lam, u) to rounding.
+
+    Like `direction.check_structure`, it samples rather than proves: 64
+    seeded points x in [0, 1], u1..u4 in [-1/2, 1/2], at the fixed lam.
+    A sample on which b is not finite (EvalDomainError) means "not odd";
+    the verdict never raises. A wrong "odd" costs `newton_solve` time,
+    never correctness.
+    """
+    rng = np.random.default_rng(20240831)
+    xs = rng.uniform(0.0, 1.0, _ODD_SAMPLES)
+    us = rng.uniform(-0.5, 0.5, (4, _ODD_SAMPLES))
+    def at(u):
+        return b.eval({"x": xs, "lambda": lam, **dict(zip(_UVARS, u))})
+
+    try:
+        plus, minus = at(us), at(-us)
+    except EvalDomainError:
+        return False
+    return bool(np.max(np.abs(plus + minus)) <= 1e-12 * np.max(np.abs(plus)))
 
 
 def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
@@ -125,13 +163,19 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
         F=F, E1=np.exp(logE1), E2=np.exp(logE2),
-        b_u=tuple(spec.b.diff(u) for u in _UVARS))
+        b_u=tuple(spec.b.diff(u) for u in _UVARS), odd=odd_in_u(spec.b, lam))
 
 
-def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
+def _harmonics_of(v, ks):
+    """ks, or every harmonic 0..N of a field v that holds them all."""
+    return np.arange(v.shape[-3]) if ks is None else ks
+
+
+def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext,
+            ks=None) -> np.ndarray:
     """Boundary-transport part: values carried along characteristics from
     the opposite edge, with per-harmonic phase factors for the time shift."""
-    ks = np.arange(v.shape[-3])[:, None]
+    ks = _harmonics_of(v, ks)[:, None]
     phase = np.exp(1j * omega * ks * ctx.F)                  # e^{ik w F(x)}
     out = np.empty_like(v)
     out[..., 0, :] = -(1.0 / ctx.E1) * phase * v[..., 1, 0][..., None]
@@ -140,7 +184,8 @@ def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
     return out
 
 
-def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
+def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext,
+            ks=None) -> np.ndarray:
     """Interior-transport part: characteristic integrals of a source field.
 
     The kernels factorize (c's are ratios of one antiderivative table, the
@@ -150,7 +195,7 @@ def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
     critical mode is a fixed point of C + D(J+K) only with this sign
     (enforced by the kernel tests).
     """
-    ks = np.arange(f.shape[-3])[:, None]
+    ks = _harmonics_of(f, ks)[:, None]
     ph = np.exp(1j * omega * ks * ctx.F)                     # (N+1, M+1)
     g1 = ctx.E1 / ph * f[..., 0, :] / ctx.a
     cum1 = cumulative_integral(g1, ctx.h)
@@ -163,53 +208,52 @@ def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext) -> np.ndarray:
 
 
 def _transport_domega(v: np.ndarray, f: np.ndarray, omega: float,
-                      ctx: OperatorContext) -> np.ndarray:
+                      ctx: OperatorContext, ks) -> np.ndarray:
     """Coefficients of d/domega (C(omega) v + D(omega) f) at fixed v, f.
 
     Output component 0 (1) picks up e^{+-ik omega (F(x) - F(xi))} from its
     source point xi, so the derivative is the commutator
     ik s_c [F (Cv + Df) - C(F v) - D(F f)] with s = (+1, -1).
     """
-    Tv = apply_C(v, omega, ctx) + apply_D(f, omega, ctx)
-    TF = apply_C(v * ctx.F, omega, ctx) + apply_D(f * ctx.F, omega, ctx)
-    iks = 1j * np.arange(v.shape[-3])[:, None, None] * np.array([1.0, -1.0])[:, None]
+    Tv = apply_C(v, omega, ctx, ks) + apply_D(f, omega, ctx, ks)
+    TF = apply_C(v * ctx.F, omega, ctx, ks) + apply_D(f * ctx.F, omega, ctx, ks)
+    iks = 1j * ks[:, None, None] * np.array([1.0, -1.0])[:, None]
     return iks * (ctx.F * Tv - TF)
 
 
 def _displacement(coef, ctx: OperatorContext):
-    """Harmonics of u, shape (..., N+1, M+1)."""
+    """Harmonics of u, shape (..., len(ks), M+1)."""
     return displacement(coef[..., 0, :] - coef[..., 1, :], ctx.a, ctx.h)
 
 
-def _delay_phase(N, omega, tau):
-    """e^{-ik omega tau}: the delay u(t - tau) on harmonic k, shape (N+1, 1)."""
-    return np.exp(-1j * omega * tau * np.arange(N + 1))[:, None]
+def _delay_phase(ks, omega, tau):
+    """e^{-ik omega tau}: the delay u(t - tau) on harmonic k, shape (len(ks), 1)."""
+    return np.exp(-1j * omega * tau * ks)[:, None]
 
 
-def _collocate(coef, omega, tau, ctx: OperatorContext):
+def _collocate(coef, omega, tau, ctx: OperatorContext, ks):
     """v1, v2 and the arguments u1..u4 of b on the 4N+1 collocation times.
 
     The displacement harmonics come from one cumulative x-quadrature, the
     delay is a phase factor on them, and all four fields are synthesized
     together. Returns (v1, v2, (u1, u2, u3, u4)), each (..., 4N+1, M+1).
     """
-    N = coef.shape[-3] - 1
     J = _displacement(coef, ctx)
     hats = np.stack([coef[..., 0, :], coef[..., 1, :], J,
-                     J * _delay_phase(N, omega, tau)], axis=-2)
+                     J * _delay_phase(ks, omega, tau)], axis=-2)
     vals = harmonic_synthesis(hats.reshape(hats.shape[:-2] + (-1,)),
-                              _collocation_times(N))
+                              _collocation_times(ks), ks)
     vals = vals.reshape(vals.shape[:-1] + hats.shape[-2:])
     v1, v2, u1, u2 = (vals[..., j, :] for j in range(4))
     return v1, v2, (u1, u2, 0.5 * (v1 + v2), 0.5 * (v1 - v2) / ctx.a)
 
 
-def _source(bvals, v1, v2, N, ctx: OperatorContext) -> np.ndarray:
+def _source(bvals, v1, v2, ks, ctx: OperatorContext) -> np.ndarray:
     """Harmonics of the source (b - a_x (v1 - v2)/2 - b_j v_j)_j from values
     on the collocation times; linear in (bvals, v1, v2)."""
     Bfull = bvals - 0.5 * ctx.ax * (v1 - v2)
     vals = np.stack([Bfull - ctx.b1 * v1, Bfull - ctx.b2 * v2], axis=-2)
-    coef = harmonic_analysis(vals.reshape(vals.shape[:-2] + (-1,)), N)
+    coef = harmonic_analysis(vals.reshape(vals.shape[:-2] + (-1,)), ks)
     return coef.reshape(coef.shape[:-1] + vals.shape[-2:])
 
 
@@ -218,16 +262,17 @@ def _b_env(u, ctx: OperatorContext):
 
 
 def apply_B(v: np.ndarray, omega: float, tau: float,
-            ctx: OperatorContext) -> np.ndarray:
+            ctx: OperatorContext, ks=None) -> np.ndarray:
     """Full nonlinear source, pseudo-spectral with a cubic de-aliasing margin.
 
     Steps: cumulative x-quadrature gives the displacement harmonics, the
     delay becomes a phase factor, all fields are synthesized on 4N+1
     times, the coefficient expression is evaluated pointwise, and the
-    result is analyzed back to harmonics 0..N.
+    result is analyzed back to the harmonics ks.
     """
-    v1, v2, u = _collocate(v, omega, tau, ctx)
-    return _source(ctx.spec.b.eval(_b_env(u, ctx)), v1, v2, v.shape[-3] - 1, ctx)
+    ks = _harmonics_of(v, ks)
+    v1, v2, u = _collocate(v, omega, tau, ctx, ks)
+    return _source(ctx.spec.b.eval(_b_env(u, ctx)), v1, v2, ks, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +288,7 @@ class NewtonStats:
     rconds: tuple           # per-harmonic block rcond of each preconditioner built
     stop: str               # why iteration stopped: "roundoff floor",
                             # "no decrease" or "iteration limit"
+    harmonics: str          # "odd" (ks = 1, 3, ..., <= N) or "all" (ks = 0..N)
 
 
 @dataclass
@@ -268,9 +314,11 @@ class ModeBasis:
     nrm: float          # <v0^1, v0^1> = int sum|v0_j|^2 dx / 2
     tau0: float
 
-    def projection(self, v: np.ndarray, h):
-        """int sum_j v^1_j conj(v0_j) dx, one complex value per batch entry."""
-        return integral(np.sum(v[..., 1, :, :] * np.conj(self.v0), axis=-2), h)
+    def projection(self, v: np.ndarray, h, ks=None):
+        """int sum_j v^1_j conj(v0_j) dx, one complex value per batch entry;
+        v holds the harmonics ks (default 0..N), among them k = 1."""
+        v1 = v[..., int(_harmonics_of(v, ks)[0] == 0), :, :]
+        return integral(np.sum(v1 * np.conj(self.v0), axis=-2), h)
 
 
 def mode_basis(cert, ctx: OperatorContext) -> ModeBasis:
@@ -299,26 +347,29 @@ def predictor(basis: ModeBasis, eps, N, ctx: OperatorContext) -> PeriodicOrbit:
     return PeriodicOrbit(v=v, omega=1.0, tau=basis.tau0, eps=eps, lam=ctx.lam)
 
 
-def _defect(v: np.ndarray, f: np.ndarray, omega, ctx) -> np.ndarray:
+def _defect(v: np.ndarray, f: np.ndarray, omega, ctx, ks) -> np.ndarray:
     """Packed v - C v - D f (the fixed-point rows, batch-aware)."""
-    return flatten(v - apply_C(v, omega, ctx) - apply_D(f, omega, ctx))
+    return flatten(v - apply_C(v, omega, ctx, ks) - apply_D(f, omega, ctx, ks), ks)
 
 
 def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
-             basis: ModeBasis) -> np.ndarray:
-    """Stacked fixed-point residual plus the amplitude and phase rows."""
+             basis: ModeBasis, ks=None) -> np.ndarray:
+    """Stacked fixed-point residual plus the amplitude and phase rows, on
+    the harmonics ks that orbit.v holds (default all 0..N)."""
     v = orbit.v
-    Bv = apply_B(v, orbit.omega, orbit.tau, ctx)
-    proj = basis.projection(v, ctx.h)
+    ks = _harmonics_of(v, ks)
+    Bv = apply_B(v, orbit.omega, orbit.tau, ctx, ks)
+    proj = basis.projection(v, ctx.h, ks)
     rows = np.array([proj.real / basis.nrm - orbit.eps,
                      proj.imag / basis.nrm])
-    return np.concatenate([_defect(v, Bv, orbit.omega, ctx), rows])
+    return np.concatenate([_defect(v, Bv, orbit.omega, ctx, ks), rows])
 
 
 def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
-             harmonic_diagonal: bool = False):
+             ks=None, harmonic_diagonal: bool = False):
     """Exact derivative of `residual` at orbit as (apply, omega_tau): apply
-    maps packed directions (..., n) in the residual's own packing.
+    maps packed directions (..., n) in the residual's own packing, on the
+    harmonics ks that orbit.v holds (default all 0..N).
 
     The harmonic part applies I - C - D dB, with dB the linearization of
     apply_B from the exact partials b_{u_j} on the same collocation grid;
@@ -331,31 +382,31 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
     exact. At v = 0 the partials are constant in time and the two agree.
     """
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    N, M = v.shape[0] - 1, v.shape[2] - 1
-    v1, v2, u = _collocate(v, omega, tau, ctx)
+    ks, M = _harmonics_of(v, ks), v.shape[2] - 1
+    v1, v2, u = _collocate(v, omega, tau, ctx, ks)
     env = _b_env(u, ctx)
     partials = [d.eval(env) for d in ctx.b_u]
 
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
-    Bv = _source(ctx.spec.b.eval(env), v1, v2, N, ctx)
-    dJdel = (-1j * np.arange(N + 1)[:, None] * _displacement(v, ctx)
-             * _delay_phase(N, omega, tau) * np.array([tau, omega])[:, None, None])
-    du2 = harmonic_synthesis(dJdel, _collocation_times(N))
-    dB = _source(partials[1] * du2, 0.0, 0.0, N, ctx)
-    dT = apply_D(dB, omega, ctx)
-    dT[0] += _transport_domega(v, Bv, omega, ctx)
-    omega_tau = np.concatenate([-flatten(dT), np.zeros((2, 2))], axis=-1)
+    Bv = _source(ctx.spec.b.eval(env), v1, v2, ks, ctx)
+    dJdel = (-1j * ks[:, None] * _displacement(v, ctx)
+             * _delay_phase(ks, omega, tau) * np.array([tau, omega])[:, None, None])
+    du2 = harmonic_synthesis(dJdel, _collocation_times(ks), ks)
+    dB = _source(partials[1] * du2, 0.0, 0.0, ks, ctx)
+    dT = apply_D(dB, omega, ctx, ks)
+    dT[0] += _transport_domega(v, Bv, omega, ctx, ks)
+    omega_tau = np.concatenate([-flatten(dT, ks), np.zeros((2, 2))], axis=-1)
     if harmonic_diagonal:
         partials = [p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials]
 
     def apply(dz):
-        dv = unflatten(dz[..., :-2], N, M)
-        dv1, dv2, du = _collocate(dv, omega, tau, ctx)
-        dBv = _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, N, ctx)
-        proj = basis.projection(dv, ctx.h) / basis.nrm
+        dv = unflatten(dz[..., :-2], ks, M)
+        dv1, dv2, du = _collocate(dv, omega, tau, ctx, ks)
+        dBv = _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, ks, ctx)
+        proj = basis.projection(dv, ctx.h, ks) / basis.nrm
         rows = np.stack([proj.real, proj.imag], axis=-1)
-        return (np.concatenate([_defect(dv, dBv, omega, ctx), rows], axis=-1)
+        return (np.concatenate([_defect(dv, dBv, omega, ctx, ks), rows], axis=-1)
                 + dz[..., -2:] @ omega_tau)
 
     return apply, omega_tau
@@ -367,12 +418,13 @@ GMRES_RTOL = 1e-12      # relative residual of each Newton step's linear solve
 GMRES_MAX = 80          # tangent products per solve before a rebuild
 
 
-def _harmonic_slices(N, M):
-    """Packed rows (and columns) of harmonics 0..N: 2(M+1) real entries for
-    k = 0, 4(M+1) for each k >= 1 (real part, then imaginary part)."""
+def _harmonic_slices(ks, M):
+    """Packed rows (and columns) of the harmonics ks: 2(M+1) real entries
+    for k = 0, 4(M+1) for each k >= 1 (real part, then imaginary part)."""
     m = 2 * (M + 1)
-    return [slice(0, m)] + [slice((2 * k - 1) * m, (2 * k + 1) * m)
-                            for k in range(1, N + 1)]
+    sizes = [m if k == 0 else 2 * m for k in ks]
+    return [slice(stop - size, stop)
+            for size, stop in zip(sizes, np.cumsum(sizes).tolist())]
 
 
 @dataclass(frozen=True)
@@ -380,29 +432,33 @@ class BlockPreconditioner:
     """Inverse of the harmonic-diagonal Newton matrix that
     `block_preconditioner` builds, applied by `matvec` (`gmres`'s precond)."""
 
-    inv0: np.ndarray        # k = 0 block inverse, 2(M+1) square
+    inv0: np.ndarray | None     # k = 0 block inverse, 2(M+1) square; None
+                                # when the harmonics carried are odd
     inv1: np.ndarray        # bordered k = 1 block inverse, 4(M+1) + 2 square
-    inv_rest: np.ndarray    # k = 2..N block inverses, (N-1, 4(M+1), 4(M+1))
+    inv_rest: np.ndarray    # inverses of the blocks k > 1, (n, 4(M+1), 4(M+1))
     omega_tau: np.ndarray   # (2, n) exact (omega, tau) columns at the build point
     rcond: np.ndarray       # exact reciprocal 1-norm condition per harmonic block
 
     def matvec(self, r):
         """Solve the bordered k = 1 block for (x_1, omega, tau), then every
         other harmonic with those (omega, tau) columns moved to the right."""
-        m = len(self.inv0)
-        y = self.inv1 @ np.concatenate([r[m:3 * m], r[-2:]])
+        m0 = 0 if self.inv0 is None else len(self.inv0)
+        m1 = m0 + len(self.inv1) - 2
+        y = self.inv1 @ np.concatenate([r[m0:m1], r[-2:]])
         rest = r[:-2] - y[-2:] @ self.omega_tau[:, :-2]
         x = np.empty(len(r))
-        x[:m] = self.inv0 @ rest[:m]
-        x[m:3 * m], x[-2:] = y[:-2], y[-2:]
-        x[3 * m:-2] = (self.inv_rest @ rest[3 * m:].reshape(-1, 2 * m, 1)).ravel()
+        if m0:
+            x[:m0] = self.inv0 @ rest[:m0]
+        x[m0:m1], x[-2:] = y[:-2], y[-2:]
+        x[m1:-2] = (self.inv_rest @ rest[m1:].reshape(-1, m1 - m0, 1)).ravel()
         return x
 
 
 def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
-                         basis: ModeBasis) -> BlockPreconditioner:
+                         basis: ModeBasis, ks=None) -> BlockPreconditioner:
     """The Newton preconditioner: the exact inverse of the harmonic-diagonal
-    tangent at orbit (`_tangent` with harmonic_diagonal), block by block.
+    tangent at orbit (`_tangent` with harmonic_diagonal), block by block,
+    on the harmonics ks that orbit.v holds (default all 0..N).
 
     That tangent maps each harmonic to itself: one 2(M+1) block for k = 0
     and one 4(M+1) block for each k >= 1; at v = 0 it is the exact tangent.
@@ -421,42 +477,43 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     bordered k = 1 block means a failed certificate, any other k a
     resonance at ik.
     """
-    N, M = orbit.v.shape[0] - 1, orbit.v.shape[2] - 1
-    n = len(_pack(orbit))
-    slices = _harmonic_slices(N, M)
+    ks, M = _harmonics_of(orbit.v, ks), orbit.v.shape[2] - 1
+    slices = _harmonic_slices(ks, M)
+    n = slices[-1].stop + 2
     sizes = [s.stop - s.start for s in slices]
-    tangent, omega_tau = _tangent(orbit, ctx, basis, harmonic_diagonal=True)
+    i1 = int(ks[0] == 0)        # the position of k = 1 in ks
+    tangent, omega_tau = _tangent(orbit, ctx, basis, ks, harmonic_diagonal=True)
     blocks = [np.empty((m, m)) for m in sizes]
-    blocks[1] = np.zeros((sizes[1] + 2,) * 2)
-    blocks[1][:-2, -2:] = omega_tau[:, slices[1]].T
+    blocks[i1] = np.zeros((sizes[i1] + 2,) * 2)
+    blocks[i1][:-2, -2:] = omega_tau[:, slices[i1]].T
     width = M + 1
-    for j0 in range(0, sizes[1], width):
-        live = [k for k in range(N + 1) if sizes[k] > j0]
+    for j0 in range(0, sizes[i1], width):
+        live = [i for i, m in enumerate(sizes) if m > j0]
         probe = np.zeros((width, n))
-        for k in live:
-            probe[:, slices[k].start + j0:slices[k].start + j0 + width] = np.eye(width)
+        for i in live:
+            probe[:, slices[i].start + j0:slices[i].start + j0 + width] = np.eye(width)
         out = tangent(probe)
-        for k in live:
-            blocks[k][:sizes[k], j0:j0 + width] = out[:, slices[k]].T
-        blocks[1][-2:, j0:j0 + width] = out[:, -2:].T
-    inverses, rcond = [], np.zeros(N + 1)
-    for k, blk in enumerate(blocks):
+        for i in live:
+            blocks[i][:sizes[i], j0:j0 + width] = out[:, slices[i]].T
+        blocks[i1][-2:, j0:j0 + width] = out[:, -2:].T
+    inverses, rcond = [], np.zeros(len(ks))
+    for i, blk in enumerate(blocks):
         try:
             inverses.append(np.linalg.inv(blk))
         except np.linalg.LinAlgError:
-            continue        # an exactly zero pivot: rcond[k] stays 0
-        rcond[k] = 1.0 / (np.linalg.norm(blk, 1) * np.linalg.norm(inverses[-1], 1))
-    bad = [k for k in range(N + 1) if not rcond[k] >= RANK_RCOND]
+            continue        # an exactly zero pivot: rcond[i] stays 0
+        rcond[i] = 1.0 / (np.linalg.norm(blk, 1) * np.linalg.norm(inverses[-1], 1))
+    bad = [(int(k), rc) for k, rc in zip(ks, rcond) if not rc >= RANK_RCOND]
     if bad:
         raise JacobianSingular(
             f"Newton matrix singular, block reciprocal condition below "
             f"{RANK_RCOND:.0e}: " + "; ".join(
-                f"harmonic {k} ({rcond[k]:.2e}, "
+                f"harmonic {k} ({rc:.2e}, "
                 + ("failed certificate" if k == 1 else f"resonance at {k}i") + ")"
-                for k in bad))
+                for k, rc in bad))
     return BlockPreconditioner(
-        inv0=inverses[0], inv1=inverses[1],
-        inv_rest=np.reshape(inverses[2:], (N - 1, sizes[1], sizes[1])),
+        inv0=inverses[0] if i1 else None, inv1=inverses[i1],
+        inv_rest=np.reshape(inverses[i1 + 1:], (-1, sizes[i1], sizes[i1])),
         omega_tau=omega_tau, rcond=rcond)
 
 
@@ -488,13 +545,19 @@ def gmres(apply, b, precond, rtol, max_products):
     return precond.matvec(y @ V[:j + 1]), bool(converged), j + 1
 
 
-def _pack(orbit):
-    return np.concatenate([flatten(orbit.v), [orbit.omega, orbit.tau]])
+def _pack(orbit, ks=None):
+    v = orbit.v if ks is None else orbit.v[ks]
+    return np.concatenate([flatten(v, ks), [orbit.omega, orbit.tau]])
 
 
-def _unpack(z, N, M, eps, lam):
-    return PeriodicOrbit(v=unflatten(z[:-2], N, M), omega=float(z[-2]),
+def _unpack(z, ks, M, eps, lam):
+    return PeriodicOrbit(v=unflatten(z[:-2], ks, M), omega=float(z[-2]),
                          tau=float(z[-1]), eps=eps, lam=lam)
+
+
+def harmonics(N, odd):
+    """The harmonics Newton carries: 1, 3, ..., <= N for an odd b, else 0..N."""
+    return np.arange(1, N + 1, 2) if odd else np.arange(N + 1)
 
 
 def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
@@ -509,19 +572,43 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
     solve stops at the roundoff floor: after the first step that lowers
     the residual by a smaller factor than the step before it did, or at a
     step that does not lower it at all. Above TOL_ORBIT, NoConvergence
-    names the line search or the iteration limit. The returned orbit
-    carries the last `precond`, and `stats` that count the iterations,
-    tangent products, halvings and builds, and name the stop.
+    names the line search or the iteration limit.
+
+    For an odd b (ctx.odd) Newton carries the odd harmonics only. The full
+    system has the last word: the orbit, with exact zeros on the even
+    harmonics, is accepted only if the full `residual` is at most
+    TOL_ORBIT; otherwise the amplitude is solved again on all harmonics
+    from the guess, with a preconditioner built there. A failure of the
+    odd solve is final: from a symmetric guess the full iteration stays
+    symmetric and would meet it too. The returned orbit holds all
+    harmonics 0..N and the full residual_norm. It carries the last
+    `precond`, and `stats` that count the iterations, tangent products,
+    halvings and builds of the solve it came from, and name the stop and
+    the harmonics.
     """
+    N = guess.v.shape[0] - 1
+    if ctx.odd:
+        orbit = _newton(guess, harmonics(N, True), ctx, basis, max_iter)
+        if orbit.residual_norm <= TOL_ORBIT:
+            return orbit
+        guess = replace(guess, precond=None)
+    return _newton(guess, harmonics(N, False), ctx, basis, max_iter)
+
+
+def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
+            basis: ModeBasis, max_iter: int) -> PeriodicOrbit:
+    """`newton_solve` on the harmonics ks of guess; harmonics outside ks
+    are zero in the orbit it returns."""
     N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
     eps, precond = guess.eps, guess.precond
-    z = _pack(guess)
+    odd = len(ks) < N + 1
+    z = _pack(guess, ks)
 
     def orbit_at(zv):
-        return _unpack(zv, N, M, eps, ctx.lam)
+        return _unpack(zv, ks, M, eps, ctx.lam)
 
     def res(zv):
-        return residual(orbit_at(zv), ctx, basis)
+        return residual(orbit_at(zv), ctx, basis, ks)
 
     r = res(z)
     rn = float(np.max(np.abs(r)))
@@ -530,7 +617,7 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
 
     def build():
         nonlocal precond
-        precond = block_preconditioner(orbit_at(z), ctx, basis)
+        precond = block_preconditioner(orbit_at(z), ctx, basis, ks)
         rconds.append(precond.rcond)
 
     if precond is None and (eps != 0.0 or np.any(guess.v)):
@@ -542,7 +629,7 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
     contraction = np.inf    # rn_new / rn of the last accepted step
     while n_iter < max_iter:
         n_iter += 1
-        tangent, _ = _tangent(orbit_at(z), ctx, basis)
+        tangent, _ = _tangent(orbit_at(z), ctx, basis, ks)
         for attempt in range(2):
             step, converged, products = gmres(tangent, -r, precond,
                                               GMRES_RTOL, GMRES_MAX)
@@ -579,9 +666,14 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
             f"the {limit} after {n_iter} iterations and {len(rconds)} "
             f"preconditioner builds", last_good=None)
     out = orbit_at(z)
+    if odd:
+        v, out.v = out.v, np.zeros(guess.v.shape, dtype=complex)
+        out.v[ks] = v
+        rn = float(np.max(np.abs(residual(out, ctx, basis))))
     out.residual_norm, out.precond = rn, precond
     out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
-                            halvings=halvings, rconds=tuple(rconds), stop=stop)
+                            halvings=halvings, rconds=tuple(rconds), stop=stop,
+                            harmonics="odd" if odd else "all")
     return out
 
 
@@ -618,35 +710,42 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     """March the orbit family over increasing eps by Newton, then fit the
     delay and frequency laws on the three smallest eps.
 
-    The first amplitude starts from the tangent-space `predictor`, the
-    second from the first orbit, and every later one from the secant
-    through the two previous orbits (Allgower & Georg 1990). If the solve
-    from the secant raises EvalDomainError or NoConvergence, it is repeated
-    from the previous orbit; each orbit's `stats` count the solve that
-    succeeded. Each guess carries the newest orbit's preconditioner: the
-    first solve builds one at the first predictor, and a rebuild in any
-    solve serves the amplitudes after it. A solver error carries the last
-    good amplitude as `last_good`.
+    The first amplitude starts from the tangent-space `predictor`, and
+    every later one from the secant through the two previous orbits
+    (Allgower & Georg 1990); at lambda = 0 the second amplitude's secant
+    runs through the branch root, the trivial orbit with omega = 1 and
+    tau = tau0. If the solve from the secant raises EvalDomainError or
+    NoConvergence, it is repeated from the previous orbit; each orbit's
+    `stats` count the solve that succeeded. Each guess carries the newest
+    orbit's preconditioner: the first solve builds one at the first
+    predictor, and a rebuild in any solve serves the amplitudes after it.
+    Once an odd b's orbit is rejected by the full system (`newton_solve`),
+    the rest of the branch runs on all harmonics. A solver error carries
+    the last good amplitude as `last_good`.
     """
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3 or any(e <= 0 for e in eps_grid) \
             or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be at least 3 increasing positive values")
     basis = mode_basis(cert, ctx)
+    # the branch root moves with lambda: away from 0 it is unknown
+    root = [predictor(basis, 0.0, N, ctx)] if ctx.lam == 0.0 else []
     orbits = []
     try:
         for eps in eps_grid:
             orbit = None
-            if len(orbits) >= 2:
+            known = (root + orbits)[-2:]
+            if len(known) == 2:
                 try:
-                    orbit = newton_solve(_secant(*orbits[-2:], eps), ctx, basis,
-                                         max_iter)
+                    orbit = newton_solve(_secant(*known, eps), ctx, basis, max_iter)
                 except (EvalDomainError, NoConvergence):
                     pass    # solve again from the previous orbit
             if orbit is None:
                 guess = (replace(orbits[-1], eps=eps) if orbits
                          else predictor(basis, eps, N, ctx))
                 orbit = newton_solve(guess, ctx, basis, max_iter)
+            if ctx.odd and orbit.stats.harmonics == "all":
+                ctx = replace(ctx, odd=False)   # the oddness verdict was wrong
             if orbits:
                 orbits[-1].precond = None
             orbits.append(orbit)
@@ -657,8 +756,8 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
     taus = [o.tau for o in smallest]
     omegas = [o.omega for o in smallest]
     epss = [o.eps for o in smallest]
-    # the branch root moves with lambda: away from 0, fit a free intercept
-    tau_base, om_base = (basis.tau0, 1.0) if ctx.lam == 0.0 else (None, None)
+    # away from lambda = 0, fit a free intercept in place of the root
+    tau_base, om_base = (root[0].tau, root[0].omega) if root else (None, None)
     tau_c, tau_s = _fit_slope_curvature(epss, taus, tau_base)
     om_c, om_s = _fit_slope_curvature(epss, omegas, om_base)
     return BranchResult(orbits=orbits, fit_tau_curvature=tau_c,
@@ -677,15 +776,14 @@ def pde_residual_check(orbit: PeriodicOrbit, ctx: OperatorContext) -> float:
     centered 4th-order differences, making this check independent of the
     characteristic formulation.
     """
-    N = orbit.v.shape[0] - 1
-    times = _collocation_times(N)
+    ks = np.arange(orbit.v.shape[0])
+    times = _collocation_times(ks)
     u_hat = _displacement(orbit.v, ctx)
-    ks = np.arange(N + 1)[:, None]
     u = harmonic_synthesis(u_hat, times)
-    u_tt = harmonic_synthesis(-(ks ** 2) * u_hat, times)
+    u_tt = harmonic_synthesis(-(ks[:, None] ** 2) * u_hat, times)
     u_del = harmonic_synthesis(
-        _delay_phase(N, orbit.omega, orbit.tau) * u_hat, times)
-    u_t = harmonic_synthesis(1j * ks * u_hat, times)
+        _delay_phase(ks, orbit.omega, orbit.tau) * u_hat, times)
+    u_t = harmonic_synthesis(1j * ks[:, None] * u_hat, times)
     h = ctx.h
     u_x = (-u[:, 4:] + 8 * u[:, 3:-1] - 8 * u[:, 1:-3] + u[:, :-4]) / (12 * h)
     u_xx = (-u[:, 4:] + 16 * u[:, 3:-1] - 30 * u[:, 2:-2]

@@ -79,7 +79,8 @@ def synthesize(v, times):
 def analyze(values, N):
     """Harmonics 0..N of equispaced samples (..., T, 2, M+1) over one
     period: the inverse of synthesize for T >= 2N+1."""
-    coef = harmonic_analysis(values.reshape(values.shape[:-2] + (-1,)), N)
+    coef = harmonic_analysis(values.reshape(values.shape[:-2] + (-1,)),
+                             np.arange(N + 1))
     return coef.reshape(coef.shape[:-1] + values.shape[-2:])
 
 
@@ -299,7 +300,7 @@ def apply_JK(v, omega: float, tau: float, ctx: OperatorContext):
     off-diagonal pointwise part. Used for cross-checks and basin probes."""
     J = _displacement(v, ctx)
     b3, b4 = ctx.coeffs.nodes("b3"), ctx.coeffs.nodes("b4")
-    mix = (b3 + b4 * _delay_phase(v.shape[-3] - 1, omega, tau)) * J
+    mix = (b3 + b4 * _delay_phase(np.arange(v.shape[-3]), omega, tau)) * J
     out = np.empty_like(v)
     out[..., 0, :] = mix + ctx.b2 * v[..., 1, :]
     out[..., 1, :] = mix + ctx.b1 * v[..., 0, :]

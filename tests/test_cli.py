@@ -171,6 +171,28 @@ def test_branch_without_cubic_terms(tmp_path):
     assert (tmp_path / "branch_orbits.json").exists()
 
 
+@pytest.mark.parametrize("b, harmonics", [("-u1^3/6 - u2 - u3", "odd"),
+                                          ("-u2 - u3 + 0.5*u1^2 - u1^3/6", "all")],
+                         ids=["odd", "quadratic"])
+def test_branch_harmonics(tmp_path, b, harmonics):
+    # an odd b is continued on the odd harmonics, so its orbits file holds
+    # exact zeros on every even harmonic; a quadratic term needs them all
+    cfg = write_config(
+        tmp_path, b=b, solver={"M": 128, "M_solve": 32, "N": 6, "K_max": 4,
+                               "eps_grid": [0.02, 0.03, 0.04]})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["harmonics"] == harmonics
+    orbits = json.loads((tmp_path / "branch_orbits.json").read_text())["orbits"]
+    even = np.array([o["coefficients"] for o in orbits])[:, 0::2]
+    if harmonics == "odd":
+        assert not np.any(even)
+        assert diag["min_block_rcond_harmonic"] % 2 == 1
+    else:
+        assert np.max(np.abs(even)) > 1e-6
+
+
 def test_branch_deterministic(tmp_path):
     cfg = write_config(
         tmp_path,

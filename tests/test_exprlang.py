@@ -172,6 +172,27 @@ def test_domain_errors_raise():
         exprlang.parse("u1*0^-1").diff("u1").eval({"u1": 1.0})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_result_raises_in_any_element(bad):
+    # the finiteness test must catch one non-finite value wherever it
+    # sits in a 257-node array, and a non-finite scalar result
+    e = exprlang.parse("2*u1 + x")
+    x = np.linspace(0.0, 1.0, 257)
+    for i in range(257):
+        u1 = np.zeros(257)
+        u1[i] = bad
+        with pytest.raises(EvalDomainError):
+            e.eval({"x": x, "u1": u1})
+    with pytest.raises(EvalDomainError):
+        e.eval({"x": 0.5, "u1": bad})
+    # a non-finite value made inside the evaluation raises the same way,
+    # not as a numpy floating-point warning
+    u1 = np.ones(257)
+    u1[100] = 0.0
+    with pytest.raises(EvalDomainError):
+        exprlang.parse("x/u1").eval({"x": x, "u1": u1})
+
+
 def test_nodes_are_immutable():
     e = exprlang.parse("x + 1")
     with pytest.raises(Exception):

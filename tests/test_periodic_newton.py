@@ -208,12 +208,18 @@ def test_dissipative_branch_converges(cert_down, ctx_down):
     assert all(o.stats.iterations <= 5 for o in br.orbits)
     assert all(o.stats.stop in ("roundoff floor", "no decrease")
                for o in br.orbits)
+    # the secant through the trivial orbit (eps = 0, omega = 1, tau0) starts
+    # the second amplitude as close as the secants start the later ones
+    steps = [o.stats.iterations for o in br.orbits]
+    assert steps[1] <= min(steps[2:])
 
 
 def test_flagship_branch_tangent_products(flagship_branch):
     # the secant predictor and the roundoff-floor stop; 179 products
     # without either
     assert sum(o.stats.matvecs for o in flagship_branch.orbits) <= 120
+    steps = [o.stats.iterations for o in flagship_branch.orbits]
+    assert steps[1] <= min(steps[2:])
 
 
 @pytest.mark.parametrize("error", [EvalDomainError("not finite"),
@@ -245,13 +251,38 @@ def test_secant_failure_solves_from_previous_orbit(cert_down, spec_cubic_down,
     monkeypatch.setattr(periodic, "_secant", recording)
     monkeypatch.setattr(periodic, "newton_solve", failing)
     br = periodic.continue_branch(cert_down, eps_grid, ctx, N)
-    assert [s.eps for s in secants] == eps_grid[2:]
+    assert [s.eps for s in secants] == eps_grid[1:]
     for got, ref in zip(br.orbits, want, strict=True):
         assert got.v.tobytes() == ref.v.tobytes()
         assert (got.omega, got.tau) == (ref.omega, ref.tau)
         # distinct rcond arrays: compared apart from the other counts
         assert replace(got.stats, rconds=()) == replace(ref.stats, rconds=())
         assert np.array_equal(got.stats.rconds, ref.stats.rconds)
+
+
+def test_wrong_odd_verdict_ends_on_all_harmonics(monkeypatch):
+    # b with a quadratic term is not odd; forced onto the odd harmonics, the
+    # first orbit fails the full residual, is solved again on all
+    # harmonics, and the branch ends as the unforced run does
+    spec = ProblemSpec.from_expressions(a="2/pi", b="-u2 - u3 + 0.5*u1^2 - u1^3/6")
+    cert = eigen.certify(spec, 1.4, M=128, K_max=4)
+    ctx = periodic.operator_context(spec, 0.0, 32)
+    assert not ctx.odd
+    eps_grid, N = [0.01, 0.02, 0.03], 4
+    want = periodic.continue_branch(cert, eps_grid, ctx, N)
+    carried, newton = [], periodic._newton
+
+    def recording(guess, ks, *args):
+        carried.append(len(ks))
+        return newton(guess, ks, *args)
+
+    monkeypatch.setattr(periodic, "_newton", recording)
+    got = periodic.continue_branch(cert, eps_grid, replace(ctx, odd=True), N)
+    assert carried == [2, 5, 5, 5]
+    for g, w in zip(got.orbits, want.orbits, strict=True):
+        assert g.stats.harmonics == w.stats.harmonics == "all"
+        assert g.v.tobytes() == w.v.tobytes()
+        assert (g.omega, g.tau, g.residual_norm) == (w.omega, w.tau, w.residual_norm)
 
 
 def test_newton_resolves_tau_near_hopf_point(cert_up, ctx_up):
@@ -376,13 +407,13 @@ def test_jacobian_matches_central_differences():
     J, anorm = jacobian(orbit, ctx, basis)
     assert J.flags.f_contiguous
     assert anorm == pytest.approx(np.max(np.sum(np.abs(J), axis=0)), rel=1e-12)
-    z = periodic._pack(orbit)
+    z, ks = periodic._pack(orbit), np.arange(N + 1)
     J_cd = np.empty_like(J)
     for j in range(len(z)):        # includes the omega and tau columns
         dz = np.zeros(len(z))
         dz[j] = 1e-6 * (1.0 + abs(z[j]))
         r_plus, r_minus = (
-            periodic.residual(periodic._unpack(z + dz_s, N, M, eps, lam), ctx, basis)
+            periodic.residual(periodic._unpack(z + dz_s, ks, M, eps, lam), ctx, basis)
             for dz_s in (dz, -dz))
         J_cd[:, j] = (r_plus - r_minus) / (2.0 * dz[j])
     assert np.max(np.abs(J - J_cd)) <= 1e-8 * np.max(np.abs(J))
@@ -414,7 +445,7 @@ def test_resonance_detected_with_live_delay_column():
     _, s, vh = np.linalg.svd(J)
     assert s[-1] < 1e-12 * s[0] and s[-2] < 1e-12 * s[0]
     for vec in vh[-2:]:
-        energy = np.sum(np.abs(periodic.unflatten(vec[:-2], 4, 32)) ** 2,
+        energy = np.sum(np.abs(periodic.unflatten(vec[:-2], np.arange(5), 32)) ** 2,
                         axis=(1, 2))
         assert energy[3] > (1 - 1e-12) * np.sum(np.abs(vec) ** 2)
     with pytest.raises(JacobianSingular):
@@ -465,7 +496,7 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # rcond is each block's exact reciprocal 1-norm condition, not an
     # estimate; the k = 1 block is bordered by the amplitude and phase rows
     # and the (omega, tau) columns
-    slices = periodic._harmonic_slices(8, 64)
+    slices = periodic._harmonic_slices(np.arange(9), 64)
     for k in (0, 1, 8):
         idx = np.r_[slices[k], [n - 2, n - 1] if k == 1 else []].astype(int)
         blk = tangent(np.eye(n)[idx])[:, idx].T
@@ -477,6 +508,18 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     exact = periodic._tangent(trivial, ctx_down, basis)[0](z)
     diag = periodic._tangent(trivial, ctx_down, basis, harmonic_diagonal=True)[0](z)
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
+    # on the odd harmonics alone there is no k = 0 block and k = 1 comes
+    # first; the round trip holds, and each block is the full build's
+    ks = periodic.harmonics(8, True)
+    odd = replace(super_orbit, v=super_orbit.v[ks])
+    odd_precond = periodic.block_preconditioner(odd, ctx_down, basis, ks)
+    tangent, _ = periodic._tangent(odd, ctx_down, basis, ks, harmonic_diagonal=True)
+    n = len(periodic._pack(super_orbit, ks))
+    assert odd_precond.inv0 is None and n == 4 * 4 * 65 + 2
+    for z in rng.normal(size=(3, n)):
+        back = odd_precond.matvec(tangent(z))
+        assert np.linalg.norm(back - z) <= 1e-10 * np.linalg.norm(z)
+    assert odd_precond.rcond == pytest.approx(precond.rcond[ks], rel=1e-8)
 
 
 def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hopfwave import periodic
+from hopfwave import exprlang, periodic
 from hopfwave.model import ProblemSpec
 from hopfwave.quadrature import cumulative_integral, integral
 from oracles import (analyze, apply_JK, inner_product, interp_periodic, kernels,
@@ -280,15 +280,35 @@ def test_packing_round_trip(N, M, data):
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     n = 2 * (M + 1) * (2 * N + 1)
     z = data.draw(hnp.arrays(np.float64, n, elements=finite))
-    assert np.array_equal(periodic.flatten(periodic.unflatten(z, N, M)), z)
+    ks = np.arange(N + 1)
+    assert np.array_equal(periodic.flatten(periodic.unflatten(z, ks, M)), z)
     shape = (N + 1, 2, M + 1)
     v = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
          + 1j * data.draw(hnp.arrays(np.float64, shape, elements=finite)))
-    back = periodic.unflatten(periodic.flatten(v), N, M)
+    back = periodic.unflatten(periodic.flatten(v), ks, M)
     want = v.copy()
     want[0] = v[0].real
     assert np.array_equal(back, want)
     assert np.all(back[0].imag == 0.0)
+
+
+def test_packing_round_trip_odd_harmonics():
+    # without a k = 0 block every harmonic keeps its imaginary part
+    ks, M = periodic.harmonics(7, True), 4
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(4, 2, M + 1)) + 1j * rng.normal(size=(4, 2, M + 1))
+    z = periodic.flatten(v, ks)
+    assert len(z) == 4 * 4 * (M + 1)
+    assert np.array_equal(periodic.unflatten(z, ks, M), v)
+
+
+@pytest.mark.parametrize("b, odd", [
+    ("u1^3/6 + u2 + u3", True), ("sin(u1)", True), ("x*u3^3", True),
+    ("u1*u2^2", True), ("u1^2", False), ("cos(u1)", False),
+    ("u1 + 1e-3*u1^2", False), ("sqrt(1 + 50*u1)", False)])
+def test_oddness_verdict(b, odd):
+    # sqrt(1 + 50 u1) leaves its domain on the samples: "not odd", no error
+    assert periodic.odd_in_u(exprlang.parse(b), 0.0) is odd
 
 
 def test_packing_order():
