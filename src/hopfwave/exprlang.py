@@ -17,9 +17,11 @@ broadcasts, `diff` returns a new tree (orders up to 3 stay small thanks to
 constant folding on construction). No stronger simplification is attempted:
 only evaluation equivalence is guaranteed.
 
-Each node is compiled once, on its first `eval`, into a Python function of
-straight-line numpy code cached on the node, which runs with numpy's
-floating-point warnings off (one `np.errstate` per node, not per call).
+Each node is compiled once, on its first evaluation, into a Python function
+of straight-line numpy code cached on the node. `eval` runs it with numpy's
+floating-point warnings off and gives the caller's error state back;
+`eval_unguarded` leaves that state to a caller that enters it once around
+many evaluations, with the same exceptions and finiteness check.
 Integer powers are evaluated by square-and-multiply, so a result may differ
 from `pow` in the last bits.
 """
@@ -67,7 +69,7 @@ class _Emitter:
 class Expr:
     """Base node. Subclasses are frozen dataclasses; trees are shareable."""
 
-    __slots__ = ("_fn",)    # the compiled evaluator, set by the first eval
+    __slots__ = ("_fn",)    # the compiled function, set by the first evaluation
 
     def eval(self, env):
         """Evaluate at a binding of the free variables.
@@ -76,6 +78,12 @@ class Expr:
         EvalDomainError when the result is not finite (division by zero,
         sqrt of a negative number, overflow).
         """
+        with np.errstate(all="ignore"):
+            return self.eval_unguarded(env)
+
+    def eval_unguarded(self, env):
+        """eval inside the caller's numpy error state, for a caller that
+        enters np.errstate(all="ignore") once around many evaluations."""
         fn = getattr(self, "_fn", None) or self._compile()
         try:
             val = fn(env)
@@ -95,8 +103,7 @@ class Expr:
             body = "".join(f"    {line}\n" for line in em.lines)
             exec(compile(f"def fn(env):\n{body}    return {out}\n", "<exprlang>",
                          "exec"), em.ns)
-            # so em.ns, fn's globals, holds no cycle back
-            fn = np.errstate(all="ignore")(em.ns.pop("fn"))
+            fn = em.ns.pop("fn")    # so em.ns, fn's globals, holds no cycle back
         else:   # a constant: no statements, so no code to compile
             fn = lambda env, value=em.ns[out]: value
         object.__setattr__(self, "_fn", fn)

@@ -170,11 +170,13 @@ def antiderivative_tables(coeffs: LinearizedCoeffs):
                  for f in (1.0, coeffs.b1, coeffs.b2))
 
 
-def displacement(diff, a, h, out=None):
+def displacement(diff, a, h, out=None, rule=None):
     """u = int_0^x diff / (2a) along the last axis, diff = v1 - v2: the one
     displacement rule, shared by the harmonic operators and the time
-    stepper. out, if given, receives u as in cumulative_integral."""
-    u = cumulative_integral(diff / a, h, out=out)
+    stepper. out, if given, receives u as in cumulative_integral; rule, a
+    cumulative_rule planned for diff's shape, replaces that function."""
+    q = diff / a
+    u = cumulative_integral(q, h, out=out) if rule is None else rule(q, out)
     u *= 0.5
     return u
 

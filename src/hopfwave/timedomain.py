@@ -7,9 +7,11 @@ Cross-checks the harmonic-balance orbits by evolving
 
 in unscaled time with first-order upwinding on each characteristic family
 and the delayed displacement read from a ring buffer. The Simulator fixes
-the step size at CFL number CFL_LIMIT and advances one SimState in place.
-Accuracy is first order by design: enough for percent-level period
-validation, not for quantitative amplitudes.
+the step size at CFL number CFL_LIMIT and advances one SimState in place
+in one run loop, Simulator.advance, which binds its buffers and views and
+enters numpy's error state once per call, not once per step. Accuracy is
+first order by design: enough for percent-level period validation, not
+for quantitative amplitudes.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import HistoryTooLong, NegativeDelayUnsupported, NoOscillationDetected
 from .model import ProblemSpec, displacement, linearize
+from .quadrature import cumulative_rule
 
 CFL_LIMIT = 0.9                 # the step is CFL_LIMIT * h / max(a)
 MAX_HISTORY_BYTES = 2 ** 30     # largest delay history ring a simulator allocates
@@ -30,8 +33,8 @@ SETTLE_TOL = 0.05               # largest relative envelope drift of a settled t
 @dataclass
 class SimState:
     """Grid fields plus the displacement history needed for the delay,
-    advanced in place by Simulator.step; the step size is the simulator's.
-    Made by Simulator.initial_state: step reads v1 - v2 from diff and keeps
+    advanced in place by Simulator.advance; the step size is the simulator's.
+    Made by Simulator.initial_state: a step reads v1 - v2 from diff and keeps
     it up to date, so fields changed by hand need diff changed too."""
 
     v: np.ndarray            # (2, M+1): the rows v1 and v2
@@ -54,7 +57,8 @@ class Simulator:
 
     tau and dt are fixed, so u(t - tau) always lies lag and lag + 1 rows
     behind the head of the history, with the same interpolation weight.
-    A step works in buffers the simulator allocates once.
+    A step works in buffers the simulator allocates once, the cumulative
+    rule of the displacement included.
     """
 
     def __init__(self, spec: ProblemSpec, tau: float, M: int = 256):
@@ -88,6 +92,7 @@ class Simulator:
         self._dv = np.empty((2, M))
         self._env = {"x": self.x, "lambda": spec.lam,
                      "u2": self._u2, "u3": self._u3, "u4": self._u4}
+        self._rule = cumulative_rule(self.x.shape, self.h)
 
     def initial_state(self, v1=None, v2=None) -> SimState:
         """Initial fields with the displacement history over [-tau, 0]: the
@@ -102,44 +107,61 @@ class Simulator:
         hist = np.tile(displacement(diff, self.a, self.h), (self.n_hist, 1))
         return SimState(v=v, diff=diff, t=0.0, history=hist, head=self.n_hist - 1)
 
-    def _delayed_displacement(self, state: SimState):
-        """u(t - tau), linear between the two history rows around it; the
-        result is the simulator's u2 buffer."""
-        rows, i0 = state.history, state.head - self.lag
-        u2 = np.multiply(rows[i0 % self.n_hist], 1.0 - self.w, out=self._u2)
-        u2 += np.multiply(rows[(i0 - 1) % self.n_hist], self.w, out=self._blend)
-        return u2
-
     def step(self, state: SimState) -> None:
-        """Advance state in place by one upwind step of size dt; boundary
-        rows are imposed exactly.
+        """Advance state in place by one step: advance(state, 1)."""
+        self.advance(state, 1)
+
+    def advance(self, state: SimState, n: int, ts=None, ys=None, probe=0) -> None:
+        """Advance state in place by n upwind steps of size dt, boundary rows
+        imposed exactly; with ts and ys, step i records its time in ts[i]
+        and u at node probe in ys[i]. numpy's floating-point warnings are
+        off for the whole call; b's finiteness is checked on every step.
 
         u(t) is the head row of the history, written by the previous step;
-        the step moves the head on by one row and writes u(t + dt) there.
+        each step moves the head on by one row and writes u(t + dt) there.
         """
-        v, diff, env = state.v, state.diff, self._env
-        env["u1"] = state.history[state.head]
-        self._delayed_displacement(state)
-        u3 = np.add(v[0], v[1], out=self._u3)
-        u3 *= 0.5
-        np.multiply(diff, self.half_inv_a, out=self._u4)
-        # dt B = dt (b - ax (v1 - v2) / 2), a grid array even when b is
-        # constant in x
-        dtB = np.multiply(self.half_ax, diff, out=self._dtB)
-        np.subtract(self.spec.b.eval(env), dtB, out=dtB)
-        dtB *= self.dt
-        # upwind differences of the old fields, times the signed gains
-        dv = np.subtract(v[:, 1:], v[:, :-1], out=self._dv)
-        dv *= self.gains
-        v += dtB
-        v[0, :-1] += dv[0]      # v1 rides leftward characteristics
-        v[1, 1:] += dv[1]       # v2 rides rightward characteristics
-        v[0, -1] = v[1, -1]
-        v[1, 0] = -v[0, 0]
-        np.subtract(v[0], v[1], out=diff)
-        state.t += self.dt
-        state.head = (state.head + 1) % self.n_hist
-        displacement(diff, self.a, self.h, out=state.history[state.head])
+        v, diff, hist, dv = state.v, state.diff, state.history, self._dv
+        (v1, v2), (dv1, dv2) = v, dv
+        # the nodes each family updates, and the two ends of each difference
+        v1_in, v2_in, v_hi, v_lo = v[0, :-1], v[1, 1:], v[:, 1:], v[:, :-1]
+        u2, u3, u4, blend, dtB = self._u2, self._u3, self._u4, self._blend, self._dtB
+        env, evaluate, rule = self._env, self.spec.b.eval_unguarded, self._rule
+        a, h, dt, gains = self.a, self.h, self.dt, self.gains
+        half_ax, half_inv_a = self.half_ax, self.half_inv_a
+        lag, n_hist, w, w_head = self.lag, self.n_hist, self.w, 1.0 - self.w
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        head = state.head
+        u1 = hist[head]
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                env["u1"] = u1
+                # u(t - tau), linear between the two history rows around it
+                i0 = head - lag
+                multiply(hist[i0 % n_hist], w_head, out=u2)
+                u2 += multiply(hist[(i0 - 1) % n_hist], w, out=blend)
+                add(v1, v2, out=u3)
+                u3 *= 0.5
+                multiply(diff, half_inv_a, out=u4)
+                # dt B = dt (b - ax (v1 - v2) / 2), a grid array even for a constant b
+                multiply(half_ax, diff, out=dtB)
+                subtract(evaluate(env), dtB, out=dtB)
+                dtB *= dt
+                # upwind differences of the old fields, times the signed gains
+                subtract(v_hi, v_lo, out=dv)
+                dv *= gains
+                v += dtB
+                v1_in += dv1    # v1 rides leftward characteristics
+                v2_in += dv2    # v2 rides rightward characteristics
+                v1[-1] = v2[-1]
+                v2[0] = -v1[0]
+                subtract(v1, v2, out=diff)
+                state.t += dt
+                state.head = head = (head + 1) % n_hist
+                u1 = hist[head]
+                displacement(diff, a, h, out=u1, rule=rule)
+                if ts is not None:
+                    ts[i] = state.t
+                    ys[i] = u1[probe]
 
 
 def _crossing_gaps(ts, ys):
@@ -182,12 +204,8 @@ def run_to_orbit(sim: Simulator, state: SimState, T_end: float):
     cut = int(0.8 * n_steps)
     tail_t = np.empty(n_steps - cut)
     tail_y = np.empty(n_steps - cut)
-    for _ in range(cut):
-        sim.step(state)
-    for i in range(n_steps - cut):
-        sim.step(state)
-        tail_t[i] = state.t
-        tail_y[i] = state.history[state.head][probe]
+    sim.advance(state, cut)
+    sim.advance(state, n_steps - cut, tail_t, tail_y, probe)
     if len(tail_y) < 2:
         raise NoOscillationDetected(
             f"run too short to judge: its tail holds {len(tail_y)} of "

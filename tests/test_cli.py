@@ -515,6 +515,17 @@ def test_simulate_blow_up_exit(tmp_path):
     assert "not finite" in doc["error"]
 
 
+def test_simulate_not_finite_document(tmp_path):
+    # b overflows mid-run: exit 6 and the partial document, byte for byte
+    cfg = write_config(tmp_path, b="50*u1^3 + u1 - u2 - u3",
+                       solver={"M": 64, "K_max": 5})
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", cfg, "--tau", "1.6", "--out", str(out)) == 6
+    assert out.read_text() == (
+        '{"tau": 1.6, "T_end": 200.0, "seed": 0, "error": "expression not '
+        'finite at the given point: 50.0*u1^3 + u1 - u2 - u3"}\n')
+
+
 def test_simulate_b_not_differentiable_at_zero(tmp_path):
     # the stepper linearizes b at u = 0 before any step: an input error,
     # as for the other commands

@@ -193,6 +193,36 @@ def test_non_finite_result_raises_in_any_element(bad):
         exprlang.parse("x/u1").eval({"x": x, "u1": u1})
 
 
+def test_eval_gives_back_the_callers_error_state():
+    # eval turns numpy's warnings off for itself only: after a result and
+    # after a domain error the caller's state is back, here one that would
+    # raise on the division by zero that eval silences
+    e = exprlang.parse("x/u1")
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        assert e.eval({"x": 2.0, "u1": np.ones(3)}) == pytest.approx(2.0)
+        assert np.geterr() == before
+        with pytest.raises(EvalDomainError):
+            e.eval({"x": 2.0, "u1": np.zeros(3)})
+        assert np.geterr() == before
+
+
+def test_unguarded_eval_keeps_the_contract():
+    # the evaluation the time stepper runs inside its own error state: the
+    # values, exceptions and messages of eval, for a constant too
+    with np.errstate(all="ignore"):
+        for text, env in (("0*u1", {}), ("2*u1 + x", {"x": 0.5, "u1": np.arange(3.0)})):
+            e = exprlang.parse(text)
+            assert np.array_equal(e.eval_unguarded(env), e.eval(env))
+        e = exprlang.parse("x/u1")
+        for env in ({"x": 1.0, "u1": np.zeros(2)}, {"x": 1.0, "u1": 0.0}, {"x": 1.0}):
+            with pytest.raises(EvalDomainError) as want:
+                e.eval(env)
+            with pytest.raises(EvalDomainError) as got:
+                e.eval_unguarded(env)
+            assert str(got.value) == str(want.value)
+
+
 def test_nodes_are_immutable():
     e = exprlang.parse("x + 1")
     with pytest.raises(Exception):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopfwave.quadrature import cumulative_integral
+from hopfwave.quadrature import cumulative_integral, cumulative_rule
 from oracles import cumulative_integral_reference
 
 
@@ -14,9 +14,11 @@ def _spread(rng, shape):
 @pytest.mark.parametrize("shape", [(257,), (9, 65)], ids=["257", "9x65"])
 def test_cumulative_integral_bit_identical_to_reference(shape, kind):
     # the in-place rule with one shared 13 y, and its out= path, give the
-    # same bytes as the rule that formed every term as a fresh array
+    # same bytes as the rule that formed every term as a fresh array; so
+    # does one planned rule reused for every array, with and without out
     rng = np.random.default_rng(17)
     h = 1.0 / (shape[-1] - 1)
+    rule = cumulative_rule(shape, h, complex if kind == "complex" else float)
     for _ in range(200):
         y = _spread(rng, shape)
         if kind == "complex":
@@ -25,6 +27,10 @@ def test_cumulative_integral_bit_identical_to_reference(shape, kind):
         assert cumulative_integral(y, h).tobytes() == want
         out = np.full(shape, np.nan, dtype=y.dtype)
         assert cumulative_integral(y, h, out=out) is out
+        assert out.tobytes() == want
+        assert rule(y).tobytes() == want
+        out = np.full(shape, np.nan, dtype=y.dtype)
+        assert rule(y, out) is out
         assert out.tobytes() == want
 
 
@@ -36,9 +42,12 @@ def test_cumulative_integral_signed_zeros(shape, value):
     # from a leading 0 would turn into +0.0
     y = np.full(shape, value)
     out = np.full(shape, np.nan, dtype=y.dtype)
+    rule = cumulative_rule(shape, 1.0 / 64, y.dtype)
     for _ in range(2):
         want = cumulative_integral_reference(y, 1.0 / 64).tobytes()
         assert cumulative_integral(y, 1.0 / 64).tobytes() == want
+        assert rule(y).tobytes() == want
+        assert rule(y, np.full_like(out, np.nan)).tobytes() == want
         assert cumulative_integral(y, 1.0 / 64, out=out).tobytes() == want
         y[..., 2] = 0.0
     if isinstance(value, float):

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 
 from hopfwave import cli, model, timedomain
-from hopfwave.errors import NegativeDelayUnsupported, NoOscillationDetected
+from hopfwave.errors import EvalDomainError, NegativeDelayUnsupported, NoOscillationDetected
 from hopfwave.model import ProblemSpec
 from oracles import ReferenceState, ReferenceStepper, seed_from_orbit, state_with_history
 
 SUPER = Path(__file__).resolve().parents[1] / "configs" / "benchmark_super.json"
+
+
+def _delayed_displacement(sim, state):
+    """u(t - tau) as the run loop reads it: its u2 buffer after one step
+    from a copy of state."""
+    sim.step(timedomain.SimState(v=state.v.copy(), diff=state.diff.copy(), t=state.t,
+                                 history=state.history.copy(), head=state.head))
+    return sim._u2.copy()
 
 
 def test_zero_state_stays_zero(spec_cubic_down):
@@ -103,7 +111,7 @@ def test_history_interpolation_accuracy(spec_cubic_down):
     # seeded history is reproduced through the ring buffer lookup
     sim = timedomain.Simulator(spec_cubic_down, tau=1.3, M=64)
     state = state_with_history(sim, lambda t: np.full(65, np.cos(3 * t)))
-    u_del = sim._delayed_displacement(state)
+    u_del = _delayed_displacement(sim, state)
     assert np.max(np.abs(u_del - np.cos(3 * (-1.3)))) < 5e-4
 
 
@@ -116,11 +124,11 @@ def test_delay_on_exact_multiple_of_dt_reads_stored_row(spec_cubic_down):
     x = sim.x
     state = state_with_history(sim, lambda t: np.cos(3 * t) + x,
                                v1=0.01 * np.sin(np.pi * x / 2))
-    assert np.array_equal(sim._delayed_displacement(state),
+    assert np.array_equal(_delayed_displacement(sim, state),
                           np.cos(3 * -sim.tau) + x)
     for _ in range(40):
         stored = state.history[(state.head - 32) % sim.n_hist].copy()
-        assert np.array_equal(sim._delayed_displacement(state), stored)
+        assert np.array_equal(_delayed_displacement(sim, state), stored)
         sim.step(state)
 
 
@@ -141,7 +149,7 @@ def _unfused_step(sim, state):
     boundary rows, as they stood before the arithmetic was fused."""
     v1, v2, a, h, dt = state.v1, state.v2, sim.a, sim.h, sim.dt
     env = {"x": sim.x, "lambda": sim.spec.lam, "u1": state.history[state.head],
-           "u2": sim._delayed_displacement(state), "u3": 0.5 * (v1 + v2),
+           "u2": _delayed_displacement(sim, state), "u3": 0.5 * (v1 + v2),
            "u4": 0.5 * (v1 - v2) / a}
     B = np.broadcast_to(sim.spec.b.eval(env), sim.x.shape) - 0.5 * sim.ax * (v1 - v2)
     new_v1, new_v2 = v1.copy(), v2.copy()
@@ -170,20 +178,18 @@ def test_fused_step_matches_unfused_formula(seed):
         assert np.max(np.abs(got_v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
 
 
-@pytest.mark.parametrize("problem, seed", [
-    ("varying-a", 0), ("varying-a", 1), ("super", 7), ("super", None)],
-    ids=["varying-a-0", "varying-a-1", "super-random", "super-kick"])
-def test_step_bit_identical_to_reference(problem, seed):
-    # the buffered step with its carried v1 - v2 and fused upwind product
-    # against the step it replaced, through a full turn of the history ring;
-    # bytes, since np.array_equal does not tell -0.0 from +0.0
-    if problem == "varying-a":
-        spec = ProblemSpec.from_expressions(a="1 + x^2/2 + sin(3*x)/4",
-                                            b="-u1^3/6 - u2 - u3 + x*u4")
-        sim = timedomain.Simulator(spec, tau=0.7, M=64)
-    else:
+def _sim_and_state(problem, seed):
+    """A simulator on a named problem and a state to step: random fields
+    and history from seed, or for seed None the simulate command's kick."""
+    varying_a = "1 + x^2/2 + sin(3*x)/4"
+    if problem == "super":
         spec, settings = cli.load_problem(str(SUPER))
         sim = timedomain.Simulator(spec, tau=1.6, M=settings.M)
+    else:
+        b = {"varying-a": "-u1^3/6 - u2 - u3 + x*u4", "constant-b": "0*u1",
+             "no-u3-u4": "-u1^3/6 - u2 + x*u1"}[problem]
+        spec = ProblemSpec.from_expressions(a=varying_a, b=b)
+        sim = timedomain.Simulator(spec, tau=0.7, M=64)
     if seed is None:    # the initial state of the simulate command
         kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
         state = sim.initial_state(v1=kick, v2=kick)
@@ -192,6 +198,19 @@ def test_step_bit_identical_to_reference(problem, seed):
         state = state_with_history(sim, lambda t: rng.standard_normal(n),
                                    v1=rng.standard_normal(n),
                                    v2=rng.standard_normal(n))
+    return sim, state
+
+
+STEP_CASES = [("varying-a", 0), ("varying-a", 1), ("super", 7), ("super", None)]
+STEP_IDS = ["varying-a-0", "varying-a-1", "super-random", "super-kick"]
+
+
+@pytest.mark.parametrize("problem, seed", STEP_CASES, ids=STEP_IDS)
+def test_step_bit_identical_to_reference(problem, seed):
+    # the buffered step with its carried v1 - v2 and fused upwind product
+    # against the step it replaced, through a full turn of the history ring;
+    # bytes, since np.array_equal does not tell -0.0 from +0.0
+    sim, state = _sim_and_state(problem, seed)
     ref, ref_state = ReferenceStepper(sim), ReferenceState.copy_of(state)
     for _ in range(sim.n_hist + 50):
         sim.step(state)
@@ -200,6 +219,58 @@ def test_step_bit_identical_to_reference(problem, seed):
         assert state.v1.tobytes() == ref_state.v1.tobytes()
         assert state.v2.tobytes() == ref_state.v2.tobytes()
     assert state.history.tobytes() == ref_state.history.tobytes()
+
+
+@pytest.mark.parametrize("problem, seed", STEP_CASES + [
+    ("constant-b", 3), ("no-u3-u4", 4)],
+    ids=STEP_IDS + ["constant-b", "no-u3-u4"])
+def test_run_loop_bit_identical_to_reference(problem, seed, monkeypatch):
+    # run_to_orbit's two advance calls, transient and recorded tail, against
+    # the reference stepper; the tail spans a full turn of the history ring
+    sim, state = _sim_and_state(problem, seed)
+    ref, ref_state = ReferenceStepper(sim), ReferenceState.copy_of(state)
+    calls, advance = [], timedomain.Simulator.advance
+
+    def spy(self, state, n, *record):
+        calls.append((n, record))
+        advance(self, state, n, *record)
+
+    monkeypatch.setattr(timedomain.Simulator, "advance", spy)
+    try:
+        timedomain.run_to_orbit(sim, state, 5 * (sim.n_hist + 60) * sim.dt)
+    except NoOscillationDetected:
+        pass    # random fields need not settle; the tail is recorded anyway
+    (cut, ()), (n_tail, (tail_t, tail_y, probe)) = calls
+    assert n_tail >= sim.n_hist + 50
+    for _ in range(cut):
+        ref.step(ref_state)
+    ref_t, ref_y = np.empty(n_tail), np.empty(n_tail)
+    for i in range(n_tail):
+        ref.step(ref_state)
+        ref_t[i], ref_y[i] = ref_state.t, ref_state.history[ref_state.head][probe]
+    assert (state.t, state.head) == (ref_state.t, ref_state.head)
+    assert tail_t.tobytes() == ref_t.tobytes()
+    assert tail_y.tobytes() == ref_y.tobytes()
+    assert state.v1.tobytes() == ref_state.v1.tobytes()
+    assert state.v2.tobytes() == ref_state.v2.tobytes()
+    assert state.history.tobytes() == ref_state.history.tobytes()
+
+
+def test_not_finite_b_ends_run_in_callers_error_state():
+    # 50 u1^3 overflows mid-run; the run enters numpy's error state once, so
+    # none of its operations raise under the caller's "raise", and the
+    # caller's state is back after b's finiteness check ends the run
+    spec = ProblemSpec.from_expressions(a="2/pi", b="50*u1^3 + u1 - u2 - u3")
+    sim = timedomain.Simulator(spec, tau=1.6, M=64)
+    kick = 0.01 * np.sin(np.pi * sim.x / 2.0)
+    state = sim.initial_state(v1=kick, v2=kick)
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        with pytest.raises(EvalDomainError) as err:
+            timedomain.run_to_orbit(sim, state, 200.0)
+        assert np.geterr() == before
+    assert str(err.value) == ("expression not finite at the given point: "
+                              "50.0*u1^3 + u1 - u2 - u3")
 
 
 def test_step_advances_state_in_place(spec_cubic_down):
