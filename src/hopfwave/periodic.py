@@ -14,10 +14,10 @@ harmonic coefficients plus (omega, tau) as unknowns, with an amplitude
 projection on the critical mode and a phase condition closing the system.
 Each step is `gmres` on the exact derivative of that residual, preconditioned
 by a block build kept until GMRES fails. With the partials of b averaged
-over time (exact at v = 0) the derivative splits harmonic by harmonic; only
-k = 1 is singular at the Hopf point, and it is bordered by the amplitude and
-phase rows and the (omega, tau) columns, as in the Lyapunov-Schmidt
-reduction onto the critical mode. No dense matrix of the system is formed.
+over time (exact at v = 0) the derivative maps each harmonic to itself and
+is applied in harmonic space; only k = 1 is singular at the Hopf point,
+bordered by the amplitude and phase rows and the (omega, tau) columns as in
+the Lyapunov-Schmidt reduction. No dense matrix of the system is formed.
 
 A field v(t, x) = sum_k vhat_k(x) e^{ikt} is a plain complex array of
 shape (..., len(ks), 2, M+1): optional batch axes, the harmonics ks,
@@ -28,8 +28,7 @@ part. When b is odd in (u1..u4), v(t + pi) = -v(t) is a symmetry of the
 whole system (Golubitsky, Stewart & Schaeffer, Singularities and Groups in
 Bifurcation Theory II, 1988), so Newton carries only ks = 1, 3, ..., <= N
 and the orbits it returns hold exact zeros on the even harmonics. Operators
-accept the batch axes, which lets the preconditioner build apply the
-tangent to a whole chunk of probe directions at once.
+accept batch axes, so the preconditioner build probes M+1 directions at once.
 """
 from __future__ import annotations
 
@@ -248,11 +247,15 @@ def _collocate(coef, omega, tau, ctx: OperatorContext, ks):
     return v1, v2, (u1, u2, 0.5 * (v1 + v2), 0.5 * (v1 - v2) / ctx.a)
 
 
-def _source(bvals, v1, v2, ks, ctx: OperatorContext) -> np.ndarray:
-    """Harmonics of the source (b - a_x (v1 - v2)/2 - b_j v_j)_j from values
-    on the collocation times; linear in (bvals, v1, v2)."""
+def _source_values(bvals, v1, v2, ctx: OperatorContext) -> np.ndarray:
+    """Source (b - a_x (v1 - v2)/2 - b_j v_j)_j on axis -2; pointwise in t or k."""
     Bfull = bvals - 0.5 * ctx.ax * (v1 - v2)
-    vals = np.stack([Bfull - ctx.b1 * v1, Bfull - ctx.b2 * v2], axis=-2)
+    return np.stack([Bfull - ctx.b1 * v1, Bfull - ctx.b2 * v2], axis=-2)
+
+
+def _source(bvals, v1, v2, ks, ctx: OperatorContext) -> np.ndarray:
+    """Harmonics ks of `_source_values` from values on the collocation times."""
+    vals = _source_values(bvals, v1, v2, ctx)
     coef = harmonic_analysis(vals.reshape(vals.shape[:-2] + (-1,)), ks)
     return coef.reshape(coef.shape[:-1] + vals.shape[-2:])
 
@@ -365,28 +368,15 @@ def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
     return np.concatenate([_defect(v, Bv, orbit.omega, ctx, ks), rows])
 
 
-def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
-             ks=None, harmonic_diagonal: bool = False):
-    """Exact derivative of `residual` at orbit as (apply, omega_tau): apply
-    maps packed directions (..., n) in the residual's own packing, on the
-    harmonics ks that orbit.v holds (default all 0..N).
-
-    The harmonic part applies I - C - D dB, with dB the linearization of
-    apply_B from the exact partials b_{u_j} on the same collocation grid;
-    the amplitude and phase rows are linear. omega_tau (2, n) holds the
-    analytic (omega, tau) columns of the phase factors, which apply adds.
-
-    With harmonic_diagonal, dB uses the time averages of the partials,
-    which map each harmonic to itself: the harmonic part is then
-    block-diagonal over harmonics, and the (omega, tau) columns stay
-    exact. At v = 0 the partials are constant in time and the two agree.
-    """
+def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks, source):
+    """A derivative of `residual` at orbit from the tangent's one set-up, as
+    (apply, omega_tau): apply maps packed directions (..., n) to I - C - D dB
+    on the harmonics ks, the amplitude and phase rows, plus the exact (omega,
+    tau) columns omega_tau (2, n); dB(dv) = source(partials b_{u_j}, dv)."""
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    ks, M = _harmonics_of(v, ks), v.shape[2] - 1
     v1, v2, u = _collocate(v, omega, tau, ctx, ks)
     env = _b_env(u, ctx)
     partials = [d.eval(env) for d in ctx.b_u]
-
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
     Bv = _source(ctx.spec.b.eval(env), v1, v2, ks, ctx)
@@ -397,19 +387,40 @@ def _tangent(orbit: PeriodicOrbit, ctx: OperatorContext, basis: ModeBasis,
     dT = apply_D(dB, omega, ctx, ks)
     dT[0] += _transport_domega(v, Bv, omega, ctx, ks)
     omega_tau = np.concatenate([-flatten(dT, ks), np.zeros((2, 2))], axis=-1)
-    if harmonic_diagonal:
-        partials = [p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials]
 
     def apply(dz):
-        dv = unflatten(dz[..., :-2], ks, M)
-        dv1, dv2, du = _collocate(dv, omega, tau, ctx, ks)
-        dBv = _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, ks, ctx)
+        dv = unflatten(dz[..., :-2], ks, v.shape[2] - 1)
         proj = basis.projection(dv, ctx.h, ks) / basis.nrm
         rows = np.stack([proj.real, proj.imag], axis=-1)
-        return (np.concatenate([_defect(dv, dBv, omega, ctx, ks), rows], axis=-1)
-                + dz[..., -2:] @ omega_tau)
-
+        return (np.concatenate([_defect(dv, source(partials, dv), omega, ctx, ks),
+                                rows], axis=-1) + dz[..., -2:] @ omega_tau)
     return apply, omega_tau
+
+
+def _tangent(orbit, ctx: OperatorContext, basis: ModeBasis, ks=None):
+    """Exact derivative of `residual` at orbit on the harmonics ks of orbit.v
+    (default 0..N), by `_linearization` with dB pointwise in time."""
+    ks = _harmonics_of(orbit.v, ks)
+
+    def source(partials, dv):
+        dv1, dv2, du = _collocate(dv, orbit.omega, orbit.tau, ctx, ks)
+        return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, ks, ctx)
+    return _linearization(orbit, ctx, basis, ks, source)
+
+
+def _harmonic_tangent(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
+    """`_tangent` with each partial p_j replaced by its time mean, applied in
+    harmonic space: dB_k = p1 J_k + p2 e^{-ik omega tau} J_k + p3 (dv1_k +
+    dv2_k)/2 + p4 (dv1_k - dv2_k)/(2a), J_k the displacement of dv1_k - dv2_k.
+    Block-diagonal over harmonics; exact at v = 0 and in (omega, tau)."""
+    delay = _delay_phase(ks, orbit.omega, orbit.tau)
+
+    def source(partials, dv):
+        means = (p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials)
+        dv1, dv2, J = dv[..., 0, :], dv[..., 1, :], _displacement(dv, ctx)
+        du = (J, J * delay, 0.5 * (dv1 + dv2), 0.5 * (dv1 - dv2) / ctx.a)
+        return _source_values(sum(p * d for p, d in zip(means, du)), dv1, dv2, ctx)
+    return _linearization(orbit, ctx, basis, ks, source)
 
 
 RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of a block
@@ -456,19 +467,18 @@ class BlockPreconditioner:
 
 def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
                          basis: ModeBasis, ks=None) -> BlockPreconditioner:
-    """The Newton preconditioner: the exact inverse of the harmonic-diagonal
-    tangent at orbit (`_tangent` with harmonic_diagonal), block by block,
-    on the harmonics ks that orbit.v holds (default all 0..N).
+    """The Newton preconditioner: the exact inverse, block by block, of the
+    harmonic-space map `_harmonic_tangent` at orbit, on the harmonics ks
+    that orbit.v holds (default all 0..N).
 
-    That tangent maps each harmonic to itself: one 2(M+1) block for k = 0
-    and one 4(M+1) block for each k >= 1; at v = 0 it is the exact tangent.
-    A probe with a unit at the same local index in every harmonic therefore
-    yields a column of every block at once; the probes go through the
-    tangent in chunks of M+1. The k = 1 block is singular at the Hopf
-    point, so it is bordered by the amplitude and phase rows and by the
-    exact (omega, tau) columns `_tangent` returns with it; the other
-    harmonics meet those columns below the diagonal only, so the solve is
-    block lower-triangular. In all, 4(M+1) directions per build.
+    That map holds one 2(M+1) block for k = 0 and one 4(M+1) block for each
+    k >= 1. A probe with a unit at the same local index in every harmonic
+    yields a column of every block at once; the probes go through the map,
+    with no Fourier synthesis or analysis, in chunks of M+1: 4(M+1)
+    directions per build. The k = 1 block is singular at the Hopf point, so
+    it is bordered by the amplitude and phase rows and the exact
+    (omega, tau) columns; the other harmonics meet those columns below the
+    diagonal only, so the solve is block lower-triangular.
 
     Each block is inverted by `numpy.linalg.inv`, and its reciprocal 1-norm
     condition 1 / (|A|_1 |A^-1|_1) is computed exactly from that inverse.
@@ -482,7 +492,7 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     n = slices[-1].stop + 2
     sizes = [s.stop - s.start for s in slices]
     i1 = int(ks[0] == 0)        # the position of k = 1 in ks
-    tangent, omega_tau = _tangent(orbit, ctx, basis, ks, harmonic_diagonal=True)
+    tangent, omega_tau = _harmonic_tangent(orbit, ctx, basis, ks)
     blocks = [np.empty((m, m)) for m in sizes]
     blocks[i1] = np.zeros((sizes[i1] + 2,) * 2)
     blocks[i1][:-2, -2:] = omega_tau[:, slices[i1]].T

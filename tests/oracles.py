@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: the guarded transversality
-pairing, the dense Newton matrix, the time-averaged L2 pairing, Fourier
+pairing, the dense Newton matrix, the Newton tangent with time-averaged
+partials applied in the time domain, the time-averaged L2 pairing, Fourier
 synthesis, analysis and time shift of a field, random smooth fields, the
 closed-form curvature of the worked example, the shooting kernel as it was
 before its step matrices were built elementwise, the point-query transport
@@ -60,6 +61,32 @@ def jacobian(orbit, ctx, basis):
         J[:, cols] = tangent(np.eye(cols.stop - j0, n, j0)).T
         col_norms[cols] = np.abs(J[:, cols]).sum(axis=0)
     return J, float(np.max(col_norms))
+
+
+def time_averaged_tangent(orbit, ctx, basis, ks=None):
+    """`periodic._tangent` at orbit with each partial of b replaced by its
+    mean over the collocation times, applied in the time domain: every
+    direction is synthesized on the 4N+1 collocation times, multiplied by
+    the mean partials and analyzed back. The reference for
+    `periodic._harmonic_tangent`; returns apply."""
+    v, omega, tau = orbit.v, orbit.omega, orbit.tau
+    ks = np.arange(len(v)) if ks is None else ks
+    _, omega_tau = periodic._tangent(orbit, ctx, basis, ks)
+    _, _, u = periodic._collocate(v, omega, tau, ctx, ks)
+    env = periodic._b_env(u, ctx)
+    means = [p.mean(axis=-2) if np.ndim(p) == 2 else p
+             for p in (d.eval(env) for d in ctx.b_u)]
+
+    def apply(dz):
+        dv = periodic.unflatten(dz[..., :-2], ks, v.shape[2] - 1)
+        dv1, dv2, du = periodic._collocate(dv, omega, tau, ctx, ks)
+        dB = periodic._source(sum(p * d for p, d in zip(means, du)), dv1, dv2,
+                              ks, ctx)
+        proj = basis.projection(dv, ctx.h, ks) / basis.nrm
+        rows = np.stack([proj.real, proj.imag], axis=-1)
+        return (np.concatenate([periodic._defect(dv, dB, omega, ctx, ks), rows],
+                               axis=-1) + dz[..., -2:] @ omega_tau)
+    return apply
 
 
 def inner_product(v, w, h) -> float:

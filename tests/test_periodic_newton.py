@@ -7,7 +7,8 @@ import pytest
 from hopfwave import direction, eigen, periodic
 from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec, linearize
-from oracles import jacobian, reconstruct_u, time_shifted
+from oracles import (jacobian, random_field, reconstruct_u, time_averaged_tangent,
+                     time_shifted)
 
 
 def test_newton_near_hopf_point(cert_up, ctx_up):
@@ -486,8 +487,7 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # packing offset breaks the round trip
     basis = periodic.mode_basis(cert_down, ctx_down)
     precond = periodic.block_preconditioner(super_orbit, ctx_down, basis)
-    tangent, _ = periodic._tangent(super_orbit, ctx_down, basis,
-                                   harmonic_diagonal=True)
+    tangent = time_averaged_tangent(super_orbit, ctx_down, basis)
     rng = np.random.default_rng(8)
     n = len(periodic._pack(super_orbit))
     for z in rng.normal(size=(3, n)):
@@ -506,14 +506,14 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     trivial = periodic.predictor(basis, 0.0, 8, ctx_down)
     z = rng.normal(size=(2, n))
     exact = periodic._tangent(trivial, ctx_down, basis)[0](z)
-    diag = periodic._tangent(trivial, ctx_down, basis, harmonic_diagonal=True)[0](z)
+    diag = time_averaged_tangent(trivial, ctx_down, basis)(z)
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
     # on the odd harmonics alone there is no k = 0 block and k = 1 comes
     # first; the round trip holds, and each block is the full build's
     ks = periodic.harmonics(8, True)
     odd = replace(super_orbit, v=super_orbit.v[ks])
     odd_precond = periodic.block_preconditioner(odd, ctx_down, basis, ks)
-    tangent, _ = periodic._tangent(odd, ctx_down, basis, ks, harmonic_diagonal=True)
+    tangent = time_averaged_tangent(odd, ctx_down, basis, ks)
     n = len(periodic._pack(super_orbit, ks))
     assert odd_precond.inv0 is None and n == 4 * 4 * 65 + 2
     for z in rng.normal(size=(3, n)):
@@ -522,22 +522,80 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     assert odd_precond.rcond == pytest.approx(precond.rcond[ks], rel=1e-8)
 
 
+def _orbit_near(basis, ctx, ks, seed):
+    """A predictor orbit at eps 0.05 with smooth random content on every
+    harmonic of ks, so the partials of b vary in time."""
+    orbit = periodic.predictor(basis, 0.05, 8, ctx)
+    v = orbit.v + 0.02 * random_field(np.random.default_rng(seed), 8, ctx.coeffs.M)
+    return replace(orbit, v=v[ks], omega=1.01, tau=orbit.tau + 0.01)
+
+
+@pytest.mark.parametrize("b, lam, odd", [
+    (None, 0.0, True),
+    ("-u2 - u3 + 0.5*u1^2 - u1^3/6", 0.0, False),
+    ("-u1^3/6 - u2 - u3 + lambda*u1", 0.01, False),
+    ("-u2 - u3 + x*u1*u4 - u4^3/6", 0.0, False),
+])
+def test_harmonic_tangent_matches_time_domain_oracle(b, lam, odd, super_orbit,
+                                                     cert_down, ctx_down):
+    # the harmonic-space map equals the time-averaged tangent applied
+    # through synthesis and analysis: odd ks on the converged orbit, and
+    # all ks (with a k = 0 block) for a quadratic b, at lambda != 0 and for
+    # a b with x- and time-dependent partials in u1 and u4
+    ks = periodic.harmonics(8, odd)
+    if b is None:
+        ctx, basis = ctx_down, periodic.mode_basis(cert_down, ctx_down)
+        orbit = replace(super_orbit, v=super_orbit.v[ks])
+    else:
+        spec = ProblemSpec.from_expressions(a="2/pi", b=b)
+        ctx = periodic.operator_context(spec, lam, 64)
+        basis = periodic.mode_basis(cert_down, ctx)
+        orbit = _orbit_near(basis, ctx, ks, seed=5)
+    tangent, omega_tau = periodic._harmonic_tangent(orbit, ctx, basis, ks)
+    oracle = time_averaged_tangent(orbit, ctx, basis, ks)
+    z = np.random.default_rng(23).normal(size=(4, omega_tau.shape[1]))
+    got, want = tangent(z), oracle(z)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # at v = 0 the map is the exact tangent
+    trivial = periodic.predictor(basis, 0.0, 8, ctx)
+    trivial.v = trivial.v[ks]
+    exact = periodic._tangent(trivial, ctx, basis, ks)[0](z)
+    diag = periodic._harmonic_tangent(trivial, ctx, basis, ks)[0](z)
+    assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):
-    directions = []
-    tangent = periodic._tangent
+    # the build probes the harmonic-space map with 4(M+1) directions, and
+    # no probe chunk goes through Fourier synthesis or analysis
+    directions, fourier, per_chunk = [], [], []
+    tangent = periodic._harmonic_tangent
+    for name in ("harmonic_synthesis", "harmonic_analysis"):
+        def counted_op(*args, op=getattr(periodic, name)):
+            fourier.append(1)
+            return op(*args)
+        monkeypatch.setattr(periodic, name, counted_op)
 
     def counting(*args, **kwargs):
         apply, omega_tau = tangent(*args, **kwargs)
 
         def counted(dz):
             directions.append(int(np.prod(np.shape(dz)[:-1])))
-            return apply(dz)
+            before = len(fourier)
+            out = apply(dz)
+            per_chunk.append(len(fourier) - before)
+            return out
         return counted, omega_tau
 
-    monkeypatch.setattr(periodic, "_tangent", counting)
+    monkeypatch.setattr(periodic, "_harmonic_tangent", counting)
     basis = periodic.mode_basis(cert_down, ctx_down)
     periodic.block_preconditioner(super_orbit, ctx_down, basis)
     assert sum(directions) == 4 * (ctx_down.coeffs.M + 1)
+    assert per_chunk == [0] * 4
+    # the only Fourier calls are those of one tangent set-up, however many
+    # chunks the build probes
+    in_build = len(fourier)
+    periodic._tangent(super_orbit, ctx_down, basis)
+    assert in_build == len(fourier) - in_build > 0
 
 
 def test_branch_at_fine_grid_without_dense_matrix(cert_down, spec_cubic_down):
