@@ -200,19 +200,18 @@ def orbit_document(orbit: periodic.PeriodicOrbit) -> dict:
 
 def branch_diagnostics(branch: periodic.BranchResult) -> dict:
     """Solver counts of a branch from its orbits' `stats`, per eps where
-    they vary: the harmonics Newton carried ("odd" when every orbit was
-    solved on the odd ones), preconditioner builds, Newton iterations,
+    they vary: the harmonics Newton carried ("odd" when every orbit's
+    stats.ks lacks k = 0), preconditioner builds, Newton iterations,
     tangent products inside GMRES, line-search halvings, the smallest
-    reciprocal condition over the blocks solved with its harmonic, and why
-    each solve stopped. Counts and labels only, no timings, so the same
-    file and seed give the same bytes."""
-    odd = [o.stats.harmonics == "odd" for o in branch.orbits]
-    builds = [(periodic.harmonics(o.v.shape[0] - 1, is_odd), r)
-              for o, is_odd in zip(branch.orbits, odd) for r in o.stats.rconds]
-    rcond, harmonic = min((float(x), int(k)) for ks, r in builds
-                          for k, x in zip(ks, r))
+    reciprocal condition over the blocks solved with its harmonic k, each
+    build's rconds paired with its solve's ks, and why each solve stopped.
+    Counts and labels only, no timings, so the same file and seed give the
+    same bytes."""
+    builds = [(o.stats.ks, r) for o in branch.orbits for r in o.stats.rconds]
+    rcond, harmonic = min((float(x), k) for ks, r in builds for k, x in zip(ks, r))
     return {
-        "harmonics": "odd" if all(odd) else "all",
+        "harmonics": ("odd" if all(0 not in o.stats.ks for o in branch.orbits)
+                      else "all"),
         "preconditioner_builds": len(builds),
         "newton_iterations": [o.stats.iterations for o in branch.orbits],
         "gmres_matvecs": [o.stats.matvecs for o in branch.orbits],

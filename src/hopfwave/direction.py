@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSeparable, QuadraticTermPresent, RhoZero
-from .model import _UVARS, ProblemSpec
+from .model import _UVARS, ProblemSpec, b_env
 from .quadrature import integral
 
 STABILITY_CAVEAT = (
@@ -60,7 +60,7 @@ def check_structure(spec: ProblemSpec, grid) -> np.ndarray:
     rng = np.random.default_rng(20240831)
     xs = rng.uniform(0.0, 1.0, _CHECK_SAMPLES)
     us = rng.uniform(-0.5, 0.5, (_CHECK_SAMPLES, 4))
-    env = {"x": xs, "lambda": 0.0, **dict(zip(_UVARS, us.T))}
+    env = b_env(xs, 0.0, us.T)
     for i in range(4):
         for j in range(i + 1, 4):
             mixed = spec.b.diff(_UVARS[i]).diff(_UVARS[j])
@@ -69,7 +69,7 @@ def check_structure(spec: ProblemSpec, grid) -> np.ndarray:
                 raise NotSeparable(
                     f"mixed partial in ({_UVARS[i]}, {_UVARS[j]}) is nonzero; "
                     "the direction formula needs b = sum of beta_j(x, lambda, u_j)")
-    env0 = {"x": grid, "lambda": 0.0, **dict.fromkeys(_UVARS, 0.0)}
+    env0 = b_env(grid, 0.0)
     for u in _UVARS:
         quad = np.broadcast_to(spec.b.diff(u, 2).eval(env0), grid.shape)
         if np.max(np.abs(quad)) > 1e-10:

@@ -30,11 +30,9 @@ _POSITIVITY_SAMPLES = 1024
 _POSITIVITY_MARGIN = 1e-10
 
 
-def _sampled_env(x, lam):
-    env = {"x": x, "lambda": lam}
-    for u in _UVARS:
-        env[u] = 0.0
-    return env
+def b_env(x, lam, us=(0.0,) * 4):
+    """The binding of b's arguments: x, lambda and u1..u4 from us."""
+    return {"x": x, "lambda": lam, **dict(zip(_UVARS, us))}
 
 
 @dataclass(frozen=True)
@@ -84,12 +82,12 @@ class ProblemSpec:
         """Sampled hard checks: a > 0 and b(x, lam, 0,0,0,0) = 0."""
         x = np.linspace(0.0, 1.0, _POSITIVITY_SAMPLES)
         for lam in {self.lam, 0.0}:
-            a_vals = np.broadcast_to(self.a.eval(_sampled_env(x, lam)), x.shape)
+            a_vals = np.broadcast_to(self.a.eval(b_env(x, lam)), x.shape)
             if np.min(a_vals) <= _POSITIVITY_MARGIN:
                 raise SpecInvalid(
                     f"a(x, {lam}) must be positive; min sampled value "
                     f"{np.min(a_vals):.3e}")
-            b_vals = np.broadcast_to(self.b.eval(_sampled_env(x, lam)), x.shape)
+            b_vals = np.broadcast_to(self.b.eval(b_env(x, lam)), x.shape)
             if np.max(np.abs(b_vals)) > 1e-12:
                 raise SpecInvalid(
                     f"b(x, {lam}, 0,0,0,0) must vanish; max sampled value "
@@ -143,7 +141,7 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
     if M < 16:
         raise ValueError("M must be at least 16")
     xx = np.linspace(0.0, 1.0, 2 * M + 1)
-    env = _sampled_env(xx, lam)
+    env = b_env(xx, lam)
 
     def sample(expr):
         try:

@@ -21,8 +21,9 @@ the Lyapunov-Schmidt reduction. No dense matrix of the system is formed.
 
 A field v(t, x) = sum_k vhat_k(x) e^{ikt} is a plain complex array of
 shape (..., len(ks), 2, M+1): optional batch axes, the harmonics ks,
-component, node. ks is an increasing integer array, by default every
-harmonic 0..N; negative harmonics are the conjugates (the field is real),
+component, node. ks is an increasing integer array, every harmonic 0..N
+or the odd ones below, and every function that takes a field is given its
+ks explicitly. Negative harmonics are the conjugates (the field is real),
 and a k = 0 slice is real by construction and packed without its imaginary
 part. When b is odd in (u1..u4), v(t + pi) = -v(t) is a symmetry of the
 whole system (Golubitsky, Stewart & Schaeffer, Singularities and Groups in
@@ -39,22 +40,20 @@ import numpy as np
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
 from .model import (_UVARS, LinearizedCoeffs, ProblemSpec, antiderivative_tables,
-                    displacement, linearize)
+                    b_env, displacement, linearize)
 from .quadrature import cumulative_integral, integral
 
 
 # ---------------------------------------------------------------------------
 # Fourier synthesis and analysis: the one path for every operator
 
-def harmonic_synthesis(hats, times, ks=None):
+def harmonic_synthesis(hats, times, ks):
     """Real values at the given times of the harmonics ks held on axis -2.
 
-    hats: (..., len(ks), X) complex, ks by default 0..N; returns
-    (..., len(times), X). Negative harmonics are the conjugates, so k >= 1
-    carries weight 2. Computed as one real product
-    [w cos(kt), -w sin(kt)] @ [Re hat; Im hat].
+    hats: (..., len(ks), X) complex; returns (..., len(times), X). Negative
+    harmonics are the conjugates, so k >= 1 carries weight 2. Computed as
+    one real product [w cos(kt), -w sin(kt)] @ [Re hat; Im hat].
     """
-    ks = np.arange(hats.shape[-2]) if ks is None else ks
     w = np.where(ks == 0, 1.0, 2.0)
     arg = np.outer(times, ks)
     basis = np.concatenate([w * np.cos(arg), -w * np.sin(arg)], axis=1)
@@ -87,10 +86,10 @@ def _collocation_times(ks):
 
 # packing order: Re v_k, Im v_k for each k in ks, each block (component,
 # node); Im v_0 is dropped when ks starts at 0, and unflatten zeroes it
-def flatten(coef, ks=None):
+def flatten(coef, ks):
     parts = np.stack([coef.real, coef.imag], axis=-3)
     flat = parts.reshape(parts.shape[:-4] + (-1,))
-    if ks is not None and ks[0] != 0:
+    if ks[0] != 0:
         return flat
     blk = 2 * coef.shape[-1]
     return np.concatenate([flat[..., :blk], flat[..., 2 * blk:]], axis=-1)
@@ -143,11 +142,8 @@ def odd_in_u(b: Expr, lam: float) -> bool:
     rng = np.random.default_rng(20240831)
     xs = rng.uniform(0.0, 1.0, _ODD_SAMPLES)
     us = rng.uniform(-0.5, 0.5, (4, _ODD_SAMPLES))
-    def at(u):
-        return b.eval({"x": xs, "lambda": lam, **dict(zip(_UVARS, u))})
-
     try:
-        plus, minus = at(us), at(-us)
+        plus, minus = b.eval(b_env(xs, lam, us)), b.eval(b_env(xs, lam, -us))
     except EvalDomainError:
         return False
     return bool(np.max(np.abs(plus + minus)) <= 1e-12 * np.max(np.abs(plus)))
@@ -165,16 +161,11 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         b_u=tuple(spec.b.diff(u) for u in _UVARS), odd=odd_in_u(spec.b, lam))
 
 
-def _harmonics_of(v, ks):
-    """ks, or every harmonic 0..N of a field v that holds them all."""
-    return np.arange(v.shape[-3]) if ks is None else ks
-
-
 def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext,
-            ks=None) -> np.ndarray:
+            ks) -> np.ndarray:
     """Boundary-transport part: values carried along characteristics from
     the opposite edge, with per-harmonic phase factors for the time shift."""
-    ks = _harmonics_of(v, ks)[:, None]
+    ks = ks[:, None]
     phase = np.exp(1j * omega * ks * ctx.F)                  # e^{ik w F(x)}
     out = np.empty_like(v)
     out[..., 0, :] = -(1.0 / ctx.E1) * phase * v[..., 1, 0][..., None]
@@ -184,7 +175,7 @@ def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext,
 
 
 def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext,
-            ks=None) -> np.ndarray:
+            ks) -> np.ndarray:
     """Interior-transport part: characteristic integrals of a source field.
 
     The kernels factorize (c's are ratios of one antiderivative table, the
@@ -194,7 +185,7 @@ def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext,
     critical mode is a fixed point of C + D(J+K) only with this sign
     (enforced by the kernel tests).
     """
-    ks = _harmonics_of(f, ks)[:, None]
+    ks = ks[:, None]
     ph = np.exp(1j * omega * ks * ctx.F)                     # (N+1, M+1)
     g1 = ctx.E1 / ph * f[..., 0, :] / ctx.a
     cum1 = cumulative_integral(g1, ctx.h)
@@ -260,12 +251,8 @@ def _source(bvals, v1, v2, ks, ctx: OperatorContext) -> np.ndarray:
     return coef.reshape(coef.shape[:-1] + vals.shape[-2:])
 
 
-def _b_env(u, ctx: OperatorContext):
-    return {"x": ctx.x, "lambda": ctx.lam, **dict(zip(_UVARS, u))}
-
-
 def apply_B(v: np.ndarray, omega: float, tau: float,
-            ctx: OperatorContext, ks=None) -> np.ndarray:
+            ctx: OperatorContext, ks) -> np.ndarray:
     """Full nonlinear source, pseudo-spectral with a cubic de-aliasing margin.
 
     Steps: cumulative x-quadrature gives the displacement harmonics, the
@@ -273,9 +260,8 @@ def apply_B(v: np.ndarray, omega: float, tau: float,
     times, the coefficient expression is evaluated pointwise, and the
     result is analyzed back to the harmonics ks.
     """
-    ks = _harmonics_of(v, ks)
     v1, v2, u = _collocate(v, omega, tau, ctx, ks)
-    return _source(ctx.spec.b.eval(_b_env(u, ctx)), v1, v2, ks, ctx)
+    return _source(ctx.spec.b.eval(b_env(ctx.x, ctx.lam, u)), v1, v2, ks, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +274,12 @@ class NewtonStats:
     iterations: int         # Newton steps
     matvecs: int            # tangent products inside GMRES
     halvings: int           # line-search step halvings
-    rconds: tuple           # per-harmonic block rcond of each preconditioner built
+    rconds: tuple           # each preconditioner built: its block rconds,
+                            # one per harmonic in ks
     stop: str               # why iteration stopped: "roundoff floor",
                             # "no decrease" or "iteration limit"
-    harmonics: str          # "odd" (ks = 1, 3, ..., <= N) or "all" (ks = 0..N)
+    ks: tuple               # the harmonics the solve carried: 1, 3, ..., <= N
+                            # or 0..N
 
 
 @dataclass
@@ -317,10 +305,10 @@ class ModeBasis:
     nrm: float          # <v0^1, v0^1> = int sum|v0_j|^2 dx / 2
     tau0: float
 
-    def projection(self, v: np.ndarray, h, ks=None):
+    def projection(self, v: np.ndarray, h, ks):
         """int sum_j v^1_j conj(v0_j) dx, one complex value per batch entry;
-        v holds the harmonics ks (default 0..N), among them k = 1."""
-        v1 = v[..., int(_harmonics_of(v, ks)[0] == 0), :, :]
+        v holds the harmonics ks, among them k = 1."""
+        v1 = v[..., int(ks[0] == 0), :, :]
         return integral(np.sum(v1 * np.conj(self.v0), axis=-2), h)
 
 
@@ -356,11 +344,10 @@ def _defect(v: np.ndarray, f: np.ndarray, omega, ctx, ks) -> np.ndarray:
 
 
 def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
-             basis: ModeBasis, ks=None) -> np.ndarray:
+             basis: ModeBasis, ks) -> np.ndarray:
     """Stacked fixed-point residual plus the amplitude and phase rows, on
-    the harmonics ks that orbit.v holds (default all 0..N)."""
+    the harmonics ks that orbit.v holds."""
     v = orbit.v
-    ks = _harmonics_of(v, ks)
     Bv = apply_B(v, orbit.omega, orbit.tau, ctx, ks)
     proj = basis.projection(v, ctx.h, ks)
     rows = np.array([proj.real / basis.nrm - orbit.eps,
@@ -375,7 +362,7 @@ def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks, source):
     tau) columns omega_tau (2, n); dB(dv) = source(partials b_{u_j}, dv)."""
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
     v1, v2, u = _collocate(v, omega, tau, ctx, ks)
-    env = _b_env(u, ctx)
+    env = b_env(ctx.x, ctx.lam, u)
     partials = [d.eval(env) for d in ctx.b_u]
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
@@ -397,11 +384,9 @@ def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks, source):
     return apply, omega_tau
 
 
-def _tangent(orbit, ctx: OperatorContext, basis: ModeBasis, ks=None):
-    """Exact derivative of `residual` at orbit on the harmonics ks of orbit.v
-    (default 0..N), by `_linearization` with dB pointwise in time."""
-    ks = _harmonics_of(orbit.v, ks)
-
+def _tangent(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
+    """Exact derivative of `residual` at orbit on the harmonics ks of orbit.v,
+    by `_linearization` with dB pointwise in time."""
     def source(partials, dv):
         dv1, dv2, du = _collocate(dv, orbit.omega, orbit.tau, ctx, ks)
         return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, ks, ctx)
@@ -466,10 +451,10 @@ class BlockPreconditioner:
 
 
 def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
-                         basis: ModeBasis, ks=None) -> BlockPreconditioner:
+                         basis: ModeBasis, ks) -> BlockPreconditioner:
     """The Newton preconditioner: the exact inverse, block by block, of the
     harmonic-space map `_harmonic_tangent` at orbit, on the harmonics ks
-    that orbit.v holds (default all 0..N).
+    that orbit.v holds.
 
     That map holds one 2(M+1) block for k = 0 and one 4(M+1) block for each
     k >= 1. A probe with a unit at the same local index in every harmonic
@@ -487,7 +472,7 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     bordered k = 1 block means a failed certificate, any other k a
     resonance at ik.
     """
-    ks, M = _harmonics_of(orbit.v, ks), orbit.v.shape[2] - 1
+    M = orbit.v.shape[2] - 1
     slices = _harmonic_slices(ks, M)
     n = slices[-1].stop + 2
     sizes = [s.stop - s.start for s in slices]
@@ -555,9 +540,8 @@ def gmres(apply, b, precond, rtol, max_products):
     return precond.matvec(y @ V[:j + 1]), bool(converged), j + 1
 
 
-def _pack(orbit, ks=None):
-    v = orbit.v if ks is None else orbit.v[ks]
-    return np.concatenate([flatten(v, ks), [orbit.omega, orbit.tau]])
+def _pack(orbit, ks):
+    return np.concatenate([flatten(orbit.v[ks], ks), [orbit.omega, orbit.tau]])
 
 
 def _unpack(z, ks, M, eps, lam):
@@ -593,8 +577,8 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
     symmetric and would meet it too. The returned orbit holds all
     harmonics 0..N and the full residual_norm. It carries the last
     `precond`, and `stats` that count the iterations, tangent products,
-    halvings and builds of the solve it came from, and name the stop and
-    the harmonics.
+    halvings and builds of the solve it came from, and record its stop and
+    the harmonics ks it carried.
     """
     N = guess.v.shape[0] - 1
     if ctx.odd:
@@ -608,10 +592,10 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
 def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
             basis: ModeBasis, max_iter: int) -> PeriodicOrbit:
     """`newton_solve` on the harmonics ks of guess; harmonics outside ks
-    are zero in the orbit it returns."""
+    are zero in the orbit it returns, whose residual_norm is that of the
+    full system on 0..N and whose stats record ks."""
     N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
     eps, precond = guess.eps, guess.precond
-    odd = len(ks) < N + 1
     z = _pack(guess, ks)
 
     def orbit_at(zv):
@@ -676,14 +660,14 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
             f"the {limit} after {n_iter} iterations and {len(rconds)} "
             f"preconditioner builds", last_good=None)
     out = orbit_at(z)
-    if odd:
+    if len(ks) < N + 1:
         v, out.v = out.v, np.zeros(guess.v.shape, dtype=complex)
         out.v[ks] = v
-        rn = float(np.max(np.abs(residual(out, ctx, basis))))
+        rn = float(np.max(np.abs(residual(out, ctx, basis, np.arange(N + 1)))))
     out.residual_norm, out.precond = rn, precond
     out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
                             halvings=halvings, rconds=tuple(rconds), stop=stop,
-                            harmonics="odd" if odd else "all")
+                            ks=tuple(ks.tolist()))
     return out
 
 
@@ -754,7 +738,7 @@ def continue_branch(cert, eps_grid, ctx: OperatorContext, N: int,
                 guess = (replace(orbits[-1], eps=eps) if orbits
                          else predictor(basis, eps, N, ctx))
                 orbit = newton_solve(guess, ctx, basis, max_iter)
-            if ctx.odd and orbit.stats.harmonics == "all":
+            if ctx.odd and 0 in orbit.stats.ks:
                 ctx = replace(ctx, odd=False)   # the oddness verdict was wrong
             if orbits:
                 orbits[-1].precond = None
@@ -789,19 +773,18 @@ def pde_residual_check(orbit: PeriodicOrbit, ctx: OperatorContext) -> float:
     ks = np.arange(orbit.v.shape[0])
     times = _collocation_times(ks)
     u_hat = _displacement(orbit.v, ctx)
-    u = harmonic_synthesis(u_hat, times)
-    u_tt = harmonic_synthesis(-(ks[:, None] ** 2) * u_hat, times)
+    u = harmonic_synthesis(u_hat, times, ks)
+    u_tt = harmonic_synthesis(-(ks[:, None] ** 2) * u_hat, times, ks)
     u_del = harmonic_synthesis(
-        _delay_phase(ks, orbit.omega, orbit.tau) * u_hat, times)
-    u_t = harmonic_synthesis(1j * ks[:, None] * u_hat, times)
+        _delay_phase(ks, orbit.omega, orbit.tau) * u_hat, times, ks)
+    u_t = harmonic_synthesis(1j * ks[:, None] * u_hat, times, ks)
     h = ctx.h
     u_x = (-u[:, 4:] + 8 * u[:, 3:-1] - 8 * u[:, 1:-3] + u[:, :-4]) / (12 * h)
     u_xx = (-u[:, 4:] + 16 * u[:, 3:-1] - 30 * u[:, 2:-2]
             + 16 * u[:, 1:-3] - u[:, :-4]) / (12 * h * h)
     sl = slice(2, u.shape[1] - 2)
-    env = {"x": ctx.x[None, sl], "lambda": ctx.lam,
-           "u1": u[:, sl], "u2": u_del[:, sl],
-           "u3": orbit.omega * u_t[:, sl], "u4": u_x}
+    env = b_env(ctx.x[None, sl], ctx.lam,
+                (u[:, sl], u_del[:, sl], orbit.omega * u_t[:, sl], u_x))
     bvals = np.broadcast_to(ctx.spec.b.eval(env), u_xx.shape)
     res = (orbit.omega ** 2 * u_tt[:, sl]
            - ctx.a[None, sl] ** 2 * u_xx - bvals)

@@ -34,11 +34,10 @@ SETTLE_TOL = 0.05               # largest relative envelope drift of a settled t
 class SimState:
     """Grid fields plus the displacement history needed for the delay,
     advanced in place by Simulator.advance; the step size is the simulator's.
-    Made by Simulator.initial_state: a step reads v1 - v2 from diff and keeps
-    it up to date, so fields changed by hand need diff changed too."""
+    Made by Simulator.initial_state. It holds no derived field: each advance
+    computes v1 - v2 from v, so v may be changed by hand between steps."""
 
     v: np.ndarray            # (2, M+1): the rows v1 and v2
-    diff: np.ndarray         # v1 - v2, carried from one step to the next
     t: float
     history: np.ndarray      # ring buffer of u rows dt apart, oldest overwritten
     head: int                # index of the row of u(t), the most recent one
@@ -87,8 +86,10 @@ class Simulator:
             raise HistoryTooLong(
                 f"tau = {self.tau:g} spans {self.tau / self.dt:.3g} steps; its "
                 f"history ring would exceed {MAX_HISTORY_BYTES} bytes")
-        # buffers of step: the arguments u2..u4 of b, dt B, the upwind terms
-        self._u2, self._u3, self._u4, self._blend, self._dtB = np.empty((5, M + 1))
+        # buffers of step: v1 - v2, the arguments u2..u4 of b, dt B, the
+        # upwind terms
+        self._diff, self._u2, self._u3, self._u4, self._blend, self._dtB = \
+            np.empty((6, M + 1))
         self._dv = np.empty((2, M))
         self._env = {"x": self.x, "lambda": spec.lam,
                      "u2": self._u2, "u3": self._u3, "u4": self._u4}
@@ -103,9 +104,8 @@ class Simulator:
         for row, field in zip(v, (v1, v2)):
             if field is not None:
                 row[:] = field
-        diff = v[0] - v[1]
-        hist = np.tile(displacement(diff, self.a, self.h), (self.n_hist, 1))
-        return SimState(v=v, diff=diff, t=0.0, history=hist, head=self.n_hist - 1)
+        hist = np.tile(displacement(v[0] - v[1], self.a, self.h), (self.n_hist, 1))
+        return SimState(v=v, t=0.0, history=hist, head=self.n_hist - 1)
 
     def step(self, state: SimState) -> None:
         """Advance state in place by one step: advance(state, 1)."""
@@ -119,8 +119,10 @@ class Simulator:
 
         u(t) is the head row of the history, written by the previous step;
         each step moves the head on by one row and writes u(t + dt) there.
+        v1 - v2 is computed from state.v once here, then kept up to date by
+        each step.
         """
-        v, diff, hist, dv = state.v, state.diff, state.history, self._dv
+        v, diff, hist, dv = state.v, self._diff, state.history, self._dv
         (v1, v2), (dv1, dv2) = v, dv
         # the nodes each family updates, and the two ends of each difference
         v1_in, v2_in, v_hi, v_lo = v[0, :-1], v[1, 1:], v[:, 1:], v[:, :-1]
@@ -133,6 +135,7 @@ class Simulator:
         head = state.head
         u1 = hist[head]
         with np.errstate(all="ignore"):
+            subtract(v1, v2, out=diff)
             for i in range(n):
                 env["u1"] = u1
                 # u(t - tau), linear between the two history rows around it

@@ -21,7 +21,8 @@ import numpy as np
 from hopfwave import direction as direction_mod
 from hopfwave import eigen, periodic
 from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
-from hopfwave.model import LinearizedCoeffs, ProblemSpec, antiderivative_tables, displacement
+from hopfwave.model import (LinearizedCoeffs, ProblemSpec, antiderivative_tables, b_env,
+                            displacement)
 from hopfwave.periodic import (OperatorContext, PeriodicOrbit, _delay_phase,
                                _displacement, harmonic_analysis, harmonic_synthesis)
 from hopfwave.quadrature import cumulative_integral, integral
@@ -51,8 +52,9 @@ def jacobian(orbit, ctx, basis):
     M+1 columns (one harmonic, real or imaginary part, and component) at a
     time, the (omega, tau) pair last; column norms are taken per block.
     """
-    tangent, _ = periodic._tangent(orbit, ctx, basis)
-    n = len(periodic._pack(orbit))
+    ks = np.arange(len(orbit.v))
+    tangent, _ = periodic._tangent(orbit, ctx, basis, ks)
+    n = len(periodic._pack(orbit, ks))
     J = np.empty((n, n), order="F")
     col_norms = np.empty(n)
     width = orbit.v.shape[-1]
@@ -63,17 +65,16 @@ def jacobian(orbit, ctx, basis):
     return J, float(np.max(col_norms))
 
 
-def time_averaged_tangent(orbit, ctx, basis, ks=None):
+def time_averaged_tangent(orbit, ctx, basis, ks):
     """`periodic._tangent` at orbit with each partial of b replaced by its
     mean over the collocation times, applied in the time domain: every
     direction is synthesized on the 4N+1 collocation times, multiplied by
     the mean partials and analyzed back. The reference for
     `periodic._harmonic_tangent`; returns apply."""
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    ks = np.arange(len(v)) if ks is None else ks
     _, omega_tau = periodic._tangent(orbit, ctx, basis, ks)
     _, _, u = periodic._collocate(v, omega, tau, ctx, ks)
-    env = periodic._b_env(u, ctx)
+    env = b_env(ctx.x, ctx.lam, u)
     means = [p.mean(axis=-2) if np.ndim(p) == 2 else p
              for p in (d.eval(env) for d in ctx.b_u)]
 
@@ -99,7 +100,8 @@ def inner_product(v, w, h) -> float:
 
 def synthesize(v, times):
     """Real field values, shape (..., len(times), 2, M+1)."""
-    vals = harmonic_synthesis(v.reshape(v.shape[:-2] + (-1,)), times)
+    vals = harmonic_synthesis(v.reshape(v.shape[:-2] + (-1,)), times,
+                              np.arange(v.shape[-3]))
     return vals.reshape(vals.shape[:-1] + v.shape[-2:])
 
 
@@ -357,7 +359,7 @@ def reconstruct_u(orbit: PeriodicOrbit, ctx: OperatorContext,
     T = n_times or (4 * (len(v) - 1) + 1)
     t = 2.0 * np.pi * np.arange(T) / T
     u_hat = _displacement(v, ctx)
-    u = harmonic_synthesis(u_hat, t)
+    u = harmonic_synthesis(u_hat, t, np.arange(len(v)))
     vals = synthesize(v, t)
     u_t = 0.5 * (vals[:, 0, :] + vals[:, 1, :]) / orbit.omega
     u_x = 0.5 * (vals[:, 0, :] - vals[:, 1, :]) / ctx.a
@@ -413,9 +415,11 @@ def seed_from_orbit(sim: Simulator, orbit, ctx) -> SimState:
     v_hat = cubic_interp(orbit.v, 0.0, ctx.h, sim.x)    # (N+1, 2, M+1)
     v1_hat, v2_hat = v_hat[:, 0], v_hat[:, 1]
     u_hat = displacement(v1_hat - v2_hat, sim.a, sim.h)
-    v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0])[:, 0]
+    ks = np.arange(len(v_hat))
+    v1, v2 = harmonic_synthesis(np.stack([v1_hat, v2_hat]), [0.0], ks)[:, 0]
     return state_with_history(
-        sim, lambda t: harmonic_synthesis(u_hat, [orbit.omega * t])[0], v1=v1, v2=v2)
+        sim, lambda t: harmonic_synthesis(u_hat, [orbit.omega * t], ks)[0],
+        v1=v1, v2=v2)
 
 
 def cumulative_integral_reference(y, h):

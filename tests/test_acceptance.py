@@ -183,15 +183,16 @@ def test_criterion_5_operator_oracles():
     ctx = periodic.operator_context(spec, 0.0, 64)
     rng = np.random.default_rng(42)
     worst = 0.0
+    ks = np.arange(7)
     for _ in range(10):
         v = random_field(rng, 6, 64)
         omega = rng.uniform(0.85, 1.15)
         tau = rng.uniform(0.3, 2.0)
-        errC = np.max(np.abs(periodic.apply_C(v, omega, ctx)
+        errC = np.max(np.abs(periodic.apply_C(v, omega, ctx, ks)
                              - oracle_C(v, omega, ctx)))
-        errD = np.max(np.abs(periodic.apply_D(v, omega, ctx)
+        errD = np.max(np.abs(periodic.apply_D(v, omega, ctx, ks)
                              - oracle_D(v, omega, ctx)))
-        errB = np.max(np.abs(periodic.apply_B(v, omega, tau, ctx)
+        errB = np.max(np.abs(periodic.apply_B(v, omega, tau, ctx, ks)
                              - apply_JK(v, omega, tau, ctx)))
         worst = max(worst, errC, errD, errB)
 
@@ -204,19 +205,19 @@ def test_criterion_5_operator_oracles():
     pts = rng.uniform(0, 1, (20, 3))
     add_err = max(abs(ke.A(x, xi) + ke.A(xi, eta) - ke.A(x, eta))
                   for x, xi, eta in pts)
-    v = random_field(rng, 5, 64)
+    v, ks = random_field(rng, 5, 64), np.arange(6)
     phi = rng.uniform(0, 2 * np.pi)
     equi = np.max(np.abs(
-        periodic.apply_B(time_shifted(v, phi), 1.05, 0.8, ctx)
-        - time_shifted(periodic.apply_B(v, 1.05, 0.8, ctx), phi)))
-    sym = max(np.max(np.abs(periodic.apply_B(v, 1.05, 0.8, ctx)[0].imag)),
-              np.max(np.abs(periodic.apply_C(v, 1.05, ctx)[0].imag)))
+        periodic.apply_B(time_shifted(v, phi), 1.05, 0.8, ctx, ks)
+        - time_shifted(periodic.apply_B(v, 1.05, 0.8, ctx, ks), phi)))
+    sym = max(np.max(np.abs(periodic.apply_B(v, 1.05, 0.8, ctx, ks)[0].imag)),
+              np.max(np.abs(periodic.apply_C(v, 1.05, ctx, ks)[0].imag)))
     # boundary rows: the operator image reflects the input at the edges
     # (component 1 at x=0 is minus the input's component 2, component 2 at
     # x=1 copies the input's component 1), so any fixed point satisfies
     # the boundary conditions exactly
-    img = periodic.apply_C(v, 1.05, ctx) + periodic.apply_D(
-        periodic.apply_B(v, 1.05, 0.8, ctx), 1.05, ctx)
+    img = periodic.apply_C(v, 1.05, ctx, ks) + periodic.apply_D(
+        periodic.apply_B(v, 1.05, 0.8, ctx, ks), 1.05, ctx, ks)
     bc_err = max(np.max(np.abs(img[:, 0, 0] + v[:, 1, 0])),
                  np.max(np.abs(img[:, 1, -1] - v[:, 0, -1])))
     ok = (worst < 1e-8 and ok_pointwise and add_err < 1e-8 and equi < 1e-10

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfwave import cli, timedomain
+from hopfwave import cli, periodic, timedomain
 from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec
 from oracles import direction_from_document
@@ -191,6 +191,33 @@ def test_branch_harmonics(tmp_path, b, harmonics):
         assert diag["min_block_rcond_harmonic"] % 2 == 1
     else:
         assert np.max(np.abs(even)) > 1e-6
+
+
+def test_branch_wrong_odd_verdict_diagnostics(tmp_path, monkeypatch):
+    # a quadratic b forced onto the odd harmonics falls back to all of them:
+    # the diagnostics say "all", and the smallest block condition is taken
+    # over the builds on all harmonics, each paired with its harmonic k
+    builds, build = [], periodic.block_preconditioner
+
+    def recording(orbit, ctx, basis, ks):
+        precond = build(orbit, ctx, basis, ks)
+        builds.append((ks.tolist(), precond.rcond))
+        return precond
+
+    monkeypatch.setattr(periodic, "odd_in_u", lambda b, lam: True)
+    monkeypatch.setattr(periodic, "block_preconditioner", recording)
+    cfg = write_config(
+        tmp_path, b="-u2 - u3 + 0.5*u1^2 - u1^3/6",
+        solver={"M": 128, "M_solve": 32, "N": 6, "K_max": 4,
+                "eps_grid": [0.02, 0.03, 0.04]})
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", cfg, "--out", str(out)) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["harmonics"] == "all"
+    assert any(0 not in ks for ks, _ in builds)     # the odd solve was tried
+    rcond, k = min((float(x), k) for ks, r in builds if 0 in ks
+                   for k, x in zip(ks, r))
+    assert (diag["min_block_rcond"], diag["min_block_rcond_harmonic"]) == (rcond, k)
 
 
 def test_branch_deterministic(tmp_path):

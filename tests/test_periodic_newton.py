@@ -30,7 +30,7 @@ def test_newton_eps_zero_returns_zero_orbit(cert_up, ctx_up):
 
 def test_orbit_constraints_hold(super_orbit, cert_down, ctx_down):
     basis = periodic.mode_basis(cert_down, ctx_down)
-    proj = basis.projection(super_orbit.v, ctx_down.h)
+    proj = basis.projection(super_orbit.v, ctx_down.h, np.arange(9))
     assert proj.real / basis.nrm == pytest.approx(super_orbit.eps, abs=1e-10)
     assert proj.imag / basis.nrm == pytest.approx(0.0, abs=1e-10)
 
@@ -281,7 +281,7 @@ def test_wrong_odd_verdict_ends_on_all_harmonics(monkeypatch):
     got = periodic.continue_branch(cert, eps_grid, replace(ctx, odd=True), N)
     assert carried == [2, 5, 5, 5]
     for g, w in zip(got.orbits, want.orbits, strict=True):
-        assert g.stats.harmonics == w.stats.harmonics == "all"
+        assert g.stats.ks == w.stats.ks == tuple(range(N + 1))
         assert g.v.tobytes() == w.v.tobytes()
         assert (g.omega, g.tau, g.residual_norm) == (w.omega, w.tau, w.residual_norm)
 
@@ -408,13 +408,15 @@ def test_jacobian_matches_central_differences():
     J, anorm = jacobian(orbit, ctx, basis)
     assert J.flags.f_contiguous
     assert anorm == pytest.approx(np.max(np.sum(np.abs(J), axis=0)), rel=1e-12)
-    z, ks = periodic._pack(orbit), np.arange(N + 1)
+    ks = np.arange(N + 1)
+    z = periodic._pack(orbit, ks)
     J_cd = np.empty_like(J)
     for j in range(len(z)):        # includes the omega and tau columns
         dz = np.zeros(len(z))
         dz[j] = 1e-6 * (1.0 + abs(z[j]))
         r_plus, r_minus = (
-            periodic.residual(periodic._unpack(z + dz_s, ks, M, eps, lam), ctx, basis)
+            periodic.residual(periodic._unpack(z + dz_s, ks, M, eps, lam), ctx, basis,
+                              ks)
             for dz_s in (dz, -dz))
         J_cd[:, j] = (r_plus - r_minus) / (2.0 * dz[j])
     assert np.max(np.abs(J - J_cd)) <= 1e-8 * np.max(np.abs(J))
@@ -485,18 +487,18 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # the preconditioner is the exact inverse of the harmonic-diagonal
     # tangent with the exact (omega, tau) columns; a wrong colouring or
     # packing offset breaks the round trip
-    basis = periodic.mode_basis(cert_down, ctx_down)
-    precond = periodic.block_preconditioner(super_orbit, ctx_down, basis)
-    tangent = time_averaged_tangent(super_orbit, ctx_down, basis)
+    basis, full = periodic.mode_basis(cert_down, ctx_down), np.arange(9)
+    precond = periodic.block_preconditioner(super_orbit, ctx_down, basis, full)
+    tangent = time_averaged_tangent(super_orbit, ctx_down, basis, full)
     rng = np.random.default_rng(8)
-    n = len(periodic._pack(super_orbit))
+    n = len(periodic._pack(super_orbit, full))
     for z in rng.normal(size=(3, n)):
         back = precond.matvec(tangent(z))
         assert np.linalg.norm(back - z) <= 1e-10 * np.linalg.norm(z)
     # rcond is each block's exact reciprocal 1-norm condition, not an
     # estimate; the k = 1 block is bordered by the amplitude and phase rows
     # and the (omega, tau) columns
-    slices = periodic._harmonic_slices(np.arange(9), 64)
+    slices = periodic._harmonic_slices(full, 64)
     for k in (0, 1, 8):
         idx = np.r_[slices[k], [n - 2, n - 1] if k == 1 else []].astype(int)
         blk = tangent(np.eye(n)[idx])[:, idx].T
@@ -505,8 +507,8 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # at v = 0 the harmonic-diagonal tangent is the exact tangent
     trivial = periodic.predictor(basis, 0.0, 8, ctx_down)
     z = rng.normal(size=(2, n))
-    exact = periodic._tangent(trivial, ctx_down, basis)[0](z)
-    diag = time_averaged_tangent(trivial, ctx_down, basis)(z)
+    exact = periodic._tangent(trivial, ctx_down, basis, full)[0](z)
+    diag = time_averaged_tangent(trivial, ctx_down, basis, full)(z)
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
     # on the odd harmonics alone there is no k = 0 block and k = 1 comes
     # first; the round trip holds, and each block is the full build's
@@ -587,14 +589,14 @@ def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):
         return counted, omega_tau
 
     monkeypatch.setattr(periodic, "_harmonic_tangent", counting)
-    basis = periodic.mode_basis(cert_down, ctx_down)
-    periodic.block_preconditioner(super_orbit, ctx_down, basis)
+    basis, ks = periodic.mode_basis(cert_down, ctx_down), np.arange(9)
+    periodic.block_preconditioner(super_orbit, ctx_down, basis, ks)
     assert sum(directions) == 4 * (ctx_down.coeffs.M + 1)
     assert per_chunk == [0] * 4
     # the only Fourier calls are those of one tangent set-up, however many
     # chunks the build probes
     in_build = len(fourier)
-    periodic._tangent(super_orbit, ctx_down, basis)
+    periodic._tangent(super_orbit, ctx_down, basis, ks)
     assert in_build == len(fourier) - in_build > 0
 
 

@@ -101,7 +101,7 @@ def test_apply_C_matches_time_domain_oracle(gctx, seed):
     rng = np.random.default_rng(seed)
     v = random_field(rng, 6, 64)
     omega = rng.uniform(0.8, 1.2)
-    fast = periodic.apply_C(v, omega, gctx)
+    fast = periodic.apply_C(v, omega, gctx, np.arange(7))
     slow = oracle_C(v, omega, gctx)
     assert np.max(np.abs(fast - slow)) < 1e-8
 
@@ -111,7 +111,7 @@ def test_apply_D_matches_time_domain_oracle(gctx, seed):
     rng = np.random.default_rng(100 + seed)
     f = random_field(rng, 6, 64)
     omega = rng.uniform(0.8, 1.2)
-    fast = periodic.apply_D(f, omega, gctx)
+    fast = periodic.apply_D(f, omega, gctx, np.arange(7))
     slow = oracle_D(f, omega, gctx)
     assert np.max(np.abs(fast - slow)) < 1e-8
 
@@ -119,9 +119,9 @@ def test_apply_D_matches_time_domain_oracle(gctx, seed):
 def test_apply_C_trivial_cases():
     spec = ProblemSpec.from_expressions(a="2/pi", b="0*u1")
     ctx = periodic.operator_context(spec, 0.0, 32)
-    v = np.zeros((3, 2, 33), dtype=complex)
+    v, ks = np.zeros((3, 2, 33), dtype=complex), np.arange(3)
     v[0, 1, :] = 0.7                            # constant k = 0 content
-    out = periodic.apply_C(v, 1.3, ctx)
+    out = periodic.apply_C(v, 1.3, ctx, ks)
     assert np.allclose(out[0, 0, :], -0.7)
     assert np.allclose(out[0, 1, :], v[0, 0, -1].real)
     # half-period shift: a = 1/pi makes omega*A(1,0) = pi at omega = 1
@@ -129,24 +129,24 @@ def test_apply_C_trivial_cases():
     ctx2 = periodic.operator_context(spec2, 0.0, 32)
     v2 = np.zeros((3, 2, 33), dtype=complex)
     v2[1, 1, :] = 0.5 + 0.25j
-    out2 = periodic.apply_C(v2, 1.0, ctx2)
+    out2 = periodic.apply_C(v2, 1.0, ctx2, ks)
     assert out2[1, 0, -1] == pytest.approx(v2[1, 1, 0], rel=1e-9)
 
 
 def test_apply_D_trivial_cases():
     spec = ProblemSpec.from_expressions(a="1", b="0*u1")
     ctx = periodic.operator_context(spec, 0.0, 32)
-    f = np.zeros((3, 2, 33), dtype=complex)
-    out = periodic.apply_D(f, 1.0, ctx)
+    f, ks = np.zeros((3, 2, 33), dtype=complex), np.arange(3)
+    out = periodic.apply_D(f, 1.0, ctx, ks)
     assert np.max(np.abs(out)) == 0.0
     f[0, 0, :] = 1.0
-    out = periodic.apply_D(f, 1.0, ctx)
+    out = periodic.apply_D(f, 1.0, ctx, ks)
     assert np.max(np.abs(out[0, 0, :] - (-ctx.x))) < 1e-12
 
 
 def test_apply_B_zero_field(gctx):
     v = np.zeros((6, 2, 65), dtype=complex)
-    assert np.max(np.abs(periodic.apply_B(v, 1.0, 0.7, gctx))) == 0.0
+    assert np.max(np.abs(periodic.apply_B(v, 1.0, 0.7, gctx, np.arange(6)))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -155,7 +155,7 @@ def test_apply_B_linear_equals_JK(gctx, seed):
     v = random_field(rng, 6, 64)
     omega, tau = rng.uniform(0.8, 1.2), rng.uniform(-1.0, 2.0)
     lin = apply_JK(v, omega, tau, gctx)
-    full = periodic.apply_B(v, omega, tau, gctx)
+    full = periodic.apply_B(v, omega, tau, gctx, np.arange(7))
     assert np.max(np.abs(lin - full)) < 1e-10
 
 
@@ -167,7 +167,7 @@ def test_apply_B_cubic_harmonic_content():
     prof = rng.normal(size=33) + 1j * rng.normal(size=33)
     v[1, 0, :] = prof
     v[1, 1, :] = -np.conj(prof) * 0.4
-    out = periodic.apply_B(v, 1.0, 0.5, ctx)
+    out = periodic.apply_B(v, 1.0, 0.5, ctx, np.arange(6))
     for k in (0, 2, 4, 5):
         assert np.max(np.abs(out[k])) < 1e-13, f"harmonic {k} leaked"
     assert np.max(np.abs(out[1])) > 1e-3
@@ -179,8 +179,9 @@ def test_shift_equivariance(gctx, seed):
     rng = np.random.default_rng(300 + seed)
     v = random_field(rng, 5, 64)
     omega, tau, phi = rng.uniform(0.8, 1.2), rng.uniform(0.2, 2.0), rng.uniform(0, 2 * np.pi)
-    a = periodic.apply_B(time_shifted(v, phi), omega, tau, gctx)
-    b = time_shifted(periodic.apply_B(v, omega, tau, gctx), phi)
+    ks = np.arange(6)
+    a = periodic.apply_B(time_shifted(v, phi), omega, tau, gctx, ks)
+    b = time_shifted(periodic.apply_B(v, omega, tau, gctx, ks), phi)
     assert np.max(np.abs(a - b)) < 1e-11
 
 
@@ -188,10 +189,10 @@ def test_operations_preserve_conjugate_symmetry(gctx):
     # the stored representation pins k = 0 to be real; a synthesized field
     # is therefore real since negative harmonics are conjugates
     rng = np.random.default_rng(77)
-    v = random_field(rng, 5, 64)
-    for out in (periodic.apply_C(v, 1.1, gctx),
-                periodic.apply_D(v, 1.1, gctx),
-                periodic.apply_B(v, 1.1, 0.6, gctx)):
+    v, ks = random_field(rng, 5, 64), np.arange(6)
+    for out in (periodic.apply_C(v, 1.1, gctx, ks),
+                periodic.apply_D(v, 1.1, gctx, ks),
+                periodic.apply_B(v, 1.1, 0.6, gctx, ks)):
         assert np.max(np.abs(out[0].imag)) == 0.0
         t = 2 * np.pi * np.arange(11) / 11
         vals = synthesize(out, t)
@@ -215,7 +216,7 @@ def test_predictor_properties(cert_up, ctx_up):
     assert np.max(np.abs(orb0.v)) == 0.0 and orb0.omega == 1.0 and orb0.tau == cert_up.tau0
     eps = 0.01
     orb = periodic.predictor(basis, eps, 6, ctx_up)
-    proj = basis.projection(orb.v, ctx_up.h)
+    proj = basis.projection(orb.v, ctx_up.h, np.arange(7))
     assert proj.real / basis.nrm == pytest.approx(eps, abs=1e-12)
     assert proj.imag == pytest.approx(0.0, abs=1e-14)
     # reconstructed displacement is eps * Re(e^{it} u0) at leading order
@@ -229,18 +230,18 @@ def test_predictor_properties(cert_up, ctx_up):
 def test_residual_of_zero_predictor(cert_up, ctx_up):
     basis = periodic.mode_basis(cert_up, ctx_up)
     orb = periodic.predictor(basis, 0.0, 6, ctx_up)
-    r = periodic.residual(orb, ctx_up, basis)
+    r = periodic.residual(orb, ctx_up, basis, np.arange(7))
     field_part = r[:-2]
     assert np.max(np.abs(field_part)) == 0.0
 
 
 def test_critical_mode_is_linear_fixed_point(cert_up, ctx_up):
     orb = periodic.predictor(periodic.mode_basis(cert_up, ctx_up), 1.0, 6, ctx_up)
-    v = orb.v
+    v, ks = orb.v, np.arange(7)
     lin = (v
-           - periodic.apply_C(v, 1.0, ctx_up)
+           - periodic.apply_C(v, 1.0, ctx_up, ks)
            - periodic.apply_D(
-               apply_JK(v, 1.0, cert_up.tau0, ctx_up), 1.0, ctx_up))
+               apply_JK(v, 1.0, cert_up.tau0, ctx_up), 1.0, ctx_up, ks))
     assert np.max(np.abs(lin)) < 5e-9
 
 
@@ -281,11 +282,11 @@ def test_packing_round_trip(N, M, data):
     n = 2 * (M + 1) * (2 * N + 1)
     z = data.draw(hnp.arrays(np.float64, n, elements=finite))
     ks = np.arange(N + 1)
-    assert np.array_equal(periodic.flatten(periodic.unflatten(z, ks, M)), z)
+    assert np.array_equal(periodic.flatten(periodic.unflatten(z, ks, M), ks), z)
     shape = (N + 1, 2, M + 1)
     v = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
          + 1j * data.draw(hnp.arrays(np.float64, shape, elements=finite)))
-    back = periodic.unflatten(periodic.flatten(v), ks, M)
+    back = periodic.unflatten(periodic.flatten(v, ks), ks, M)
     want = v.copy()
     want[0] = v[0].real
     assert np.array_equal(back, want)
@@ -316,7 +317,7 @@ def test_packing_order():
     N, M = 2, 3
     v = np.zeros((N + 1, 2, M + 1), dtype=complex)
     v[2, 1, 3] = 2.0 - 5.0j
-    z = periodic.flatten(v)
+    z = periodic.flatten(v, np.arange(N + 1))
     blk = 2 * (M + 1)
     assert z[blk + 2 * blk + 1 * (M + 1) + 3] == 2.0
     assert z[blk + 2 * blk + blk + 1 * (M + 1) + 3] == -5.0
@@ -327,16 +328,16 @@ def test_operators_accept_batch_axis(gctx):
     rng = np.random.default_rng(41)
     fields = [random_field(rng, 5, 64) for _ in range(3)]
     batch = np.stack(fields)
-    omega, tau = 1.07, 0.9
-    for op in (lambda v: periodic.apply_C(v, omega, gctx),
-               lambda v: periodic.apply_D(v, omega, gctx),
+    omega, tau, ks = 1.07, 0.9, np.arange(6)
+    for op in (lambda v: periodic.apply_C(v, omega, gctx, ks),
+               lambda v: periodic.apply_D(v, omega, gctx, ks),
                lambda v: apply_JK(v, omega, tau, gctx)):
         out = op(batch)
         for i, f in enumerate(fields):
             assert np.allclose(out[i], op(f), rtol=0, atol=1e-13)
-    flat = periodic.flatten(batch)
+    flat = periodic.flatten(batch, ks)
     for i, f in enumerate(fields):
-        assert np.array_equal(flat[i], periodic.flatten(f))
+        assert np.array_equal(flat[i], periodic.flatten(f, ks))
 
 
 def test_operators_leave_inputs_unchanged(gctx):
@@ -350,16 +351,17 @@ def test_operators_leave_inputs_unchanged(gctx):
     basis = periodic.ModeBasis(v0=random_field(rng, 1, 64)[1], nrm=1.0, tau0=0.9)
     orbit = periodic.PeriodicOrbit(v=random_field(rng, 5, 64), omega=1.07,
                                    tau=0.9, eps=0.01, lam=0.0)
+    ks = np.arange(6)
     for v in (single, batch):
         before = v.copy()
-        periodic.apply_C(v, 1.07, gctx)
-        periodic.apply_D(v, 1.07, gctx)
-        periodic.apply_B(v, 1.07, 0.9, gctx)
-        periodic.flatten(v)
+        periodic.apply_C(v, 1.07, gctx, ks)
+        periodic.apply_D(v, 1.07, gctx, ks)
+        periodic.apply_B(v, 1.07, 0.9, gctx, ks)
+        periodic.flatten(v, ks)
         assert np.array_equal(v, before)
     orbit_v = orbit.v.copy()
-    tangent, _ = periodic._tangent(orbit, gctx, basis)
-    n = len(periodic._pack(orbit))
+    tangent, _ = periodic._tangent(orbit, gctx, basis, ks)
+    n = len(periodic._pack(orbit, ks))
     for dz in (rng.normal(size=n), rng.normal(size=(3, n))):
         before = dz.copy()
         tangent(dz)

@@ -15,7 +15,7 @@ SUPER = Path(__file__).resolve().parents[1] / "configs" / "benchmark_super.json"
 def _delayed_displacement(sim, state):
     """u(t - tau) as the run loop reads it: its u2 buffer after one step
     from a copy of state."""
-    sim.step(timedomain.SimState(v=state.v.copy(), diff=state.diff.copy(), t=state.t,
+    sim.step(timedomain.SimState(v=state.v.copy(), t=state.t,
                                  history=state.history.copy(), head=state.head))
     return sim._u2.copy()
 
@@ -251,6 +251,22 @@ def test_run_loop_bit_identical_to_reference(problem, seed, monkeypatch):
     assert (state.t, state.head) == (ref_state.t, ref_state.head)
     assert tail_t.tobytes() == ref_t.tobytes()
     assert tail_y.tobytes() == ref_y.tobytes()
+    assert state.v1.tobytes() == ref_state.v1.tobytes()
+    assert state.v2.tobytes() == ref_state.v2.tobytes()
+    assert state.history.tobytes() == ref_state.history.tobytes()
+
+
+def test_step_after_hand_edit_of_fields():
+    # fields changed between steps are what the next step reads: its u4
+    # and a_x terms come from the edited v1 - v2, as the reference's do
+    sim, state = _sim_and_state("varying-a", 2)
+    for _ in range(3):
+        sim.step(state)
+    state.v[0, 1:-1] += 0.5 * np.sin(np.pi * sim.x[1:-1])
+    state.v[1] *= -0.75
+    ref, ref_state = ReferenceStepper(sim), ReferenceState.copy_of(state)
+    sim.step(state)
+    ref.step(ref_state)
     assert state.v1.tobytes() == ref_state.v1.tobytes()
     assert state.v2.tobytes() == ref_state.v2.tobytes()
     assert state.history.tobytes() == ref_state.history.tobytes()
