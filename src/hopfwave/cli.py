@@ -202,9 +202,11 @@ def branch_diagnostics(branch: periodic.BranchResult) -> dict:
     """Solver counts of a branch from its orbits' `stats`, per eps where
     they vary: the harmonics Newton carried ("odd" when every orbit's
     stats.ks lacks k = 0), preconditioner builds, Newton iterations,
-    tangent products inside GMRES, line-search halvings, the smallest
-    reciprocal condition over the blocks solved with its harmonic k, each
-    build's rconds paired with its solve's ks, and why each solve stopped.
+    tangent products inside GMRES and line-search halvings (each counting
+    an odd solve the full residual rejected), the smallest reciprocal
+    condition over the blocks of the solves the orbits came from with its
+    harmonic k, each such build's rconds paired with its solve's ks, and
+    why each solve stopped.
     Counts and labels only, no timings, so the same file and seed give the
     same bytes."""
     builds = [(o.stats.ks, r) for o in branch.orbits for r in o.stats.rconds]
@@ -212,7 +214,7 @@ def branch_diagnostics(branch: periodic.BranchResult) -> dict:
     return {
         "harmonics": ("odd" if all(0 not in o.stats.ks for o in branch.orbits)
                       else "all"),
-        "preconditioner_builds": len(builds),
+        "preconditioner_builds": sum(o.stats.builds for o in branch.orbits),
         "newton_iterations": [o.stats.iterations for o in branch.orbits],
         "gmres_matvecs": [o.stats.matvecs for o in branch.orbits],
         "line_search_halvings": [o.stats.halvings for o in branch.orbits],

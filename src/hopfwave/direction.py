@@ -61,22 +61,24 @@ def check_structure(spec: ProblemSpec, grid) -> np.ndarray:
     xs = rng.uniform(0.0, 1.0, _CHECK_SAMPLES)
     us = rng.uniform(-0.5, 0.5, (_CHECK_SAMPLES, 4))
     env = b_env(xs, 0.0, us.T)
+    b_u = spec.partials.b_u
     for i in range(4):
         for j in range(i + 1, 4):
-            mixed = spec.b.diff(_UVARS[i]).diff(_UVARS[j])
+            mixed = b_u[i].diff(_UVARS[j])
             vals = np.broadcast_to(mixed.eval(env), xs.shape)
             if np.max(np.abs(vals)) > 1e-10:
                 raise NotSeparable(
                     f"mixed partial in ({_UVARS[i]}, {_UVARS[j]}) is nonzero; "
                     "the direction formula needs b = sum of beta_j(x, lambda, u_j)")
     env0 = b_env(grid, 0.0)
-    for u in _UVARS:
-        quad = np.broadcast_to(spec.b.diff(u, 2).eval(env0), grid.shape)
+    b_uu = tuple(b.diff(u) for b, u in zip(b_u, _UVARS))
+    for b, u in zip(b_uu, _UVARS):
+        quad = np.broadcast_to(b.eval(env0), grid.shape)
         if np.max(np.abs(quad)) > 1e-10:
             raise QuadraticTermPresent(
                 f"second derivative in {u} at the origin is nonzero")
-    return np.array([np.broadcast_to(spec.b.diff(u, 3).eval(env0), grid.shape)
-                     for u in _UVARS], dtype=float)
+    return np.array([np.broadcast_to(b.diff(u).eval(env0), grid.shape)
+                     for b, u in zip(b_uu, _UVARS)], dtype=float)
 
 
 def tau_curvatures(u0, u0_prime, u_star, sigma, rho, tau0, cubic, h):

@@ -7,15 +7,26 @@ The delayed eigenvalue problem
 is solved by complex shooting: integrate the initial value problem with
 u(0) = 0, u'(0) = 1 by fixed-step RK4 and read off the mismatch
 D(mu, tau) := u'(1). The eigenvalue ODE and its adjoint are both linear,
-u'' = P u + Q u', and share one kernel (_march) that builds each step's
-RK4 map as a 2x2 matrix T_j, elementwise over a batch of rows of P, and
-marches y_{j+1} = T_j y_j. The build keeps matrix-product order, which
-fixes its rounding (see _step_matrices). shoot_evp and solve_adjoint
-shoot one row and keep the node arrays. The resonance scan check_A2
-shoots k = 0, 2, ..., K_max as one batch, a block of steps at a time,
-keeps only the end states, and mirrors |D(-ik)| = |D(ik)|; find_tau0
-shoots its central-difference pair as one two-row batch. Every row
-equals its own single shot bit for bit. Eigenvalues are the roots of D.
+u'' = P u + Q u'. Each step's RK4 map is one 2x2 matrix T_j, built
+elementwise over a batch of rows of P, a block of steps at a time; the
+build keeps matrix-product order, which fixes its rounding (see
+_step_matrices). Two kernels march y_{j+1} = T_j y_j with the same T_j:
+
+- _march steps each row in Python complex scalars and keeps the path.
+  It serves the narrow batches: shoot_evp and solve_adjoint shoot one
+  row and keep the node arrays, and find_tau0 shoots one row or its
+  central-difference pair.
+- _march_ends steps all rows at once in float64 arrays, T_j in its real
+  4x4 form, and keeps only the end states. It serves the resonance scan
+  check_A2, which shoots k = 0, 2, ..., K_max (50 rows by default) and
+  mirrors |D(-ik)| = |D(ik)|.
+
+A few numpy calls per step give _march_ends a fixed cost, so it is the
+slower kernel below about 10 rows (about 1 ms against 0.15-0.3 ms for
+one or two rows at M = 256) and the faster one above (2.7 ms against
+7 ms for 50 rows). Both perform the products and sums of Python's
+complex * and +, in its order, so every row of either equals its own
+single shot bit for bit. Eigenvalues are the roots of D.
 Geometric simplicity is automatic in this scalar formulation (the IVP
 solution space is one-dimensional), so the first certificate condition
 reduces to |D(i, tau0)| below tolerance.
@@ -49,7 +60,7 @@ TOL_ADJOINT = 1e-6
 TOL_RICHARDSON = 1e-8
 TAU_MAX_ITER = 100      # Gauss-Newton iterations per start in find_tau0
 TAU_RESTARTS = 8        # seeded random restarts after the given start
-_BLOCK = 1600           # step matrices (rows x steps) _march builds at once
+_BLOCK = 1600           # step matrices (rows x steps) a kernel builds at once
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,11 @@ def _march(P, Q, M):
     rows at once; each block yields, per row, the list of states (u, u')
     at the block's end nodes. A caller that keeps only the last state
     holds O(rows) numbers, not O(rows * M).
+
+    The steps themselves run in Python complex scalars, which cost about
+    0.15 ms per row at M = 256 and are the cheaper kernel for the one- and
+    two-row batches of the shooting paths and find_tau0. A wide batch that
+    needs only its end states goes to _march_ends.
     """
     h = 1.0 / M
     width = max(1, _BLOCK // len(P))
@@ -148,6 +164,50 @@ def _march(P, Q, M):
             block.append(path)
         ends = [path[-1] for path in block]
         yield block
+
+
+def _march_ends(P, Q, M):
+    """D = u'(1) of every row of P, as _march reaches it, marched as float64
+    arrays; a complex array of length rows.
+
+    The step matrices are _march's, block for block. Each row's state is
+    (u_r, u_i, u'_r, u'_i), and T_j acts in its real 4x4 form: with
+    (t, s) a row of T_j, the new u is
+
+        u_r = (t_r u_r + (-t_i) u_i) + (s_r u'_r + (-s_i) u'_i),
+        u_i = (t_i u_r + t_r u_i) + (s_i u'_r + s_r u'_i),
+
+    which are the products and sums of Python's t * u + s * u', in its
+    order (a - b is a + (-b) in IEEE arithmetic). So every row equals its
+    scalar march bit for bit; numpy's complex multiply would not, as its
+    loops may fuse operations. A step is one broadcast multiply and two
+    adds for all rows, whose fixed cost the module docstring weighs
+    against _march's.
+    """
+    h = 1.0 / M
+    rows = len(P)
+    width = min(M, max(1, _BLOCK // rows))
+    C = np.empty((width, 4, 4, rows))       # per step: [input, output, row]
+    prod, pair = np.empty((4, 4, rows)), np.empty((2, 4, rows))
+    y = np.zeros((4, 1, rows))              # (u_r, u_i, u'_r, u'_i) per row
+    y[2] = 1.0
+    state = y[:, 0]
+    with np.errstate(all="ignore"):         # Python scalars overflow silently
+        for j0 in range(0, M, width):
+            cut = slice(2 * j0, 2 * min(M, j0 + width) + 1)
+            t00, t01, t10, t11 = _step_matrices(P[:, cut], Q[..., cut], h)
+            c = C[:t00.shape[-1]]
+            for o, t, s in ((0, t00, t01), (2, t10, t11)):
+                tr, ti, sr, si = t.real.T, t.imag.T, s.real.T, s.imag.T
+                c[:, :, o] = np.stack((tr, -ti, sr, -si), axis=1)
+                c[:, :, o + 1] = np.stack((ti, tr, si, sr), axis=1)
+            for cj in c:
+                np.multiply(cj, y, out=prod)
+                np.add(prod[0::2], prod[1::2], out=pair)
+                np.add(pair[0], pair[1], out=state)
+    D = np.empty(rows, dtype=complex)
+    D.real, D.imag = state[2], state[3]     # 1j * inf would be nan
+    return D
 
 
 def _shoot(P, Q, M):
@@ -245,17 +305,21 @@ def check_A2(tau0, K_max, coeffs):
     passes when every recorded value exceeds TOL_RESONANCE; it covers only
     finitely many k, which the certificate records as a caveat.
 
-    Only k = 0, 2, ..., K_max are shot, as one batch (_mismatches) whose
-    step matrices are built a block of steps at a time, so memory stays
-    O(K_max). Every coefficient table is real, so the shot for -ik is the
-    exact complex conjugate of the shot for +ik (IEEE arithmetic,
-    cmath.exp and the step matrices all commute with conjugation), and
-    |D(-ik)| is recorded as the bitwise equal |D(ik)|.
+    Only k = 0, 2, ..., K_max are shot, as one batch marched in float64
+    arrays (_march_ends, which equals the scalar _march bit for bit and
+    is the faster kernel from about 10 rows on) whose step matrices are
+    built a block of steps at a time, so memory stays O(K_max). Every
+    coefficient table is real, so the shot for -ik is the exact complex
+    conjugate of the shot for +ik (IEEE arithmetic, cmath.exp and the
+    step matrices all commute with conjugation), and |D(-ik)| is
+    recorded as the bitwise equal |D(ik)|.
     """
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
     ks = [0] + list(range(2, K_max + 1))
-    absD = [abs(D) for D in _mismatches([(1j * k, tau0) for k in ks], coeffs)]
+    P = np.array([_evp_P(1j * k, tau0, coeffs) for k in ks])
+    D = _march_ends(P, -coeffs.b6 / (coeffs.a * coeffs.a), coeffs.M)
+    absD = [abs(d) for d in D.tolist()]
     scan = list(zip(ks, absD)) + [(-k, d) for k, d in zip(ks[1:], absD[1:])]
     return sorted(scan, key=lambda item: item[0])
 

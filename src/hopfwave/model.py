@@ -18,6 +18,7 @@ so c_1(x,x) = c_2(x,x) = 1 and A(x,x) = 0 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,16 @@ _POSITIVITY_MARGIN = 1e-10
 def b_env(x, lam, us=(0.0,) * 4):
     """The binding of b's arguments: x, lambda and u1..u4 from us."""
     return {"x": x, "lambda": lam, **dict(zip(_UVARS, us))}
+
+
+@dataclass(frozen=True)
+class Partials:
+    """The derivative expressions of a problem that its samplers evaluate."""
+
+    a_x: exprlang.Expr
+    a_xx: exprlang.Expr
+    b_u: tuple              # d b / d u_j, j = 1..4
+    b_u4x: exprlang.Expr
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,16 @@ class ProblemSpec:
         spec = cls(a=a, b=b, lam=float(lam))
         spec.validate()
         return spec
+
+    @cached_property
+    def partials(self) -> Partials:
+        """Derived once per problem, so every linearization, operator
+        context and structure check evaluates the same trees, each compiled
+        on its first evaluation."""
+        a_x = self.a.diff("x")
+        b_u = tuple(self.b.diff(u) for u in _UVARS)
+        return Partials(a_x=a_x, a_xx=a_x.diff("x"), b_u=b_u,
+                        b_u4x=b_u[3].diff("x"))
 
     def validate(self):
         """Sampled hard checks: a > 0 and b(x, lam, 0,0,0,0) = 0."""
@@ -149,11 +170,12 @@ def linearize(spec: ProblemSpec, lam: float, M: int) -> LinearizedCoeffs:
         except EvalDomainError as err:
             raise SpecInvalid(f"cannot linearize at u = 0: {err}") from err
 
-    a, ax, axx = sample(spec.a), sample(spec.a.diff("x")), sample(spec.a.diff("x", 2))
-    b3, b4, b5, b6 = (sample(spec.b.diff(u)) for u in _UVARS)
+    d = spec.partials
+    a, ax, axx = sample(spec.a), sample(d.a_x), sample(d.a_xx)
+    b3, b4, b5, b6 = (sample(b) for b in d.b_u)
     return LinearizedCoeffs(
         M=M, xx=xx, a=a, ax=ax, axx=axx,
-        b3=b3, b4=b4, b5=b5, b6=b6, b6x=sample(spec.b.diff("u4").diff("x")),
+        b3=b3, b4=b4, b5=b5, b6=b6, b6x=sample(d.b_u4x),
         b1=0.5 * (-ax + b5 + b6 / a), b2=0.5 * (ax + b5 - b6 / a))
 
 

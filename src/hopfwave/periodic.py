@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
-from .model import (_UVARS, LinearizedCoeffs, ProblemSpec, antiderivative_tables,
-                    b_env, displacement, linearize)
+from .model import (LinearizedCoeffs, ProblemSpec, antiderivative_tables, b_env,
+                    displacement, linearize)
 from .quadrature import cumulative_integral, integral
 
 
@@ -158,7 +158,7 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
         F=F, E1=np.exp(logE1), E2=np.exp(logE2),
-        b_u=tuple(spec.b.diff(u) for u in _UVARS), odd=odd_in_u(spec.b, lam))
+        b_u=spec.partials.b_u, odd=odd_in_u(spec.b, lam))
 
 
 def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext,
@@ -269,13 +269,15 @@ def apply_B(v: np.ndarray, omega: float, tau: float,
 
 @dataclass(frozen=True)
 class NewtonStats:
-    """Deterministic counts of one `newton_solve`."""
+    """Deterministic counts of one `newton_solve`, a rejected odd solve
+    included in its iterations, matvecs, halvings and builds."""
 
     iterations: int         # Newton steps
     matvecs: int            # tangent products inside GMRES
     halvings: int           # line-search step halvings
-    rconds: tuple           # each preconditioner built: its block rconds,
-                            # one per harmonic in ks
+    builds: int             # preconditioners built
+    rconds: tuple           # each preconditioner the returned solve built:
+                            # its block rconds, one per harmonic in ks
     stop: str               # why iteration stopped: "roundoff floor",
                             # "no decrease" or "iteration limit"
     ks: tuple               # the harmonics the solve carried: 1, 3, ..., <= N
@@ -577,16 +579,23 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
     symmetric and would meet it too. The returned orbit holds all
     harmonics 0..N and the full residual_norm. It carries the last
     `precond`, and `stats` that count the iterations, tangent products,
-    halvings and builds of the solve it came from, and record its stop and
-    the harmonics ks it carried.
+    halvings and builds of both solves when the odd one was rejected. Its
+    rconds, stop and ks are those of the solve the orbit came from.
     """
     N = guess.v.shape[0] - 1
-    if ctx.odd:
-        orbit = _newton(guess, harmonics(N, True), ctx, basis, max_iter)
-        if orbit.residual_norm <= TOL_ORBIT:
-            return orbit
-        guess = replace(guess, precond=None)
-    return _newton(guess, harmonics(N, False), ctx, basis, max_iter)
+    if not ctx.odd:
+        return _newton(guess, harmonics(N, False), ctx, basis, max_iter)
+    odd = _newton(guess, harmonics(N, True), ctx, basis, max_iter)
+    if odd.residual_norm <= TOL_ORBIT:
+        return odd
+    orbit = _newton(replace(guess, precond=None), harmonics(N, False), ctx,
+                    basis, max_iter)
+    s, r = orbit.stats, odd.stats
+    orbit.stats = replace(s, iterations=s.iterations + r.iterations,
+                          matvecs=s.matvecs + r.matvecs,
+                          halvings=s.halvings + r.halvings,
+                          builds=s.builds + r.builds)
+    return orbit
 
 
 def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
@@ -666,7 +675,8 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
         rn = float(np.max(np.abs(residual(out, ctx, basis, np.arange(N + 1)))))
     out.residual_norm, out.precond = rn, precond
     out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
-                            halvings=halvings, rconds=tuple(rconds), stop=stop,
+                            halvings=halvings, builds=len(rconds),
+                            rconds=tuple(rconds), stop=stop,
                             ks=tuple(ks.tolist()))
     return out
 

@@ -218,6 +218,7 @@ def test_branch_wrong_odd_verdict_diagnostics(tmp_path, monkeypatch):
     rcond, k = min((float(x), k) for ks, r in builds if 0 in ks
                    for k, x in zip(ks, r))
     assert (diag["min_block_rcond"], diag["min_block_rcond_harmonic"]) == (rcond, k)
+    assert diag["preconditioner_builds"] == len(builds)
 
 
 def test_branch_deterministic(tmp_path):

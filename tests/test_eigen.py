@@ -218,6 +218,26 @@ def test_a2_scan_matches_per_k_shots(b_text, tau, K_max):
     assert eigen.check_A2(tau, K_max, co) == a2_scan_per_k(tau, K_max, co)
 
 
+@pytest.mark.parametrize("M, K_max", [
+    (64, 7),        # 7 rows: one block of step matrices
+    (128, 120),     # 120 rows: blocks of 13 steps, the last one short
+])
+def test_a2_scan_matches_shots_variable_coefficients(M, K_max):
+    # Q != 0 and every coefficient varies in x; the scan's array kernel
+    # must still give each |D(ik)| of the scalar shot bit for bit
+    spec = ProblemSpec.from_expressions(
+        a="(2/pi)*(1 + 0.3*x^2)",
+        b="-u1^3 - (1 + 0.5*sin(3*x))*u2 - (1+x)*u3 + 0.2*exp(x)*u1 + 0.1*x*u4")
+    co = linearize(spec, 0.0, M)
+    assert np.any(co.b6 != 0.0)
+    scan = eigen.check_A2(1.3, K_max, co)
+    assert [k for k, _ in scan] == [k for k in range(-K_max, K_max + 1)
+                                    if abs(k) != 1]
+    for k, d in scan:
+        shot = abs(eigen.shoot_evp(1j * k, 1.3, co).D)
+        assert np.float64(d).tobytes() == np.float64(shot).tobytes(), k
+
+
 def test_mirror_is_exact(co_up, cert_down):
     # all coefficient tables are real, so the -ik shot is the conjugate of
     # the +ik shot and check_A2 may mirror |D| without shooting -ik
