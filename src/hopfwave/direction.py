@@ -27,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSeparable, QuadraticTermPresent, RhoZero
-from .model import _UVARS, ProblemSpec, b_env
+from .model import _UVARS, ProblemSpec, b_env, b_samples
 from .quadrature import integral
 
 STABILITY_CAVEAT = (
     "direction indicator only: for hyperbolic wave equations no rigorous "
     "proof links bifurcation direction to orbital stability")
-
-_CHECK_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -50,17 +48,15 @@ def check_structure(spec: ProblemSpec, grid) -> np.ndarray:
     """Verify the separable cubic shape and sample the cubic coefficients.
 
     Separability: all mixed second partials of b in distinct u-arguments
-    must vanish at randomly sampled (x, u) points. No quadratic terms:
+    must vanish at the seeded (x, u) points of `b_samples`. No quadratic terms:
     the pure second u_j-derivatives must vanish at u = 0. Both checks are
     sampled, not proven. grid is the node array the coefficients are
     sampled on (a LinearizedCoeffs.x works). Returns the third
     u_j-derivatives B_1..B_4 at the origin as rows of one float array.
     """
     grid = np.asarray(grid, dtype=float)
-    rng = np.random.default_rng(20240831)
-    xs = rng.uniform(0.0, 1.0, _CHECK_SAMPLES)
-    us = rng.uniform(-0.5, 0.5, (_CHECK_SAMPLES, 4))
-    env = b_env(xs, 0.0, us.T)
+    xs, us = b_samples()
+    env = b_env(xs, 0.0, us)
     b_u = spec.partials.b_u
     for i in range(4):
         for j in range(i + 1, 4):

@@ -302,7 +302,7 @@ def check_A2(tau0, K_max, coeffs):
     """Resonance scan: |D(ik, tau0)| for k in {0, +-2, ..., +-K_max}.
 
     k = +-1 is the critical pair and is excluded by definition. The scan
-    passes when every recorded value exceeds TOL_RESONANCE; it covers only
+    passes when every recorded value is finite and exceeds TOL_RESONANCE; it covers only
     finitely many k, which the certificate records as a caveat.
 
     Only k = 0, 2, ..., K_max are shot, as one batch marched in float64
@@ -419,7 +419,8 @@ def certify(spec, tau_guess, M=256, K_max=50, seed=0) -> HopfCertificate:
         shot = shoot_evp(1j, tau0, coeffs)
         u0, u0_prime = shot.u, shot.u_prime
         scan = check_A2(tau0, K_max, coeffs)
-        flags["a2"] = min(d for _, d in scan) > TOL_RESONANCE
+        # a nan or inf row fails the scan wherever it sits
+        flags["a2"] = all(TOL_RESONANCE < d < np.inf for _, d in scan)
         try:
             u_star, u_star_prime, U_star = solve_adjoint(tau0, coeffs)
             flags["adjoint"] = True

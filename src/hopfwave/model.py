@@ -29,11 +29,20 @@ from .quadrature import cumulative_integral, integral
 _UVARS = ("u1", "u2", "u3", "u4")
 _POSITIVITY_SAMPLES = 1024
 _POSITIVITY_MARGIN = 1e-10
+_B_SAMPLES = 64
 
 
 def b_env(x, lam, us=(0.0,) * 4):
     """The binding of b's arguments: x, lambda and u1..u4 from us."""
     return {"x": x, "lambda": lam, **dict(zip(_UVARS, us))}
+
+
+def b_samples():
+    """The seeded points of the sampled verdicts on b, as (xs, us): 64
+    points x in [0, 1], shape (64,), and u1..u4 in [-1/2, 1/2], shape
+    (4, 64), so that b_env(xs, lam, us) binds them."""
+    rng = np.random.default_rng(20240831)
+    return rng.uniform(0.0, 1.0, _B_SAMPLES), rng.uniform(-0.5, 0.5, (4, _B_SAMPLES))
 
 
 @dataclass(frozen=True)

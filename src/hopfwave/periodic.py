@@ -17,7 +17,9 @@ by a block build kept until GMRES fails. With the partials of b averaged
 over time (exact at v = 0) the derivative maps each harmonic to itself and
 is applied in harmonic space; only k = 1 is singular at the Hopf point,
 bordered by the amplitude and phase rows and the (omega, tau) columns as in
-the Lyapunov-Schmidt reduction. No dense matrix of the system is formed.
+the Lyapunov-Schmidt reduction. Both maps, and the preconditioner built on
+the second, come from one `_linearization` per Newton iteration. No dense
+matrix of the system is formed.
 
 A field v(t, x) = sum_k vhat_k(x) e^{ikt} is a plain complex array of
 shape (..., len(ks), 2, M+1): optional batch axes, the harmonics ks,
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
 from .model import (LinearizedCoeffs, ProblemSpec, antiderivative_tables, b_env,
-                    displacement, linearize)
+                    b_samples, displacement, linearize)
 from .quadrature import cumulative_integral, integral
 
 
@@ -123,25 +125,18 @@ class OperatorContext:
     F: np.ndarray      # antiderivative of 1/a on nodes
     E1: np.ndarray     # exp of antiderivative of b1/a
     E2: np.ndarray
-    b_u: tuple[Expr, ...]   # exact partials of b in u1..u4, for the tangent
     odd: bool               # b odd in u1..u4 (`odd_in_u`): Newton on odd harmonics
-
-
-_ODD_SAMPLES = 64
 
 
 def odd_in_u(b: Expr, lam: float) -> bool:
     """Sampled verdict that b(x, lam, -u) = -b(x, lam, u) to rounding.
 
-    Like `direction.check_structure`, it samples rather than proves: 64
-    seeded points x in [0, 1], u1..u4 in [-1/2, 1/2], at the fixed lam.
-    A sample on which b is not finite (EvalDomainError) means "not odd";
-    the verdict never raises. A wrong "odd" costs `newton_solve` time,
-    never correctness.
+    Like `direction.check_structure`, it samples rather than proves, on the
+    points of `model.b_samples` at the fixed lam. A sample on which b is not
+    finite (EvalDomainError) means "not odd"; the verdict never raises. A
+    wrong "odd" costs `newton_solve` time, never correctness.
     """
-    rng = np.random.default_rng(20240831)
-    xs = rng.uniform(0.0, 1.0, _ODD_SAMPLES)
-    us = rng.uniform(-0.5, 0.5, (4, _ODD_SAMPLES))
+    xs, us = b_samples()
     try:
         plus, minus = b.eval(b_env(xs, lam, us)), b.eval(b_env(xs, lam, -us))
     except EvalDomainError:
@@ -157,8 +152,7 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         x=coeffs.x, h=coeffs.h,
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
-        F=F, E1=np.exp(logE1), E2=np.exp(logE2),
-        b_u=spec.partials.b_u, odd=odd_in_u(spec.b, lam))
+        F=F, E1=np.exp(logE1), E2=np.exp(logE2), odd=odd_in_u(spec.b, lam))
 
 
 def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext,
@@ -357,57 +351,54 @@ def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
     return np.concatenate([_defect(v, Bv, orbit.omega, ctx, ks), rows])
 
 
-def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks, source):
-    """A derivative of `residual` at orbit from the tangent's one set-up, as
-    (apply, omega_tau): apply maps packed directions (..., n) to I - C - D dB
-    on the harmonics ks, the amplitude and phase rows, plus the exact (omega,
-    tau) columns omega_tau (2, n); dB(dv) = source(partials b_{u_j}, dv)."""
+def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
+    """The derivative of `residual` at orbit on the harmonics ks of orbit.v,
+    from one set-up, as (tangent, harmonic, omega_tau).
+
+    Both maps take packed directions (..., n) to I - C - D dB on the
+    harmonics ks, the amplitude and phase rows, plus the exact (omega, tau)
+    columns omega_tau (2, n). tangent is exact: dB multiplies the partials
+    b_{u_j} pointwise on the collocation times. harmonic replaces each
+    partial p_j by its time mean and is applied in harmonic space: dB_k =
+    p1 J_k + p2 e^{-ik omega tau} J_k + p3 (dv1_k + dv2_k)/2 + p4 (dv1_k -
+    dv2_k)/(2a), J_k the displacement of dv1_k - dv2_k. It is
+    block-diagonal over harmonics, and exact at v = 0 and in (omega, tau).
+    """
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
     v1, v2, u = _collocate(v, omega, tau, ctx, ks)
     env = b_env(ctx.x, ctx.lam, u)
-    partials = [d.eval(env) for d in ctx.b_u]
+    partials = [d.eval(env) for d in ctx.spec.partials.b_u]
+    means = [p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials]
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
     Bv = _source(ctx.spec.b.eval(env), v1, v2, ks, ctx)
-    dJdel = (-1j * ks[:, None] * _displacement(v, ctx)
-             * _delay_phase(ks, omega, tau) * np.array([tau, omega])[:, None, None])
+    delay = _delay_phase(ks, omega, tau)
+    dJdel = (-1j * ks[:, None] * _displacement(v, ctx) * delay
+             * np.array([tau, omega])[:, None, None])
     du2 = harmonic_synthesis(dJdel, _collocation_times(ks), ks)
     dB = _source(partials[1] * du2, 0.0, 0.0, ks, ctx)
     dT = apply_D(dB, omega, ctx, ks)
     dT[0] += _transport_domega(v, Bv, omega, ctx, ks)
     omega_tau = np.concatenate([-flatten(dT, ks), np.zeros((2, 2))], axis=-1)
 
-    def apply(dz):
-        dv = unflatten(dz[..., :-2], ks, v.shape[2] - 1)
-        proj = basis.projection(dv, ctx.h, ks) / basis.nrm
-        rows = np.stack([proj.real, proj.imag], axis=-1)
-        return (np.concatenate([_defect(dv, source(partials, dv), omega, ctx, ks),
-                                rows], axis=-1) + dz[..., -2:] @ omega_tau)
-    return apply, omega_tau
-
-
-def _tangent(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
-    """Exact derivative of `residual` at orbit on the harmonics ks of orbit.v,
-    by `_linearization` with dB pointwise in time."""
-    def source(partials, dv):
-        dv1, dv2, du = _collocate(dv, orbit.omega, orbit.tau, ctx, ks)
+    def pointwise(dv):
+        dv1, dv2, du = _collocate(dv, omega, tau, ctx, ks)
         return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, ks, ctx)
-    return _linearization(orbit, ctx, basis, ks, source)
 
-
-def _harmonic_tangent(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
-    """`_tangent` with each partial p_j replaced by its time mean, applied in
-    harmonic space: dB_k = p1 J_k + p2 e^{-ik omega tau} J_k + p3 (dv1_k +
-    dv2_k)/2 + p4 (dv1_k - dv2_k)/(2a), J_k the displacement of dv1_k - dv2_k.
-    Block-diagonal over harmonics; exact at v = 0 and in (omega, tau)."""
-    delay = _delay_phase(ks, orbit.omega, orbit.tau)
-
-    def source(partials, dv):
-        means = (p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials)
+    def averaged(dv):
         dv1, dv2, J = dv[..., 0, :], dv[..., 1, :], _displacement(dv, ctx)
         du = (J, J * delay, 0.5 * (dv1 + dv2), 0.5 * (dv1 - dv2) / ctx.a)
         return _source_values(sum(p * d for p, d in zip(means, du)), dv1, dv2, ctx)
-    return _linearization(orbit, ctx, basis, ks, source)
+
+    def linear_map(source):
+        def apply(dz):
+            dv = unflatten(dz[..., :-2], ks, v.shape[2] - 1)
+            proj = basis.projection(dv, ctx.h, ks) / basis.nrm
+            rows = np.stack([proj.real, proj.imag], axis=-1)
+            return (np.concatenate([_defect(dv, source(dv), omega, ctx, ks),
+                                    rows], axis=-1) + dz[..., -2:] @ omega_tau)
+        return apply
+    return linear_map(pointwise), linear_map(averaged), omega_tau
 
 
 RANK_RCOND = 1e-12      # smallest accepted reciprocal condition of a block
@@ -452,11 +443,11 @@ class BlockPreconditioner:
         return x
 
 
-def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
-                         basis: ModeBasis, ks) -> BlockPreconditioner:
-    """The Newton preconditioner: the exact inverse, block by block, of the
-    harmonic-space map `_harmonic_tangent` at orbit, on the harmonics ks
-    that orbit.v holds.
+def block_preconditioner(harmonic, omega_tau, ks, M) -> BlockPreconditioner:
+    """The Newton preconditioner: the exact inverse, block by block, of
+    harmonic, the harmonic-space map of a `_linearization` on the harmonics
+    ks and M+1 nodes, with that set-up's (omega, tau) columns omega_tau.
+    The build probes the map it is given and makes no set-up of its own.
 
     That map holds one 2(M+1) block for k = 0 and one 4(M+1) block for each
     k >= 1. A probe with a unit at the same local index in every harmonic
@@ -474,12 +465,10 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
     bordered k = 1 block means a failed certificate, any other k a
     resonance at ik.
     """
-    M = orbit.v.shape[2] - 1
     slices = _harmonic_slices(ks, M)
     n = slices[-1].stop + 2
     sizes = [s.stop - s.start for s in slices]
     i1 = int(ks[0] == 0)        # the position of k = 1 in ks
-    tangent, omega_tau = _harmonic_tangent(orbit, ctx, basis, ks)
     blocks = [np.empty((m, m)) for m in sizes]
     blocks[i1] = np.zeros((sizes[i1] + 2,) * 2)
     blocks[i1][:-2, -2:] = omega_tau[:, slices[i1]].T
@@ -489,7 +478,7 @@ def block_preconditioner(orbit: PeriodicOrbit, ctx: OperatorContext,
         probe = np.zeros((width, n))
         for i in live:
             probe[:, slices[i].start + j0:slices[i].start + j0 + width] = np.eye(width)
-        out = tangent(probe)
+        out = harmonic(probe)
         for i in live:
             blocks[i][:sizes[i], j0:j0 + width] = out[:, slices[i]].T
         blocks[i1][-2:, j0:j0 + width] = out[:, -2:].T
@@ -560,14 +549,15 @@ def newton_solve(guess: PeriodicOrbit, ctx: OperatorContext,
                  basis: ModeBasis, max_iter: int = 30) -> PeriodicOrbit:
     """Damped Newton-Krylov at amplitude guess.eps, iterated to roundoff.
 
-    Each step solves the `_tangent` system by `gmres`, preconditioned by
-    guess.precond, or else by a `block_preconditioner` built at the guess;
-    GMRES failing above TOL_ORBIT rebuilds it at the current point. A
-    trial step on which b leaves its domain fails and is halved. Once the
-    residual is at or below TOL_ORBIT, steps are taken in full, and the
-    solve stops at the roundoff floor: after the first step that lowers
-    the residual by a smaller factor than the step before it did, or at a
-    step that does not lower it at all. Above TOL_ORBIT, NoConvergence
+    Each iteration makes one `_linearization` at the current point and
+    solves its exact tangent by `gmres`, preconditioned by guess.precond,
+    or else by a `block_preconditioner` of its harmonic-space map built in
+    the first iteration; GMRES failing above TOL_ORBIT rebuilds it from the
+    same set-up. A trial step on which b leaves its domain fails and is
+    halved. Once the residual is at or below TOL_ORBIT, steps are taken in
+    full, and the solve stops at the roundoff floor: after the first step
+    that lowers the residual by a smaller factor than the step before it
+    did, or at a step that does not lower it at all. Above TOL_ORBIT, NoConvergence
     names the line search or the iteration limit.
 
     For an odd b (ctx.odd) Newton carries the odd harmonics only. The full
@@ -618,21 +608,21 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
     rconds = []
     n_iter = matvecs = halvings = 0
 
-    def build():
+    def build(harmonic, omega_tau):
         nonlocal precond
-        precond = block_preconditioner(orbit_at(z), ctx, basis, ks)
+        precond = block_preconditioner(harmonic, omega_tau, ks, M)
         rconds.append(precond.rcond)
 
-    if precond is None and (eps != 0.0 or np.any(guess.v)):
-        # the condition check doubles as the local-uniqueness certificate;
-        # only at the trivial orbit, the bifurcation point itself, is the
-        # Newton matrix legitimately singular
-        build()
     stop = "iteration limit"
     contraction = np.inf    # rn_new / rn of the last accepted step
     while n_iter < max_iter:
         n_iter += 1
-        tangent, _ = _tangent(orbit_at(z), ctx, basis, ks)
+        tangent, harmonic, omega_tau = _linearization(orbit_at(z), ctx, basis, ks)
+        if precond is None and (eps != 0.0 or np.any(guess.v)):
+            # the condition check doubles as the local-uniqueness certificate;
+            # only at the trivial orbit, the bifurcation point itself, is the
+            # Newton matrix legitimately singular
+            build(harmonic, omega_tau)
         for attempt in range(2):
             step, converged, products = gmres(tangent, -r, precond,
                                               GMRES_RTOL, GMRES_MAX)
@@ -641,7 +631,7 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
             # although the step is as good as the residual allows
             if converged or attempt or rn <= TOL_ORBIT:
                 break
-            build()
+            build(harmonic, omega_tau)
         for i, t in enumerate(0.5 ** np.arange(12)):
             try:
                 r_new = res(z + t * step)

@@ -48,12 +48,13 @@ def jacobian(orbit, ctx, basis):
     """Exact derivative of `periodic.residual` at orbit, Fortran-ordered, and
     its 1-norm.
 
-    The columns are `periodic._tangent` applied to unit inputs, one block of
-    M+1 columns (one harmonic, real or imaginary part, and component) at a
-    time, the (omega, tau) pair last; column norms are taken per block.
+    The columns are the exact tangent of `periodic._linearization` applied
+    to unit inputs, one block of M+1 columns (one harmonic, real or
+    imaginary part, and component) at a time, the (omega, tau) pair last;
+    column norms are taken per block.
     """
     ks = np.arange(len(orbit.v))
-    tangent, _ = periodic._tangent(orbit, ctx, basis, ks)
+    tangent = periodic._linearization(orbit, ctx, basis, ks)[0]
     n = len(periodic._pack(orbit, ks))
     J = np.empty((n, n), order="F")
     col_norms = np.empty(n)
@@ -66,17 +67,17 @@ def jacobian(orbit, ctx, basis):
 
 
 def time_averaged_tangent(orbit, ctx, basis, ks):
-    """`periodic._tangent` at orbit with each partial of b replaced by its
-    mean over the collocation times, applied in the time domain: every
-    direction is synthesized on the 4N+1 collocation times, multiplied by
-    the mean partials and analyzed back. The reference for
-    `periodic._harmonic_tangent`; returns apply."""
+    """The exact tangent of `periodic._linearization` at orbit with each
+    partial of b replaced by its mean over the collocation times, applied in
+    the time domain: every direction is synthesized on the 4N+1 collocation
+    times, multiplied by the mean partials and analyzed back. The reference
+    for the harmonic-space map of `periodic._linearization`; returns apply."""
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    _, omega_tau = periodic._tangent(orbit, ctx, basis, ks)
+    omega_tau = periodic._linearization(orbit, ctx, basis, ks)[2]
     _, _, u = periodic._collocate(v, omega, tau, ctx, ks)
     env = b_env(ctx.x, ctx.lam, u)
     means = [p.mean(axis=-2) if np.ndim(p) == 2 else p
-             for p in (d.eval(env) for d in ctx.b_u)]
+             for p in (d.eval(env) for d in ctx.spec.partials.b_u)]
 
     def apply(dz):
         dv = periodic.unflatten(dz[..., :-2], ks, v.shape[2] - 1)

@@ -199,8 +199,8 @@ def test_branch_wrong_odd_verdict_diagnostics(tmp_path, monkeypatch):
     # over the builds on all harmonics, each paired with its harmonic k
     builds, build = [], periodic.block_preconditioner
 
-    def recording(orbit, ctx, basis, ks):
-        precond = build(orbit, ctx, basis, ks)
+    def recording(harmonic, omega_tau, ks, M):
+        precond = build(harmonic, omega_tau, ks, M)
         builds.append((ks.tolist(), precond.rcond))
         return precond
 
@@ -219,6 +219,25 @@ def test_branch_wrong_odd_verdict_diagnostics(tmp_path, monkeypatch):
                    for k, x in zip(ks, r))
     assert (diag["min_block_rcond"], diag["min_block_rcond_harmonic"]) == (rcond, k)
     assert diag["preconditioner_builds"] == len(builds)
+
+
+@pytest.mark.parametrize("config, iterations", [(BRANCH, 14), (SUPER, 10)],
+                         ids=["benchmark_branch", "benchmark_super"])
+def test_one_linearization_per_newton_iteration(tmp_path, monkeypatch, config,
+                                                iterations):
+    # the tangent, the preconditioner build at the guess and its rebuild
+    # after a GMRES failure all share their iteration's set-up
+    calls, setup = [], periodic._linearization
+
+    def counting(*args):
+        calls.append(1)
+        return setup(*args)
+
+    monkeypatch.setattr(periodic, "_linearization", counting)
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", str(config), "--out", str(out)) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert len(calls) == sum(diag["newton_iterations"]) == iterations
 
 
 def test_branch_deterministic(tmp_path):
@@ -413,6 +432,23 @@ def test_tracer_targets_exist():
     finally:
         tracer.uninstall()
     assert cli.main is main
+
+
+def test_tracer_targets_resolve():
+    # read only: each span target, a dotted one a method of its class, is a
+    # name in its hopfwave module, so a traced run never meets a rename
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", REPO / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module, attr in tracing.TARGETS:
+        owner = importlib.import_module(f"hopfwave.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("key, value", [
@@ -612,6 +648,7 @@ def test_resonance_scan_past_grid_resolution_is_strict_json(tmp_path):
     doc = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert len(doc["a2_scan"]) == 3999
     assert None in [d for _, d in doc["a2_scan"]]
+    assert doc["flags"]["a2"] is False
 
 
 NO_MODE = {"a": "1", "b": "-u3 - u1^3", "tau_guess": 1.0,

@@ -328,6 +328,21 @@ def test_certificate_flags(cert_up, cert_down):
     assert cert_up.flags["pass"] is False
 
 
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf], ids=["none", "nan", "inf"])
+def test_a2_flag_fails_on_any_nonfinite_row(spec_cubic_down, monkeypatch, bad):
+    # a non-finite |D(ik)| fails the scan wherever it sits, not only first
+    def scan(tau0, K_max, coeffs):
+        rows = [(k, 0.5) for k in range(-K_max, K_max + 1) if abs(k) != 1]
+        if bad is not None:
+            rows[len(rows) // 2] = (rows[len(rows) // 2][0], bad)
+        return rows
+
+    monkeypatch.setattr(eigen, "check_A2", scan)
+    cert = eigen.certify(spec_cubic_down, 1.4, M=128, K_max=4)
+    assert cert.flags["a1"] is True
+    assert cert.flags["a2"] is (bad is None)
+
+
 def test_certificate_failure_modes():
     no_fred = ProblemSpec.from_expressions(a="2/pi", b="-u2")
     cert = eigen.certify(no_fred, 1.4, M=64, K_max=3)

@@ -482,13 +482,20 @@ def test_resonance_error_names_harmonic():
     assert "harmonic 1 " not in str(info.value)
 
 
+def _build(orbit, ctx, basis, ks):
+    """The preconditioner `newton_solve` builds at orbit."""
+    _, harmonic, omega_tau = periodic._linearization(orbit, ctx, basis, ks)
+    return periodic.block_preconditioner(harmonic, omega_tau, ks,
+                                         orbit.v.shape[2] - 1)
+
+
 def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
         super_orbit, cert_down, ctx_down):
     # the preconditioner is the exact inverse of the harmonic-diagonal
     # tangent with the exact (omega, tau) columns; a wrong colouring or
     # packing offset breaks the round trip
     basis, full = periodic.mode_basis(cert_down, ctx_down), np.arange(9)
-    precond = periodic.block_preconditioner(super_orbit, ctx_down, basis, full)
+    precond = _build(super_orbit, ctx_down, basis, full)
     tangent = time_averaged_tangent(super_orbit, ctx_down, basis, full)
     rng = np.random.default_rng(8)
     n = len(periodic._pack(super_orbit, full))
@@ -507,14 +514,14 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # at v = 0 the harmonic-diagonal tangent is the exact tangent
     trivial = periodic.predictor(basis, 0.0, 8, ctx_down)
     z = rng.normal(size=(2, n))
-    exact = periodic._tangent(trivial, ctx_down, basis, full)[0](z)
+    exact = periodic._linearization(trivial, ctx_down, basis, full)[0](z)
     diag = time_averaged_tangent(trivial, ctx_down, basis, full)(z)
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
     # on the odd harmonics alone there is no k = 0 block and k = 1 comes
     # first; the round trip holds, and each block is the full build's
     ks = periodic.harmonics(8, True)
     odd = replace(super_orbit, v=super_orbit.v[ks])
-    odd_precond = periodic.block_preconditioner(odd, ctx_down, basis, ks)
+    odd_precond = _build(odd, ctx_down, basis, ks)
     tangent = time_averaged_tangent(odd, ctx_down, basis, ks)
     n = len(periodic._pack(super_orbit, ks))
     assert odd_precond.inv0 is None and n == 4 * 4 * 65 + 2
@@ -553,7 +560,7 @@ def test_harmonic_tangent_matches_time_domain_oracle(b, lam, odd, super_orbit,
         ctx = periodic.operator_context(spec, lam, 64)
         basis = periodic.mode_basis(cert_down, ctx)
         orbit = _orbit_near(basis, ctx, ks, seed=5)
-    tangent, omega_tau = periodic._harmonic_tangent(orbit, ctx, basis, ks)
+    _, tangent, omega_tau = periodic._linearization(orbit, ctx, basis, ks)
     oracle = time_averaged_tangent(orbit, ctx, basis, ks)
     z = np.random.default_rng(23).normal(size=(4, omega_tau.shape[1]))
     got, want = tangent(z), oracle(z)
@@ -561,43 +568,32 @@ def test_harmonic_tangent_matches_time_domain_oracle(b, lam, odd, super_orbit,
     # at v = 0 the map is the exact tangent
     trivial = periodic.predictor(basis, 0.0, 8, ctx)
     trivial.v = trivial.v[ks]
-    exact = periodic._tangent(trivial, ctx, basis, ks)[0](z)
-    diag = periodic._harmonic_tangent(trivial, ctx, basis, ks)[0](z)
+    exact, diag = (f(z) for f in periodic._linearization(trivial, ctx, basis, ks)[:2])
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):
-    # the build probes the harmonic-space map with 4(M+1) directions, and
-    # no probe chunk goes through Fourier synthesis or analysis
-    directions, fourier, per_chunk = [], [], []
-    tangent = periodic._harmonic_tangent
-    for name in ("harmonic_synthesis", "harmonic_analysis"):
-        def counted_op(*args, op=getattr(periodic, name)):
-            fourier.append(1)
+    # the build probes the harmonic-space map it is given with 4(M+1)
+    # directions and makes no set-up of its own: no Fourier synthesis or
+    # analysis and no `_linearization`
+    basis, ks = periodic.mode_basis(cert_down, ctx_down), np.arange(9)
+    M = ctx_down.coeffs.M
+    _, harmonic, omega_tau = periodic._linearization(super_orbit, ctx_down,
+                                                     basis, ks)
+    calls, directions = [], []
+    for name in ("harmonic_synthesis", "harmonic_analysis", "_linearization"):
+        def counted_op(*args, name=name, op=getattr(periodic, name)):
+            calls.append(name)
             return op(*args)
         monkeypatch.setattr(periodic, name, counted_op)
 
-    def counting(*args, **kwargs):
-        apply, omega_tau = tangent(*args, **kwargs)
+    def counted(dz):
+        directions.append(int(np.prod(np.shape(dz)[:-1])))
+        return harmonic(dz)
 
-        def counted(dz):
-            directions.append(int(np.prod(np.shape(dz)[:-1])))
-            before = len(fourier)
-            out = apply(dz)
-            per_chunk.append(len(fourier) - before)
-            return out
-        return counted, omega_tau
-
-    monkeypatch.setattr(periodic, "_harmonic_tangent", counting)
-    basis, ks = periodic.mode_basis(cert_down, ctx_down), np.arange(9)
-    periodic.block_preconditioner(super_orbit, ctx_down, basis, ks)
-    assert sum(directions) == 4 * (ctx_down.coeffs.M + 1)
-    assert per_chunk == [0] * 4
-    # the only Fourier calls are those of one tangent set-up, however many
-    # chunks the build probes
-    in_build = len(fourier)
-    periodic._tangent(super_orbit, ctx_down, basis, ks)
-    assert in_build == len(fourier) - in_build > 0
+    periodic.block_preconditioner(counted, omega_tau, ks, M)
+    assert directions == [M + 1] * 4
+    assert calls == []
 
 
 def test_branch_at_fine_grid_without_dense_matrix(cert_down, spec_cubic_down):

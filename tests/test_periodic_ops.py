@@ -360,7 +360,7 @@ def test_operators_leave_inputs_unchanged(gctx):
         periodic.flatten(v, ks)
         assert np.array_equal(v, before)
     orbit_v = orbit.v.copy()
-    tangent, _ = periodic._tangent(orbit, gctx, basis, ks)
+    tangent = periodic._linearization(orbit, gctx, basis, ks)[0]
     n = len(periodic._pack(orbit, ks))
     for dz in (rng.normal(size=n), rng.normal(size=(3, n))):
         before = dz.copy()
