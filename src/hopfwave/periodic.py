@@ -30,8 +30,12 @@ and a k = 0 slice is real by construction and packed without its imaginary
 part. When b is odd in (u1..u4), v(t + pi) = -v(t) is a symmetry of the
 whole system (Golubitsky, Stewart & Schaeffer, Singularities and Groups in
 Bifurcation Theory II, 1988), so Newton carries only ks = 1, 3, ..., <= N
-and the orbits it returns hold exact zeros on the even harmonics. Operators
-accept batch axes, so the preconditioner build probes M+1 directions at once.
+and the orbits it returns hold exact zeros on the even harmonics. The
+operators C, D and B and the packing of the unknowns live in `harmonic`,
+which each Newton solve plans once for its ks (`harmonic_plan`). Operators
+accept batch axes, so the preconditioner build probes M+1 directions at
+once; it probes the 2(M+1) real-unit directions only, the blocks being
+complex-linear.
 """
 from __future__ import annotations
 
@@ -41,92 +45,17 @@ import numpy as np
 
 from .errors import EvalDomainError, HopfwaveError, JacobianSingular, NoConvergence
 from .exprlang import Expr
-from .model import (LinearizedCoeffs, ProblemSpec, antiderivative_tables, b_env,
-                    b_samples, displacement, linearize)
-from .quadrature import cumulative_integral, integral
+from .harmonic import (HarmonicPlan, OperatorContext, PlanAt, _collocate,
+                       _delay_phase, _displacement, _source, _source_values,
+                       _synthesize, _transport_domega, apply_B, apply_C, apply_D,
+                       flatten, harmonic_plan, unflatten)
+from .model import (ProblemSpec, antiderivative_tables, b_env, b_samples,
+                    linearize)
+from .quadrature import integral
 
 
 # ---------------------------------------------------------------------------
-# Fourier synthesis and analysis: the one path for every operator
-
-def harmonic_synthesis(hats, times, ks):
-    """Real values at the given times of the harmonics ks held on axis -2.
-
-    hats: (..., len(ks), X) complex; returns (..., len(times), X). Negative
-    harmonics are the conjugates, so k >= 1 carries weight 2. Computed as
-    one real product [w cos(kt), -w sin(kt)] @ [Re hat; Im hat].
-    """
-    w = np.where(ks == 0, 1.0, 2.0)
-    arg = np.outer(times, ks)
-    basis = np.concatenate([w * np.cos(arg), -w * np.sin(arg)], axis=1)
-    return basis @ np.concatenate([hats.real, hats.imag], axis=-2)
-
-
-def harmonic_analysis(values, ks):
-    """Harmonics ks of equispaced samples over one period on axis -2.
-
-    values: (..., T, X) real with T >= 2 max(ks) + 1; content above
-    T - max(ks) - 1 aliases, so callers supply enough samples for their
-    nonlinearity degree. A k = 0 harmonic comes back real (its sine row is
-    zero).
-    """
-    T, n = values.shape[-2], len(ks)
-    arg = np.outer(ks, 2.0 * np.pi * np.arange(T) / T)
-    parts = (np.concatenate([np.cos(arg), -np.sin(arg)]) / T) @ values
-    return parts[..., :n, :] + 1j * parts[..., n:, :]
-
-
-def _collocation_times(ks):
-    """4N+1 equispaced times, N the highest harmonic in ks: cubic products
-    of the harmonics ks are analyzed back without aliasing."""
-    T = 4 * int(ks[-1]) + 1
-    return 2.0 * np.pi * np.arange(T) / T
-
-
-# ---------------------------------------------------------------------------
-# coefficient arrays: the real packing of the Newton unknowns
-
-# packing order: Re v_k, Im v_k for each k in ks, each block (component,
-# node); Im v_0 is dropped when ks starts at 0, and unflatten zeroes it
-def flatten(coef, ks):
-    parts = np.stack([coef.real, coef.imag], axis=-3)
-    flat = parts.reshape(parts.shape[:-4] + (-1,))
-    if ks[0] != 0:
-        return flat
-    blk = 2 * coef.shape[-1]
-    return np.concatenate([flat[..., :blk], flat[..., 2 * blk:]], axis=-1)
-
-
-def unflatten(vec, ks, M):
-    vec = np.asarray(vec)
-    lead = vec.shape[:-1]
-    blk = 2 * (M + 1)
-    if ks[0] == 0:
-        vec = np.concatenate([vec[..., :blk], np.zeros(lead + (blk,)),
-                              vec[..., blk:]], axis=-1)
-    parts = vec.reshape(lead + (len(ks), 2, 2, M + 1))
-    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
-
-
-# ---------------------------------------------------------------------------
-# operator context: everything apply_* needs at a fixed lambda
-
-@dataclass(frozen=True)
-class OperatorContext:
-    spec: ProblemSpec
-    coeffs: LinearizedCoeffs
-    lam: float
-    x: np.ndarray
-    h: float
-    a: np.ndarray
-    ax: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    F: np.ndarray      # antiderivative of 1/a on nodes
-    E1: np.ndarray     # exp of antiderivative of b1/a
-    E2: np.ndarray
-    odd: bool               # b odd in u1..u4 (`odd_in_u`): Newton on odd harmonics
-
+# the operator context at a fixed lambda
 
 def odd_in_u(b: Expr, lam: float) -> bool:
     """Sampled verdict that b(x, lam, -u) = -b(x, lam, u) to rounding.
@@ -153,109 +82,6 @@ def operator_context(spec: ProblemSpec, lam: float, M: int) -> OperatorContext:
         a=coeffs.nodes("a"), ax=coeffs.nodes("ax"),
         b1=coeffs.nodes("b1"), b2=coeffs.nodes("b2"),
         F=F, E1=np.exp(logE1), E2=np.exp(logE2), odd=odd_in_u(spec.b, lam))
-
-
-def apply_C(v: np.ndarray, omega: float, ctx: OperatorContext,
-            ks) -> np.ndarray:
-    """Boundary-transport part: values carried along characteristics from
-    the opposite edge, with per-harmonic phase factors for the time shift."""
-    ks = ks[:, None]
-    phase = np.exp(1j * omega * ks * ctx.F)                  # e^{ik w F(x)}
-    out = np.empty_like(v)
-    out[..., 0, :] = -(1.0 / ctx.E1) * phase * v[..., 1, 0][..., None]
-    tail_phase = np.exp(-1j * omega * ks * (ctx.F - ctx.F[-1]))
-    out[..., 1, :] = (ctx.E2 / ctx.E2[-1]) * tail_phase * v[..., 0, -1][..., None]
-    return out
-
-
-def apply_D(f: np.ndarray, omega: float, ctx: OperatorContext,
-            ks) -> np.ndarray:
-    """Interior-transport part: characteristic integrals of a source field.
-
-    The kernels factorize (c's are ratios of one antiderivative table, the
-    shift phases split likewise), so each harmonic costs one cumulative
-    quadrature per component. Both components carry a minus sign: it drops
-    out of the telescoping along either characteristic family, and the
-    critical mode is a fixed point of C + D(J+K) only with this sign
-    (enforced by the kernel tests).
-    """
-    ks = ks[:, None]
-    ph = np.exp(1j * omega * ks * ctx.F)                     # (N+1, M+1)
-    g1 = ctx.E1 / ph * f[..., 0, :] / ctx.a
-    cum1 = cumulative_integral(g1, ctx.h)
-    out = np.empty_like(f)
-    out[..., 0, :] = -(ph / ctx.E1) * cum1
-    g2 = ph / ctx.E2 * f[..., 1, :] / ctx.a
-    cum2 = cumulative_integral(g2, ctx.h)
-    out[..., 1, :] = -(ctx.E2 / ph) * (cum2[..., -1][..., None] - cum2)
-    return out
-
-
-def _transport_domega(v: np.ndarray, f: np.ndarray, omega: float,
-                      ctx: OperatorContext, ks) -> np.ndarray:
-    """Coefficients of d/domega (C(omega) v + D(omega) f) at fixed v, f.
-
-    Output component 0 (1) picks up e^{+-ik omega (F(x) - F(xi))} from its
-    source point xi, so the derivative is the commutator
-    ik s_c [F (Cv + Df) - C(F v) - D(F f)] with s = (+1, -1).
-    """
-    Tv = apply_C(v, omega, ctx, ks) + apply_D(f, omega, ctx, ks)
-    TF = apply_C(v * ctx.F, omega, ctx, ks) + apply_D(f * ctx.F, omega, ctx, ks)
-    iks = 1j * ks[:, None, None] * np.array([1.0, -1.0])[:, None]
-    return iks * (ctx.F * Tv - TF)
-
-
-def _displacement(coef, ctx: OperatorContext):
-    """Harmonics of u, shape (..., len(ks), M+1)."""
-    return displacement(coef[..., 0, :] - coef[..., 1, :], ctx.a, ctx.h)
-
-
-def _delay_phase(ks, omega, tau):
-    """e^{-ik omega tau}: the delay u(t - tau) on harmonic k, shape (len(ks), 1)."""
-    return np.exp(-1j * omega * tau * ks)[:, None]
-
-
-def _collocate(coef, omega, tau, ctx: OperatorContext, ks):
-    """v1, v2 and the arguments u1..u4 of b on the 4N+1 collocation times.
-
-    The displacement harmonics come from one cumulative x-quadrature, the
-    delay is a phase factor on them, and all four fields are synthesized
-    together. Returns (v1, v2, (u1, u2, u3, u4)), each (..., 4N+1, M+1).
-    """
-    J = _displacement(coef, ctx)
-    hats = np.stack([coef[..., 0, :], coef[..., 1, :], J,
-                     J * _delay_phase(ks, omega, tau)], axis=-2)
-    vals = harmonic_synthesis(hats.reshape(hats.shape[:-2] + (-1,)),
-                              _collocation_times(ks), ks)
-    vals = vals.reshape(vals.shape[:-1] + hats.shape[-2:])
-    v1, v2, u1, u2 = (vals[..., j, :] for j in range(4))
-    return v1, v2, (u1, u2, 0.5 * (v1 + v2), 0.5 * (v1 - v2) / ctx.a)
-
-
-def _source_values(bvals, v1, v2, ctx: OperatorContext) -> np.ndarray:
-    """Source (b - a_x (v1 - v2)/2 - b_j v_j)_j on axis -2; pointwise in t or k."""
-    Bfull = bvals - 0.5 * ctx.ax * (v1 - v2)
-    return np.stack([Bfull - ctx.b1 * v1, Bfull - ctx.b2 * v2], axis=-2)
-
-
-def _source(bvals, v1, v2, ks, ctx: OperatorContext) -> np.ndarray:
-    """Harmonics ks of `_source_values` from values on the collocation times."""
-    vals = _source_values(bvals, v1, v2, ctx)
-    coef = harmonic_analysis(vals.reshape(vals.shape[:-2] + (-1,)), ks)
-    return coef.reshape(coef.shape[:-1] + vals.shape[-2:])
-
-
-def apply_B(v: np.ndarray, omega: float, tau: float,
-            ctx: OperatorContext, ks) -> np.ndarray:
-    """Full nonlinear source, pseudo-spectral with a cubic de-aliasing margin.
-
-    Steps: cumulative x-quadrature gives the displacement harmonics, the
-    delay becomes a phase factor, all fields are synthesized on 4N+1
-    times, the coefficient expression is evaluated pointwise, and the
-    result is analyzed back to the harmonics ks.
-    """
-    v1, v2, u = _collocate(v, omega, tau, ctx, ks)
-    return _source(ctx.spec.b.eval(b_env(ctx.x, ctx.lam, u)), v1, v2, ks, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +160,26 @@ def predictor(basis: ModeBasis, eps, N, ctx: OperatorContext) -> PeriodicOrbit:
     return PeriodicOrbit(v=v, omega=1.0, tau=basis.tau0, eps=eps, lam=ctx.lam)
 
 
-def _defect(v: np.ndarray, f: np.ndarray, omega, ctx, ks) -> np.ndarray:
+def _defect(v: np.ndarray, f: np.ndarray, at: PlanAt) -> np.ndarray:
     """Packed v - C v - D f (the fixed-point rows, batch-aware)."""
-    return flatten(v - apply_C(v, omega, ctx, ks) - apply_D(f, omega, ctx, ks), ks)
+    return flatten(v - apply_C(v, at) - apply_D(f, at), at.plan.ks)
 
 
-def residual(orbit: PeriodicOrbit, ctx: OperatorContext,
-             basis: ModeBasis, ks) -> np.ndarray:
+def residual(orbit: PeriodicOrbit, plan: HarmonicPlan,
+             basis: ModeBasis) -> np.ndarray:
     """Stacked fixed-point residual plus the amplitude and phase rows, on
-    the harmonics ks that orbit.v holds."""
-    v = orbit.v
-    Bv = apply_B(v, orbit.omega, orbit.tau, ctx, ks)
-    proj = basis.projection(v, ctx.h, ks)
+    the harmonics plan.ks that orbit.v holds."""
+    v, at = orbit.v, plan.at(orbit.omega, orbit.tau)
+    Bv = apply_B(v, at)
+    proj = basis.projection(v, plan.ctx.h, plan.ks)
     rows = np.array([proj.real / basis.nrm - orbit.eps,
                      proj.imag / basis.nrm])
-    return np.concatenate([_defect(v, Bv, orbit.omega, ctx, ks), rows])
+    return np.concatenate([_defect(v, Bv, at), rows])
 
 
-def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
-    """The derivative of `residual` at orbit on the harmonics ks of orbit.v,
-    from one set-up, as (tangent, harmonic, omega_tau).
+def _linearization(orbit, plan: HarmonicPlan, basis: ModeBasis):
+    """The derivative of `residual` at orbit on the harmonics plan.ks of
+    orbit.v, from one set-up, as (tangent, harmonic, omega_tau).
 
     Both maps take packed directions (..., n) to I - C - D dB on the
     harmonics ks, the amplitude and phase rows, plus the exact (omega, tau)
@@ -363,31 +189,33 @@ def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
     p1 J_k + p2 e^{-ik omega tau} J_k + p3 (dv1_k + dv2_k)/2 + p4 (dv1_k -
     dv2_k)/(2a), J_k the displacement of dv1_k - dv2_k. It is
     block-diagonal over harmonics, and exact at v = 0 and in (omega, tau).
+    Both maps and the columns use the plan's tables at (omega, tau).
     """
+    ctx, ks = plan.ctx, plan.ks
     v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    v1, v2, u = _collocate(v, omega, tau, ctx, ks)
+    at = plan.at(omega, tau)
+    v1, v2, u = _collocate(v, at)
     env = b_env(ctx.x, ctx.lam, u)
     partials = [d.eval(env) for d in ctx.spec.partials.b_u]
     means = [p.mean(axis=-2) if np.ndim(p) == 2 else p for p in partials]
     # (omega, tau) enter B only through the delayed argument u2, whose
     # harmonics carry e^{-ik omega tau}; omega also moves C and D
-    Bv = _source(ctx.spec.b.eval(env), v1, v2, ks, ctx)
-    delay = _delay_phase(ks, omega, tau)
-    dJdel = (-1j * ks[:, None] * _displacement(v, ctx) * delay
+    Bv = _source(ctx.spec.b.eval(env), v1, v2, plan)
+    dJdel = (-1j * ks[:, None] * _displacement(v, plan) * at.delay
              * np.array([tau, omega])[:, None, None])
-    du2 = harmonic_synthesis(dJdel, _collocation_times(ks), ks)
-    dB = _source(partials[1] * du2, 0.0, 0.0, ks, ctx)
-    dT = apply_D(dB, omega, ctx, ks)
-    dT[0] += _transport_domega(v, Bv, omega, ctx, ks)
+    du2 = _synthesize(plan.synthesis, dJdel)
+    dB = _source(partials[1] * du2, 0.0, 0.0, plan)
+    dT = apply_D(dB, at)
+    dT[0] += _transport_domega(v, Bv, at)
     omega_tau = np.concatenate([-flatten(dT, ks), np.zeros((2, 2))], axis=-1)
 
     def pointwise(dv):
-        dv1, dv2, du = _collocate(dv, omega, tau, ctx, ks)
-        return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, ks, ctx)
+        dv1, dv2, du = _collocate(dv, at)
+        return _source(sum(p * d for p, d in zip(partials, du)), dv1, dv2, plan)
 
     def averaged(dv):
-        dv1, dv2, J = dv[..., 0, :], dv[..., 1, :], _displacement(dv, ctx)
-        du = (J, J * delay, 0.5 * (dv1 + dv2), 0.5 * (dv1 - dv2) / ctx.a)
+        dv1, dv2, J = dv[..., 0, :], dv[..., 1, :], _displacement(dv, plan)
+        du = (J, J * at.delay, 0.5 * (dv1 + dv2), 0.5 * (dv1 - dv2) / ctx.a)
         return _source_values(sum(p * d for p, d in zip(means, du)), dv1, dv2, ctx)
 
     def linear_map(source):
@@ -395,8 +223,8 @@ def _linearization(orbit, ctx: OperatorContext, basis: ModeBasis, ks):
             dv = unflatten(dz[..., :-2], ks, v.shape[2] - 1)
             proj = basis.projection(dv, ctx.h, ks) / basis.nrm
             rows = np.stack([proj.real, proj.imag], axis=-1)
-            return (np.concatenate([_defect(dv, source(dv), omega, ctx, ks),
-                                    rows], axis=-1) + dz[..., -2:] @ omega_tau)
+            return (np.concatenate([_defect(dv, source(dv), at), rows], axis=-1)
+                    + dz[..., -2:] @ omega_tau)
         return apply
     return linear_map(pointwise), linear_map(averaged), omega_tau
 
@@ -452,11 +280,14 @@ def block_preconditioner(harmonic, omega_tau, ks, M) -> BlockPreconditioner:
     That map holds one 2(M+1) block for k = 0 and one 4(M+1) block for each
     k >= 1. A probe with a unit at the same local index in every harmonic
     yields a column of every block at once; the probes go through the map,
-    with no Fourier synthesis or analysis, in chunks of M+1: 4(M+1)
-    directions per build. The k = 1 block is singular at the Hopf point, so
-    it is bordered by the amplitude and phase rows and the exact
-    (omega, tau) columns; the other harmonics meet those columns below the
-    diagonal only, so the solve is block lower-triangular.
+    with no Fourier synthesis or analysis, in chunks of M+1: the 2(M+1)
+    real-unit directions per build. Every k >= 1 block, the bordered k = 1
+    one with its amplitude and phase rows included, is complex-linear, so
+    the column of an imaginary unit is [-Im; Re] of the real unit's and is
+    not probed. The k = 1 block is singular at the Hopf point, so it is
+    bordered by the amplitude and phase rows and the exact (omega, tau)
+    columns; the other harmonics meet those columns below the diagonal
+    only, so the solve is block lower-triangular.
 
     Each block is inverted by `numpy.linalg.inv`, and its reciprocal 1-norm
     condition 1 / (|A|_1 |A^-1|_1) is computed exactly from that inverse.
@@ -467,28 +298,39 @@ def block_preconditioner(harmonic, omega_tau, ks, M) -> BlockPreconditioner:
     """
     slices = _harmonic_slices(ks, M)
     n = slices[-1].stop + 2
-    sizes = [s.stop - s.start for s in slices]
     i1 = int(ks[0] == 0)        # the position of k = 1 in ks
-    blocks = [np.empty((m, m)) for m in sizes]
-    blocks[i1] = np.zeros((sizes[i1] + 2,) * 2)
-    blocks[i1][:-2, -2:] = omega_tau[:, slices[i1]].T
+    m = 2 * (M + 1)             # real-unit directions of each harmonic
     width = M + 1
-    for j0 in range(0, sizes[i1], width):
-        live = [i for i, m in enumerate(sizes) if m > j0]
-        probe = np.zeros((width, n))
-        for i in live:
-            probe[:, slices[i].start + j0:slices[i].start + j0 + width] = np.eye(width)
-        out = harmonic(probe)
-        for i in live:
-            blocks[i][:sizes[i], j0:j0 + width] = out[:, slices[i]].T
-        blocks[i1][-2:, j0:j0 + width] = out[:, -2:].T
-    inverses, rcond = [], np.zeros(len(ks))
+
+    def probe(j0):
+        dz = np.zeros((width, n))
+        for sl in slices:
+            dz[:, sl.start + j0:sl.start + j0 + width] = np.eye(width)
+        return harmonic(dz)
+    real = np.concatenate([probe(j0) for j0 in range(0, m, width)]).T
+    # the k = 0 block, the bordered k = 1 block, and the blocks k > 1 as
+    # views of one stack; each block is overwritten by its inverse
+    inv_rest = np.empty((len(ks) - i1 - 1, 2 * m, 2 * m))
+    blocks = [np.empty((m, m))] * i1 + [np.zeros((2 * m + 2,) * 2)] + list(inv_rest)
+    for blk, sl in zip(blocks, slices):
+        blk[:sl.stop - sl.start, :m] = real[sl]
+    blocks[i1][-2:, :m] = real[-2:]
+    blocks[i1][:-2, -2:] = omega_tau[:, slices[i1]].T
+    # the imaginary-unit columns: [-Im; Re] of the real-unit ones, the
+    # amplitude and phase rows being the real and imaginary part of one
+    # complex projection
+    for blk in blocks[i1:]:
+        blk[:m, m:2 * m], blk[m:2 * m, m:2 * m] = -blk[m:2 * m, :m], blk[:m, :m]
+    bordered = blocks[i1]
+    bordered[-2, m:2 * m], bordered[-1, m:2 * m] = -bordered[-1, :m], bordered[-2, :m]
+    rcond = np.zeros(len(ks))
     for i, blk in enumerate(blocks):
         try:
-            inverses.append(np.linalg.inv(blk))
+            inverse = np.linalg.inv(blk)
         except np.linalg.LinAlgError:
             continue        # an exactly zero pivot: rcond[i] stays 0
-        rcond[i] = 1.0 / (np.linalg.norm(blk, 1) * np.linalg.norm(inverses[-1], 1))
+        rcond[i] = 1.0 / (np.linalg.norm(blk, 1) * np.linalg.norm(inverse, 1))
+        blk[...] = inverse
     bad = [(int(k), rc) for k, rc in zip(ks, rcond) if not rc >= RANK_RCOND]
     if bad:
         raise JacobianSingular(
@@ -497,10 +339,8 @@ def block_preconditioner(harmonic, omega_tau, ks, M) -> BlockPreconditioner:
                 f"harmonic {k} ({rc:.2e}, "
                 + ("failed certificate" if k == 1 else f"resonance at {k}i") + ")"
                 for k, rc in bad))
-    return BlockPreconditioner(
-        inv0=inverses[0] if i1 else None, inv1=inverses[i1],
-        inv_rest=np.reshape(inverses[i1 + 1:], (-1, sizes[i1], sizes[i1])),
-        omega_tau=omega_tau, rcond=rcond)
+    return BlockPreconditioner(inv0=blocks[0] if i1 else None, inv1=blocks[i1],
+                               inv_rest=inv_rest, omega_tau=omega_tau, rcond=rcond)
 
 
 def gmres(apply, b, precond, rtol, max_products):
@@ -596,12 +436,13 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
     N, M = guess.v.shape[0] - 1, guess.v.shape[2] - 1
     eps, precond = guess.eps, guess.precond
     z = _pack(guess, ks)
+    plan = harmonic_plan(ctx, ks)
 
     def orbit_at(zv):
         return _unpack(zv, ks, M, eps, ctx.lam)
 
     def res(zv):
-        return residual(orbit_at(zv), ctx, basis, ks)
+        return residual(orbit_at(zv), plan, basis)
 
     r = res(z)
     rn = float(np.max(np.abs(r)))
@@ -617,7 +458,7 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
     contraction = np.inf    # rn_new / rn of the last accepted step
     while n_iter < max_iter:
         n_iter += 1
-        tangent, harmonic, omega_tau = _linearization(orbit_at(z), ctx, basis, ks)
+        tangent, harmonic, omega_tau = _linearization(orbit_at(z), plan, basis)
         if precond is None and (eps != 0.0 or np.any(guess.v)):
             # the condition check doubles as the local-uniqueness certificate;
             # only at the trivial orbit, the bifurcation point itself, is the
@@ -662,7 +503,8 @@ def _newton(guess: PeriodicOrbit, ks, ctx: OperatorContext,
     if len(ks) < N + 1:
         v, out.v = out.v, np.zeros(guess.v.shape, dtype=complex)
         out.v[ks] = v
-        rn = float(np.max(np.abs(residual(out, ctx, basis, np.arange(N + 1)))))
+        full = harmonic_plan(ctx, np.arange(N + 1))
+        rn = float(np.max(np.abs(residual(out, full, basis))))
     out.residual_norm, out.precond = rn, precond
     out.stats = NewtonStats(iterations=n_iter, matvecs=matvecs,
                             halvings=halvings, builds=len(rconds),
@@ -770,14 +612,13 @@ def pde_residual_check(orbit: PeriodicOrbit, ctx: OperatorContext) -> float:
     centered 4th-order differences, making this check independent of the
     characteristic formulation.
     """
-    ks = np.arange(orbit.v.shape[0])
-    times = _collocation_times(ks)
-    u_hat = _displacement(orbit.v, ctx)
-    u = harmonic_synthesis(u_hat, times, ks)
-    u_tt = harmonic_synthesis(-(ks[:, None] ** 2) * u_hat, times, ks)
-    u_del = harmonic_synthesis(
-        _delay_phase(ks, orbit.omega, orbit.tau) * u_hat, times, ks)
-    u_t = harmonic_synthesis(1j * ks[:, None] * u_hat, times, ks)
+    plan = harmonic_plan(ctx, np.arange(orbit.v.shape[0]))
+    ks, basis = plan.ks, plan.synthesis
+    u_hat = _displacement(orbit.v, plan)
+    u = _synthesize(basis, u_hat)
+    u_tt = _synthesize(basis, -(ks[:, None] ** 2) * u_hat)
+    u_del = _synthesize(basis, _delay_phase(ks, orbit.omega, orbit.tau) * u_hat)
+    u_t = _synthesize(basis, 1j * ks[:, None] * u_hat)
     h = ctx.h
     u_x = (-u[:, 4:] + 8 * u[:, 3:-1] - 8 * u[:, 1:-3] + u[:, :-4]) / (12 * h)
     u_xx = (-u[:, 4:] + 16 * u[:, 3:-1] - 30 * u[:, 2:-2]

@@ -1,7 +1,9 @@
 """Reference helpers that only the tests use: the guarded transversality
 pairing, the dense Newton matrix, the Newton tangent with time-averaged
-partials applied in the time domain, the time-averaged L2 pairing, Fourier
-synthesis, analysis and time shift of a field, random smooth fields, the
+partials applied in the time domain, the Newton preconditioner built with
+four probe chunks, the transport operator D and the PDE residual check as
+they were before their set-up was planned, the time-averaged L2 pairing,
+Fourier synthesis, analysis and time shift of a field, random smooth fields, the
 closed-form curvature of the worked example, the shooting kernel as it was
 before its step matrices were built elementwise, the point-query transport
 kernels, brute-force time-domain oracles of the transport operators, the
@@ -23,8 +25,11 @@ from hopfwave import eigen, periodic
 from hopfwave.errors import HopfwaveError, NotSeparable, RhoZero
 from hopfwave.model import (LinearizedCoeffs, ProblemSpec, antiderivative_tables, b_env,
                             displacement)
-from hopfwave.periodic import (OperatorContext, PeriodicOrbit, _delay_phase,
-                               _displacement, harmonic_analysis, harmonic_synthesis)
+from hopfwave.harmonic import (OperatorContext, _analysis_matrix, _analyze,
+                               _collocation_times, _delay_phase, _synthesis_basis,
+                               _synthesize)
+from hopfwave.periodic import (RANK_RCOND, BlockPreconditioner, PeriodicOrbit,
+                               _harmonic_slices)
 from hopfwave.quadrature import cumulative_integral, integral
 from hopfwave.timedomain import SimState, Simulator
 
@@ -54,7 +59,7 @@ def jacobian(orbit, ctx, basis):
     column norms are taken per block.
     """
     ks = np.arange(len(orbit.v))
-    tangent = periodic._linearization(orbit, ctx, basis, ks)[0]
+    tangent = periodic._linearization(orbit, periodic.harmonic_plan(ctx, ks), basis)[0]
     n = len(periodic._pack(orbit, ks))
     J = np.empty((n, n), order="F")
     col_norms = np.empty(n)
@@ -72,23 +77,100 @@ def time_averaged_tangent(orbit, ctx, basis, ks):
     the time domain: every direction is synthesized on the 4N+1 collocation
     times, multiplied by the mean partials and analyzed back. The reference
     for the harmonic-space map of `periodic._linearization`; returns apply."""
-    v, omega, tau = orbit.v, orbit.omega, orbit.tau
-    omega_tau = periodic._linearization(orbit, ctx, basis, ks)[2]
-    _, _, u = periodic._collocate(v, omega, tau, ctx, ks)
+    v, plan = orbit.v, periodic.harmonic_plan(ctx, ks)
+    at = plan.at(orbit.omega, orbit.tau)
+    omega_tau = periodic._linearization(orbit, plan, basis)[2]
+    _, _, u = periodic._collocate(v, at)
     env = b_env(ctx.x, ctx.lam, u)
     means = [p.mean(axis=-2) if np.ndim(p) == 2 else p
              for p in (d.eval(env) for d in ctx.spec.partials.b_u)]
 
     def apply(dz):
         dv = periodic.unflatten(dz[..., :-2], ks, v.shape[2] - 1)
-        dv1, dv2, du = periodic._collocate(dv, omega, tau, ctx, ks)
-        dB = periodic._source(sum(p * d for p, d in zip(means, du)), dv1, dv2,
-                              ks, ctx)
+        dv1, dv2, du = periodic._collocate(dv, at)
+        dB = periodic._source(sum(p * d for p, d in zip(means, du)), dv1, dv2, plan)
         proj = basis.projection(dv, ctx.h, ks) / basis.nrm
         rows = np.stack([proj.real, proj.imag], axis=-1)
-        return (np.concatenate([periodic._defect(dv, dB, omega, ctx, ks), rows],
-                               axis=-1) + dz[..., -2:] @ omega_tau)
+        return (np.concatenate([periodic._defect(dv, dB, at), rows], axis=-1)
+                + dz[..., -2:] @ omega_tau)
     return apply
+
+
+def block_preconditioner_four_chunks(harmonic, omega_tau, ks, M):
+    """`periodic.block_preconditioner` as it was before it derived the
+    imaginary-unit columns of each k >= 1 block from the real-unit ones:
+    every column is probed, in four chunks of M+1 directions."""
+    slices = _harmonic_slices(ks, M)
+    n = slices[-1].stop + 2
+    sizes = [s.stop - s.start for s in slices]
+    i1 = int(ks[0] == 0)        # the position of k = 1 in ks
+    blocks = [np.empty((m, m)) for m in sizes]
+    blocks[i1] = np.zeros((sizes[i1] + 2,) * 2)
+    blocks[i1][:-2, -2:] = omega_tau[:, slices[i1]].T
+    width = M + 1
+    for j0 in range(0, sizes[i1], width):
+        live = [i for i, m in enumerate(sizes) if m > j0]
+        probe = np.zeros((width, n))
+        for i in live:
+            probe[:, slices[i].start + j0:slices[i].start + j0 + width] = np.eye(width)
+        out = harmonic(probe)
+        for i in live:
+            blocks[i][:sizes[i], j0:j0 + width] = out[:, slices[i]].T
+        blocks[i1][-2:, j0:j0 + width] = out[:, -2:].T
+    inverses, rcond = [], np.zeros(len(ks))
+    for i, blk in enumerate(blocks):
+        inverses.append(np.linalg.inv(blk))
+        rcond[i] = 1.0 / (np.linalg.norm(blk, 1) * np.linalg.norm(inverses[-1], 1))
+    assert np.all(rcond >= RANK_RCOND)
+    return BlockPreconditioner(
+        inv0=inverses[0] if i1 else None, inv1=inverses[i1],
+        inv_rest=np.reshape(inverses[i1 + 1:], (-1, sizes[i1], sizes[i1])),
+        omega_tau=omega_tau, rcond=rcond)
+
+
+def plan_at(ctx, ks, omega, tau=0.0):
+    """The operators' tables on the harmonics ks at (omega, tau); tau
+    enters apply_B only."""
+    return periodic.harmonic_plan(ctx, ks).at(omega, tau)
+
+
+def apply_D_unplanned(f, omega, ctx, ks):
+    """`periodic.apply_D` as it was before its tables and quadrature rule
+    were planned: every factor and rule made anew on each call."""
+    ks = ks[:, None]
+    ph = np.exp(1j * omega * ks * ctx.F)                     # (N+1, M+1)
+    g1 = ctx.E1 / ph * f[..., 0, :] / ctx.a
+    cum1 = cumulative_integral(g1, ctx.h)
+    out = np.empty_like(f)
+    out[..., 0, :] = -(ph / ctx.E1) * cum1
+    g2 = ph / ctx.E2 * f[..., 1, :] / ctx.a
+    cum2 = cumulative_integral(g2, ctx.h)
+    out[..., 1, :] = -(ctx.E2 / ph) * (cum2[..., -1][..., None] - cum2)
+    return out
+
+
+def pde_residual_unplanned(orbit, ctx):
+    """`periodic.pde_residual_check` as it was before its four syntheses
+    shared one basis: each builds its own."""
+    ks = np.arange(orbit.v.shape[0])
+    times = _collocation_times(ks)
+    u_hat = displacement(orbit.v[..., 0, :] - orbit.v[..., 1, :], ctx.a, ctx.h)
+    u = harmonic_synthesis(u_hat, times, ks)
+    u_tt = harmonic_synthesis(-(ks[:, None] ** 2) * u_hat, times, ks)
+    u_del = harmonic_synthesis(
+        _delay_phase(ks, orbit.omega, orbit.tau) * u_hat, times, ks)
+    u_t = harmonic_synthesis(1j * ks[:, None] * u_hat, times, ks)
+    h = ctx.h
+    u_x = (-u[:, 4:] + 8 * u[:, 3:-1] - 8 * u[:, 1:-3] + u[:, :-4]) / (12 * h)
+    u_xx = (-u[:, 4:] + 16 * u[:, 3:-1] - 30 * u[:, 2:-2]
+            + 16 * u[:, 1:-3] - u[:, :-4]) / (12 * h * h)
+    sl = slice(2, u.shape[1] - 2)
+    env = b_env(ctx.x[None, sl], ctx.lam,
+                (u[:, sl], u_del[:, sl], orbit.omega * u_t[:, sl], u_x))
+    bvals = np.broadcast_to(ctx.spec.b.eval(env), u_xx.shape)
+    res = (orbit.omega ** 2 * u_tt[:, sl]
+           - ctx.a[None, sl] ** 2 * u_xx - bvals)
+    return float(np.max(np.abs(res)))
 
 
 def inner_product(v, w, h) -> float:
@@ -97,6 +179,17 @@ def inner_product(v, w, h) -> float:
     for k in range(1, len(v)):
         total += 2.0 * integral(np.sum(v[k] * np.conj(w[k]), axis=0), h).real
     return float(total)
+
+
+def harmonic_synthesis(hats, times, ks):
+    """Real values at the given times of the harmonics ks held on axis -2:
+    hats (..., len(ks), X) complex to (..., len(times), X)."""
+    return _synthesize(_synthesis_basis(times, ks), hats)
+
+
+def harmonic_analysis(values, ks):
+    """Harmonics ks of equispaced samples (..., T, X) over one period."""
+    return _analyze(_analysis_matrix(values.shape[-2], ks), values)
 
 
 def synthesize(v, times):
@@ -328,7 +421,7 @@ def oracle_D(f, omega, ctx, T=4096):
 def apply_JK(v, omega: float, tau: float, ctx: OperatorContext):
     """Linearization of B at v = 0: partial-integral part plus the
     off-diagonal pointwise part. Used for cross-checks and basin probes."""
-    J = _displacement(v, ctx)
+    J = displacement(v[..., 0, :] - v[..., 1, :], ctx.a, ctx.h)
     b3, b4 = ctx.coeffs.nodes("b3"), ctx.coeffs.nodes("b4")
     mix = (b3 + b4 * _delay_phase(np.arange(v.shape[-3]), omega, tau)) * J
     out = np.empty_like(v)
@@ -359,7 +452,7 @@ def reconstruct_u(orbit: PeriodicOrbit, ctx: OperatorContext,
     v = orbit.v
     T = n_times or (4 * (len(v) - 1) + 1)
     t = 2.0 * np.pi * np.arange(T) / T
-    u_hat = _displacement(v, ctx)
+    u_hat = displacement(v[..., 0, :] - v[..., 1, :], ctx.a, ctx.h)
     u = harmonic_synthesis(u_hat, t, np.arange(len(v)))
     vals = synthesize(v, t)
     u_t = 0.5 * (vals[:, 0, :] + vals[:, 1, :]) / orbit.omega

@@ -27,8 +27,8 @@ from hopfwave.model import ProblemSpec, linearize
 
 from conftest import sin_convention
 from oracles import (apply_JK, compute_sigma_rho, kernels, oracle_C, oracle_D,
-                     random_field, reconstruct_u, seed_from_orbit, time_shifted,
-                     worked_example_curvature)
+                     plan_at, random_field, reconstruct_u, seed_from_orbit,
+                     time_shifted, worked_example_curvature)
 from test_eigen import characteristic_root_crossing_speed
 
 TAU0 = np.pi / 2
@@ -188,12 +188,10 @@ def test_criterion_5_operator_oracles():
         v = random_field(rng, 6, 64)
         omega = rng.uniform(0.85, 1.15)
         tau = rng.uniform(0.3, 2.0)
-        errC = np.max(np.abs(periodic.apply_C(v, omega, ctx, ks)
-                             - oracle_C(v, omega, ctx)))
-        errD = np.max(np.abs(periodic.apply_D(v, omega, ctx, ks)
-                             - oracle_D(v, omega, ctx)))
-        errB = np.max(np.abs(periodic.apply_B(v, omega, tau, ctx, ks)
-                             - apply_JK(v, omega, tau, ctx)))
+        at = plan_at(ctx, ks, omega, tau)
+        errC = np.max(np.abs(periodic.apply_C(v, at) - oracle_C(v, omega, ctx)))
+        errD = np.max(np.abs(periodic.apply_D(v, at) - oracle_D(v, omega, ctx)))
+        errB = np.max(np.abs(periodic.apply_B(v, at) - apply_JK(v, omega, tau, ctx)))
         worst = max(worst, errC, errD, errB)
 
     # invariant bundle
@@ -207,17 +205,16 @@ def test_criterion_5_operator_oracles():
                   for x, xi, eta in pts)
     v, ks = random_field(rng, 5, 64), np.arange(6)
     phi = rng.uniform(0, 2 * np.pi)
-    equi = np.max(np.abs(
-        periodic.apply_B(time_shifted(v, phi), 1.05, 0.8, ctx, ks)
-        - time_shifted(periodic.apply_B(v, 1.05, 0.8, ctx, ks), phi)))
-    sym = max(np.max(np.abs(periodic.apply_B(v, 1.05, 0.8, ctx, ks)[0].imag)),
-              np.max(np.abs(periodic.apply_C(v, 1.05, ctx, ks)[0].imag)))
+    at = plan_at(ctx, ks, 1.05, 0.8)
+    equi = np.max(np.abs(periodic.apply_B(time_shifted(v, phi), at)
+                         - time_shifted(periodic.apply_B(v, at), phi)))
+    sym = max(np.max(np.abs(periodic.apply_B(v, at)[0].imag)),
+              np.max(np.abs(periodic.apply_C(v, at)[0].imag)))
     # boundary rows: the operator image reflects the input at the edges
     # (component 1 at x=0 is minus the input's component 2, component 2 at
     # x=1 copies the input's component 1), so any fixed point satisfies
     # the boundary conditions exactly
-    img = periodic.apply_C(v, 1.05, ctx, ks) + periodic.apply_D(
-        periodic.apply_B(v, 1.05, 0.8, ctx, ks), 1.05, ctx, ks)
+    img = periodic.apply_C(v, at) + periodic.apply_D(periodic.apply_B(v, at), at)
     bc_err = max(np.max(np.abs(img[:, 0, 0] + v[:, 1, 0])),
                  np.max(np.abs(img[:, 1, -1] - v[:, 0, -1])))
     ok = (worst < 1e-8 and ok_pointwise and add_err < 1e-8 and equi < 1e-10

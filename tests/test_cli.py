@@ -240,6 +240,42 @@ def test_one_linearization_per_newton_iteration(tmp_path, monkeypatch, config,
     assert len(calls) == sum(diag["newton_iterations"]) == iterations
 
 
+@pytest.mark.parametrize("config, plans, in_solves",
+                         [(BRANCH, 33, 22), (SUPER, 25, 16)],
+                         ids=["benchmark_branch", "benchmark_super"])
+def test_cumulative_rule_plans_per_branch(tmp_path, monkeypatch, config, plans,
+                                          in_solves):
+    # each Newton solve plans a cumulative rule at most once per array
+    # shape and dtype it meets, where each quadrature once planned its own
+    # (about 400 per branch); the rest are the certificate's, the operator
+    # context's and one per PDE residual check
+    made, current, solves = [], [None], iter(range(1, 1000))
+    rule = importlib.import_module("hopfwave.quadrature").cumulative_rule
+    newton = periodic._newton
+
+    def counting(shape, h, dtype=np.float64):
+        made.append((current[0], tuple(shape), np.dtype(dtype).name))
+        return rule(shape, h, dtype)
+
+    def solve(*args):
+        current[0] = next(solves)
+        try:
+            return newton(*args)
+        finally:
+            current[0] = None
+
+    for name in ("quadrature", "harmonic", "timedomain"):
+        module = importlib.import_module(f"hopfwave.{name}")
+        if hasattr(module, "cumulative_rule"):
+            monkeypatch.setattr(module, "cumulative_rule", counting)
+    monkeypatch.setattr(periodic, "_newton", solve)
+    out = tmp_path / "branch.json"
+    assert run_cli("branch", str(config), "--out", str(out)) == 0
+    planned = [m for m in made if m[0] is not None]
+    assert len(set(planned)) == len(planned)
+    assert (len(made), len(planned)) == (plans, in_solves)
+
+
 def test_branch_deterministic(tmp_path):
     cfg = write_config(
         tmp_path,

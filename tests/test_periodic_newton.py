@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hopfwave import direction, eigen, periodic
+from hopfwave import direction, eigen, harmonic, periodic
 from hopfwave.errors import EvalDomainError, JacobianSingular, NoConvergence
 from hopfwave.model import ProblemSpec, linearize
-from oracles import (jacobian, random_field, reconstruct_u, time_averaged_tangent,
-                     time_shifted)
+from oracles import (block_preconditioner_four_chunks, jacobian, pde_residual_unplanned,
+                     random_field, reconstruct_u, time_averaged_tangent, time_shifted)
 
 
 def test_newton_near_hopf_point(cert_up, ctx_up):
@@ -409,14 +409,13 @@ def test_jacobian_matches_central_differences():
     assert J.flags.f_contiguous
     assert anorm == pytest.approx(np.max(np.sum(np.abs(J), axis=0)), rel=1e-12)
     ks = np.arange(N + 1)
-    z = periodic._pack(orbit, ks)
+    z, plan = periodic._pack(orbit, ks), periodic.harmonic_plan(ctx, ks)
     J_cd = np.empty_like(J)
     for j in range(len(z)):        # includes the omega and tau columns
         dz = np.zeros(len(z))
         dz[j] = 1e-6 * (1.0 + abs(z[j]))
         r_plus, r_minus = (
-            periodic.residual(periodic._unpack(z + dz_s, ks, M, eps, lam), ctx, basis,
-                              ks)
+            periodic.residual(periodic._unpack(z + dz_s, ks, M, eps, lam), plan, basis)
             for dz_s in (dz, -dz))
         J_cd[:, j] = (r_plus - r_minus) / (2.0 * dz[j])
     assert np.max(np.abs(J - J_cd)) <= 1e-8 * np.max(np.abs(J))
@@ -484,7 +483,8 @@ def test_resonance_error_names_harmonic():
 
 def _build(orbit, ctx, basis, ks):
     """The preconditioner `newton_solve` builds at orbit."""
-    _, harmonic, omega_tau = periodic._linearization(orbit, ctx, basis, ks)
+    _, harmonic, omega_tau = periodic._linearization(
+        orbit, periodic.harmonic_plan(ctx, ks), basis)
     return periodic.block_preconditioner(harmonic, omega_tau, ks,
                                          orbit.v.shape[2] - 1)
 
@@ -514,7 +514,8 @@ def test_block_preconditioner_inverts_harmonic_diagonal_tangent(
     # at v = 0 the harmonic-diagonal tangent is the exact tangent
     trivial = periodic.predictor(basis, 0.0, 8, ctx_down)
     z = rng.normal(size=(2, n))
-    exact = periodic._linearization(trivial, ctx_down, basis, full)[0](z)
+    plan = periodic.harmonic_plan(ctx_down, full)
+    exact = periodic._linearization(trivial, plan, basis)[0](z)
     diag = time_averaged_tangent(trivial, ctx_down, basis, full)(z)
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
     # on the odd harmonics alone there is no k = 0 block and k = 1 comes
@@ -560,7 +561,8 @@ def test_harmonic_tangent_matches_time_domain_oracle(b, lam, odd, super_orbit,
         ctx = periodic.operator_context(spec, lam, 64)
         basis = periodic.mode_basis(cert_down, ctx)
         orbit = _orbit_near(basis, ctx, ks, seed=5)
-    _, tangent, omega_tau = periodic._linearization(orbit, ctx, basis, ks)
+    plan = periodic.harmonic_plan(ctx, ks)
+    _, tangent, omega_tau = periodic._linearization(orbit, plan, basis)
     oracle = time_averaged_tangent(orbit, ctx, basis, ks)
     z = np.random.default_rng(23).normal(size=(4, omega_tau.shape[1]))
     got, want = tangent(z), oracle(z)
@@ -568,32 +570,90 @@ def test_harmonic_tangent_matches_time_domain_oracle(b, lam, odd, super_orbit,
     # at v = 0 the map is the exact tangent
     trivial = periodic.predictor(basis, 0.0, 8, ctx)
     trivial.v = trivial.v[ks]
-    exact, diag = (f(z) for f in periodic._linearization(trivial, ctx, basis, ks)[:2])
+    exact, diag = (f(z) for f in periodic._linearization(trivial, plan, basis)[:2])
     assert np.max(np.abs(diag - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_block_build_probe_count(super_orbit, cert_down, ctx_down, monkeypatch):
-    # the build probes the harmonic-space map it is given with 4(M+1)
+    # the build probes the harmonic-space map it is given with 2(M+1)
     # directions and makes no set-up of its own: no Fourier synthesis or
     # analysis and no `_linearization`
     basis, ks = periodic.mode_basis(cert_down, ctx_down), np.arange(9)
     M = ctx_down.coeffs.M
-    _, harmonic, omega_tau = periodic._linearization(super_orbit, ctx_down,
-                                                     basis, ks)
+    _, averaged, omega_tau = periodic._linearization(
+        super_orbit, periodic.harmonic_plan(ctx_down, ks), basis)
     calls, directions = [], []
-    for name in ("harmonic_synthesis", "harmonic_analysis", "_linearization"):
-        def counted_op(*args, name=name, op=getattr(periodic, name)):
+    for module, name in ((harmonic, "_synthesize"), (harmonic, "_analyze"),
+                         (periodic, "_synthesize"), (periodic, "_linearization")):
+        def counted_op(*args, name=name, op=getattr(module, name)):
             calls.append(name)
             return op(*args)
-        monkeypatch.setattr(periodic, name, counted_op)
+        monkeypatch.setattr(module, name, counted_op)
 
     def counted(dz):
         directions.append(int(np.prod(np.shape(dz)[:-1])))
-        return harmonic(dz)
+        return averaged(dz)
 
     periodic.block_preconditioner(counted, omega_tau, ks, M)
-    assert directions == [M + 1] * 4
+    assert directions == [M + 1] * 2
     assert calls == []
+
+
+# criterion 5's problem: x-dependent speed, damping and transport
+VARIABLE_A = dict(a="2/pi*(1 + 0.2*sin(pi*x))",
+                  b="-u3*(1 + x/2) + 0.3*cos(pi*x)*u4 - 0.7*u2 + 0.25*x*u1")
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "full"])
+@pytest.mark.parametrize("point", ["first_predictor", "off_hopf"])
+@pytest.mark.parametrize("problem", ["benchmark_branch", "benchmark_super",
+                                     "variable_a"])
+def test_half_probe_build_equals_four_chunk_build(request, problem, point, odd):
+    # every k >= 1 block is complex-linear, the bordered k = 1 block with
+    # its amplitude and phase rows included, so the imaginary-unit columns
+    # the build derives from the real-unit probes are the probed ones, and
+    # the inverses and conditions equal the four-chunk build byte for byte
+    if problem == "variable_a":
+        ctx = periodic.operator_context(ProblemSpec.from_expressions(**VARIABLE_A),
+                                        0.0, 64)
+        v0 = random_field(np.random.default_rng(13), 1, 64)[1]
+        basis, eps = periodic.ModeBasis(v0=v0, nrm=1.0, tau0=1.3), 0.01
+    else:
+        up = problem == "benchmark_branch"
+        cert, ctx = (request.getfixturevalue(name + ("_up" if up else "_down"))
+                     for name in ("cert", "ctx"))
+        basis, eps = periodic.mode_basis(cert, ctx), (0.005 if up else 0.01)
+    ks = periodic.harmonics(8, odd)
+    if point == "first_predictor":
+        orbit = periodic.predictor(basis, eps, 8, ctx)
+        orbit.v = orbit.v[ks]
+    else:
+        orbit = _orbit_near(basis, ctx, ks, seed=7)
+    M = ctx.coeffs.M
+    _, averaged, omega_tau = periodic._linearization(
+        orbit, periodic.harmonic_plan(ctx, ks), basis)
+    got = periodic.block_preconditioner(averaged, omega_tau, ks, M)
+    want = block_preconditioner_four_chunks(averaged, omega_tau, ks, M)
+    assert (got.inv0 is None) == (want.inv0 is None) == odd
+    for name in ("inv1", "inv_rest", "rcond") + (() if odd else ("inv0",)):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+def test_pde_residual_check_shares_one_basis(super_orbit, ctx_down, monkeypatch):
+    # the four syntheses of u, u_tt, the delayed u and u_t share one basis
+    # and give the bytes of one basis each
+    want = pde_residual_unplanned(super_orbit, ctx_down)
+    calls, basis = [], harmonic._synthesis_basis
+
+    def counting(*args):
+        calls.append(1)
+        return basis(*args)
+
+    monkeypatch.setattr(harmonic, "_synthesis_basis", counting)
+    got = periodic.pde_residual_check(super_orbit, ctx_down)
+    assert len(calls) == 1
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_branch_at_fine_grid_without_dense_matrix(cert_down, spec_cubic_down):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from hopfwave import exprlang, periodic
-from hopfwave.model import ProblemSpec
+from hopfwave.model import ProblemSpec, displacement
 from hopfwave.quadrature import cumulative_integral, integral
-from oracles import (analyze, apply_JK, inner_product, interp_periodic, kernels,
-                     oracle_C, oracle_D, random_field, reconstruct_u, synthesize,
-                     time_shifted)
+from oracles import (analyze, apply_D_unplanned, apply_JK, inner_product,
+                     interp_periodic, kernels, oracle_C, oracle_D, plan_at,
+                     random_field, reconstruct_u, synthesize, time_shifted)
 
 # a problem with x-dependent speed, damping and transport so the kernels
 # are nontrivial (b1 != b2, curved characteristics)
@@ -101,7 +101,7 @@ def test_apply_C_matches_time_domain_oracle(gctx, seed):
     rng = np.random.default_rng(seed)
     v = random_field(rng, 6, 64)
     omega = rng.uniform(0.8, 1.2)
-    fast = periodic.apply_C(v, omega, gctx, np.arange(7))
+    fast = periodic.apply_C(v, plan_at(gctx, np.arange(7), omega))
     slow = oracle_C(v, omega, gctx)
     assert np.max(np.abs(fast - slow)) < 1e-8
 
@@ -111,7 +111,7 @@ def test_apply_D_matches_time_domain_oracle(gctx, seed):
     rng = np.random.default_rng(100 + seed)
     f = random_field(rng, 6, 64)
     omega = rng.uniform(0.8, 1.2)
-    fast = periodic.apply_D(f, omega, gctx, np.arange(7))
+    fast = periodic.apply_D(f, plan_at(gctx, np.arange(7), omega))
     slow = oracle_D(f, omega, gctx)
     assert np.max(np.abs(fast - slow)) < 1e-8
 
@@ -121,7 +121,7 @@ def test_apply_C_trivial_cases():
     ctx = periodic.operator_context(spec, 0.0, 32)
     v, ks = np.zeros((3, 2, 33), dtype=complex), np.arange(3)
     v[0, 1, :] = 0.7                            # constant k = 0 content
-    out = periodic.apply_C(v, 1.3, ctx, ks)
+    out = periodic.apply_C(v, plan_at(ctx, ks, 1.3))
     assert np.allclose(out[0, 0, :], -0.7)
     assert np.allclose(out[0, 1, :], v[0, 0, -1].real)
     # half-period shift: a = 1/pi makes omega*A(1,0) = pi at omega = 1
@@ -129,7 +129,7 @@ def test_apply_C_trivial_cases():
     ctx2 = periodic.operator_context(spec2, 0.0, 32)
     v2 = np.zeros((3, 2, 33), dtype=complex)
     v2[1, 1, :] = 0.5 + 0.25j
-    out2 = periodic.apply_C(v2, 1.0, ctx2, ks)
+    out2 = periodic.apply_C(v2, plan_at(ctx2, ks, 1.0))
     assert out2[1, 0, -1] == pytest.approx(v2[1, 1, 0], rel=1e-9)
 
 
@@ -137,16 +137,17 @@ def test_apply_D_trivial_cases():
     spec = ProblemSpec.from_expressions(a="1", b="0*u1")
     ctx = periodic.operator_context(spec, 0.0, 32)
     f, ks = np.zeros((3, 2, 33), dtype=complex), np.arange(3)
-    out = periodic.apply_D(f, 1.0, ctx, ks)
+    out = periodic.apply_D(f, plan_at(ctx, ks, 1.0))
     assert np.max(np.abs(out)) == 0.0
     f[0, 0, :] = 1.0
-    out = periodic.apply_D(f, 1.0, ctx, ks)
+    out = periodic.apply_D(f, plan_at(ctx, ks, 1.0))
     assert np.max(np.abs(out[0, 0, :] - (-ctx.x))) < 1e-12
 
 
 def test_apply_B_zero_field(gctx):
     v = np.zeros((6, 2, 65), dtype=complex)
-    assert np.max(np.abs(periodic.apply_B(v, 1.0, 0.7, gctx, np.arange(6)))) == 0.0
+    at = plan_at(gctx, np.arange(6), 1.0, 0.7)
+    assert np.max(np.abs(periodic.apply_B(v, at))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -155,7 +156,7 @@ def test_apply_B_linear_equals_JK(gctx, seed):
     v = random_field(rng, 6, 64)
     omega, tau = rng.uniform(0.8, 1.2), rng.uniform(-1.0, 2.0)
     lin = apply_JK(v, omega, tau, gctx)
-    full = periodic.apply_B(v, omega, tau, gctx, np.arange(7))
+    full = periodic.apply_B(v, plan_at(gctx, np.arange(7), omega, tau))
     assert np.max(np.abs(lin - full)) < 1e-10
 
 
@@ -167,7 +168,7 @@ def test_apply_B_cubic_harmonic_content():
     prof = rng.normal(size=33) + 1j * rng.normal(size=33)
     v[1, 0, :] = prof
     v[1, 1, :] = -np.conj(prof) * 0.4
-    out = periodic.apply_B(v, 1.0, 0.5, ctx, np.arange(6))
+    out = periodic.apply_B(v, plan_at(ctx, np.arange(6), 1.0, 0.5))
     for k in (0, 2, 4, 5):
         assert np.max(np.abs(out[k])) < 1e-13, f"harmonic {k} leaked"
     assert np.max(np.abs(out[1])) > 1e-3
@@ -180,8 +181,8 @@ def test_shift_equivariance(gctx, seed):
     v = random_field(rng, 5, 64)
     omega, tau, phi = rng.uniform(0.8, 1.2), rng.uniform(0.2, 2.0), rng.uniform(0, 2 * np.pi)
     ks = np.arange(6)
-    a = periodic.apply_B(time_shifted(v, phi), omega, tau, gctx, ks)
-    b = time_shifted(periodic.apply_B(v, omega, tau, gctx, ks), phi)
+    a = periodic.apply_B(time_shifted(v, phi), plan_at(gctx, ks, omega, tau))
+    b = time_shifted(periodic.apply_B(v, plan_at(gctx, ks, omega, tau)), phi)
     assert np.max(np.abs(a - b)) < 1e-11
 
 
@@ -190,9 +191,9 @@ def test_operations_preserve_conjugate_symmetry(gctx):
     # is therefore real since negative harmonics are conjugates
     rng = np.random.default_rng(77)
     v, ks = random_field(rng, 5, 64), np.arange(6)
-    for out in (periodic.apply_C(v, 1.1, gctx, ks),
-                periodic.apply_D(v, 1.1, gctx, ks),
-                periodic.apply_B(v, 1.1, 0.6, gctx, ks)):
+    for out in (periodic.apply_C(v, plan_at(gctx, ks, 1.1)),
+                periodic.apply_D(v, plan_at(gctx, ks, 1.1)),
+                periodic.apply_B(v, plan_at(gctx, ks, 1.1, 0.6))):
         assert np.max(np.abs(out[0].imag)) == 0.0
         t = 2 * np.pi * np.arange(11) / 11
         vals = synthesize(out, t)
@@ -230,7 +231,7 @@ def test_predictor_properties(cert_up, ctx_up):
 def test_residual_of_zero_predictor(cert_up, ctx_up):
     basis = periodic.mode_basis(cert_up, ctx_up)
     orb = periodic.predictor(basis, 0.0, 6, ctx_up)
-    r = periodic.residual(orb, ctx_up, basis, np.arange(7))
+    r = periodic.residual(orb, periodic.harmonic_plan(ctx_up, np.arange(7)), basis)
     field_part = r[:-2]
     assert np.max(np.abs(field_part)) == 0.0
 
@@ -239,9 +240,9 @@ def test_critical_mode_is_linear_fixed_point(cert_up, ctx_up):
     orb = periodic.predictor(periodic.mode_basis(cert_up, ctx_up), 1.0, 6, ctx_up)
     v, ks = orb.v, np.arange(7)
     lin = (v
-           - periodic.apply_C(v, 1.0, ctx_up, ks)
+           - periodic.apply_C(v, plan_at(ctx_up, ks, 1.0))
            - periodic.apply_D(
-               apply_JK(v, 1.0, cert_up.tau0, ctx_up), 1.0, ctx_up, ks))
+               apply_JK(v, 1.0, cert_up.tau0, ctx_up), plan_at(ctx_up, ks, 1.0)))
     assert np.max(np.abs(lin)) < 5e-9
 
 
@@ -329,8 +330,8 @@ def test_operators_accept_batch_axis(gctx):
     fields = [random_field(rng, 5, 64) for _ in range(3)]
     batch = np.stack(fields)
     omega, tau, ks = 1.07, 0.9, np.arange(6)
-    for op in (lambda v: periodic.apply_C(v, omega, gctx, ks),
-               lambda v: periodic.apply_D(v, omega, gctx, ks),
+    for op in (lambda v: periodic.apply_C(v, plan_at(gctx, ks, omega)),
+               lambda v: periodic.apply_D(v, plan_at(gctx, ks, omega)),
                lambda v: apply_JK(v, omega, tau, gctx)):
         out = op(batch)
         for i, f in enumerate(fields):
@@ -354,16 +355,43 @@ def test_operators_leave_inputs_unchanged(gctx):
     ks = np.arange(6)
     for v in (single, batch):
         before = v.copy()
-        periodic.apply_C(v, 1.07, gctx, ks)
-        periodic.apply_D(v, 1.07, gctx, ks)
-        periodic.apply_B(v, 1.07, 0.9, gctx, ks)
+        periodic.apply_C(v, plan_at(gctx, ks, 1.07))
+        periodic.apply_D(v, plan_at(gctx, ks, 1.07))
+        periodic.apply_B(v, plan_at(gctx, ks, 1.07, 0.9))
         periodic.flatten(v, ks)
         assert np.array_equal(v, before)
     orbit_v = orbit.v.copy()
-    tangent = periodic._linearization(orbit, gctx, basis, ks)[0]
+    plan = periodic.harmonic_plan(gctx, ks)
+    tangent = periodic._linearization(orbit, plan, basis)[0]
     n = len(periodic._pack(orbit, ks))
     for dz in (rng.normal(size=n), rng.normal(size=(3, n))):
         before = dz.copy()
         tangent(dz)
         assert np.array_equal(dz, before)
     assert np.array_equal(orbit.v, orbit_v)
+
+
+def test_planned_results_alive_at_once_keep_their_bytes(gctx):
+    # apply_D twice through one plan, as `_transport_domega` does: both calls
+    # run the one rule planned for their shape, and each result keeps the
+    # bytes of the unplanned arithmetic after the other call; likewise two
+    # displacements
+    rng = np.random.default_rng(47)
+    ks, omega = np.arange(6), 1.07
+    f, g = random_field(rng, 5, 64), random_field(rng, 5, 64)
+    at = plan_at(gctx, ks, omega)
+    first = periodic.apply_D(f, at)
+    kept = first.copy()
+    second = periodic.apply_D(g, at)
+    assert len(at.plan.rules) == 1
+    assert first.tobytes() == kept.tobytes()
+    assert first.tobytes() == apply_D_unplanned(f, omega, gctx, ks).tobytes()
+    assert second.tobytes() == apply_D_unplanned(g, omega, gctx, ks).tobytes()
+    J_f = periodic._displacement(f, at.plan)
+    kept = J_f.copy()
+    J_g = periodic._displacement(g, at.plan)
+    assert len(at.plan.rules) == 1
+    assert J_f.tobytes() == kept.tobytes()
+    for J, v in ((J_f, f), (J_g, g)):
+        want = displacement(v[..., 0, :] - v[..., 1, :], gctx.a, gctx.h)
+        assert J.tobytes() == want.tobytes()
