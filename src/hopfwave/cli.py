@@ -34,6 +34,13 @@ not evaluable for the cubic-structure check), 5 continuation failure
 (including the PDE residual check), 6 simulation error (including a
 solution that leaves the domain of b). A failing run writes its partial
 document as a successful one would: to --out, or else to stdout.
+
+Each cmd_* takes (args, spec, settings) and returns (document, exit code,
+error or None, companion files); the companion files are (suffix, content)
+pairs, a CSV's (header, rows) or a JSON document, returned only by a run
+that succeeds with --out. main alone writes: the document and the
+companion files, then one `error:` line on stderr for an error, an input
+error (exit 2) included.
 """
 from __future__ import annotations
 
@@ -235,21 +242,6 @@ def _write_json(path, doc):
         fh.write(text)
 
 
-def _emit(args, doc):
-    """The document to --out, or to stdout without it."""
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(_dumps(doc))
-
-
-def _fail(args, doc, err, code):
-    """Emit the partial document as _emit does, report err, return code."""
-    _emit(args, doc)
-    print(f"error: {err}", file=sys.stderr)
-    return code
-
-
 def _companion(out, suffix):
     """Path of a file written next to --out: its extension replaced by
     suffix, e.g. run.json -> run.csv or run_orbits.json."""
@@ -272,11 +264,13 @@ def _certify(spec, settings, seed):
                          K_max=settings.K_max, seed=seed)
 
 
-def cmd_certificate(args):
-    spec, settings = load_problem(args.file)
+def cmd_certificate(args, spec, settings):
     cert = _certify(spec, settings, args.seed)
-    _emit(args, certificate_document(cert))
-    return EXIT_OK if cert.passed else EXIT_CERTIFICATION
+    doc = certificate_document(cert)
+    if cert.passed:
+        return doc, EXIT_OK, None, []
+    failed = ", ".join(k for k, ok in cert.flags.items() if not ok and k != "pass")
+    return doc, EXIT_CERTIFICATION, f"certificate failed: {failed}", []
 
 
 def _add_direction(doc, spec, cert):
@@ -291,25 +285,22 @@ def _add_direction(doc, spec, cert):
     return None
 
 
-def cmd_direction(args):
-    spec, settings = load_problem(args.file)
+def cmd_direction(args, spec, settings):
     cert = _certify(spec, settings, args.seed)
     doc = certificate_document(cert)
     err = _add_direction(doc, spec, cert)
-    if err is not None:
-        code = EXIT_CERTIFICATION if isinstance(err, RhoZero) else EXIT_STRUCTURE
-        return _fail(args, doc, err, code)
-    _emit(args, doc)
-    return EXIT_OK
+    if err is None:
+        return doc, EXIT_OK, None, []
+    code = EXIT_CERTIFICATION if isinstance(err, RhoZero) else EXIT_STRUCTURE
+    return doc, code, err, []
 
 
-def cmd_branch(args):
-    spec, settings = load_problem(args.file)
+def cmd_branch(args, spec, settings):
     cert = _certify(spec, settings, args.seed)
     summary = {"seed": args.seed, "certificate": certificate_document(cert)}
     if cert.u0 is None or cert.u_star is None:
         summary["error"] = "no certified critical mode; cannot continue a branch"
-        return _fail(args, summary, summary["error"], EXIT_CERTIFICATION)
+        return summary, EXIT_CERTIFICATION, summary["error"], []
     ctx = periodic.operator_context(spec, spec.lam, settings.M_solve)
     _add_direction(summary, spec, cert)
     try:
@@ -323,8 +314,7 @@ def cmd_branch(args):
         summary["last_good_eps"] = getattr(err, "last_good", None)
         code = (EXIT_CERTIFICATION if isinstance(err, JacobianSingular)
                 else EXIT_CONVERGENCE)
-        return _fail(args, summary, err, code)
-    rows = [(o.eps, o.omega, o.tau, o.residual_norm) for o in branch.orbits]
+        return summary, code, err, []
     summary.update({
         "eps": [o.eps for o in branch.orbits],
         "omega": [o.omega for o in branch.orbits],
@@ -341,17 +331,16 @@ def cmd_branch(args):
         d2 = summary["direction_d2tau"] = summary["direction"]["d2tau"]
         summary["relative_gap"] = (abs(branch.fit_tau_curvature - d2) / abs(d2)
                                    if d2 != 0.0 else None)
-    _emit(args, summary)
+    files = []
     if args.out:
-        _write_csv(_companion(args.out, ".csv"),
-                   ["eps", "omega", "tau", "residual_norm"], rows)
-        _write_json(_companion(args.out, "_orbits.json"),
-                    {"orbits": [orbit_document(o) for o in branch.orbits]})
-    return EXIT_OK
+        rows = [(o.eps, o.omega, o.tau, o.residual_norm) for o in branch.orbits]
+        files = [(".csv", (["eps", "omega", "tau", "residual_norm"], rows)),
+                 ("_orbits.json",
+                  {"orbits": [orbit_document(o) for o in branch.orbits]})]
+    return summary, EXIT_OK, None, files
 
 
-def cmd_simulate(args):
-    spec, settings = load_problem(args.file)
+def cmd_simulate(args, spec, settings):
     if args.tau is None:
         raise ConfigError("simulate needs --tau")
     if not math.isfinite(args.tau):
@@ -373,17 +362,14 @@ def cmd_simulate(args):
     except HopfwaveError as err:
         doc = {"tau": args.tau, "T_end": args.T, "seed": args.seed,
                "error": str(err)}
-        return _fail(args, doc, err, EXIT_SIMULATION)
+        return doc, EXIT_SIMULATION, err, []
     summary = {"tau": args.tau, "T_end": args.T, "period_estimate": run.period,
                "amplitude": float(np.max(np.abs(run.probe))), "seed": args.seed,
                "steps": run.steps, "dt": sim.dt, "lag": sim.lag, "w": sim.w,
                "crossings": run.crossings, "period_spread": run.period_spread,
                "envelope_drift": run.envelope_drift}
-    _emit(args, summary)
-    if args.out:
-        _write_csv(_companion(args.out, ".csv"), ["t", "u_probe"],
-                   zip(run.t, run.probe))
-    return EXIT_OK
+    files = [(".csv", (["t", "u_probe"], zip(run.t, run.probe)))] if args.out else []
+    return summary, EXIT_OK, None, files
 
 
 def main(argv=None):
@@ -412,14 +398,26 @@ def main(argv=None):
                 and _companion(args.out or "", ".csv") == args.out):
             raise ConfigError(f"--out {args.out} is also the path of the CSV "
                               "written next to it; give --out another extension")
-        return args.fn(args)
-    except (ConfigError, SpecInvalid, ParseError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        doc, code, err, files = args.fn(args, *load_problem(args.file))
+        if args.out:
+            _write_json(args.out, doc)
+        else:
+            print(_dumps(doc))
+        for suffix, content in files:
+            path = _companion(args.out, suffix)
+            if suffix.endswith(".csv"):
+                _write_csv(path, *content)
+            else:
+                _write_json(path, content)
+    except (ConfigError, SpecInvalid, ParseError, OSError, ValueError) as exc:
+        code, err = EXIT_INPUT, exc
     except RecursionError:
-        print("error: an expression nests too deeply", file=sys.stderr)
-    except MemoryError as err:
-        print(f"error: problem too large for memory: {err}", file=sys.stderr)
-    return EXIT_INPUT
+        code, err = EXIT_INPUT, "an expression nests too deeply"
+    except MemoryError as exc:
+        code, err = EXIT_INPUT, f"problem too large for memory: {exc}"
+    if err is not None:
+        print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ _step_matrices). Two kernels march y_{j+1} = T_j y_j with the same T_j:
   central-difference pair.
 - _march_ends steps all rows at once in float64 arrays, T_j in its real
   4x4 form, and keeps only the end states. It serves the resonance scan
-  check_A2, which shoots k = 0, 2, ..., K_max (50 rows by default) and
-  mirrors |D(-ik)| = |D(ik)|.
+  check_A2, which shoots k = 0, 2, ..., K_max (50 rows at the CLI
+  default) and mirrors |D(-ik)| = |D(ik)|.
 
 A few numpy calls per step give _march_ends a fixed cost, so it is the
 slower kernel below about 10 rows (about 1 ms against 0.15-0.3 ms for
@@ -382,7 +382,7 @@ def _sigma_rho_values(tau0, u0, u_star, coeffs):
     return sigma, rho
 
 
-def certify(spec, tau_guess, M=256, K_max=50, seed=0) -> HopfCertificate:
+def certify(spec, tau_guess, M, K_max, seed=0) -> HopfCertificate:
     """Run the full certification pipeline at lambda = 0.
 
     Failures of individual conditions are recorded in flags rather than

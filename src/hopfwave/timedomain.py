@@ -60,7 +60,7 @@ class Simulator:
     rule of the displacement included.
     """
 
-    def __init__(self, spec: ProblemSpec, tau: float, M: int = 256):
+    def __init__(self, spec: ProblemSpec, tau: float, M: int):
         if tau <= 0.0:
             raise NegativeDelayUnsupported(
                 "time stepping needs tau > 0; the periodic solver handles "

@@ -453,6 +453,20 @@ def test_companion_files_written_next_to_out(tmp_path, monkeypatch, folder):
     assert written == sorted(str(Path(folder) / n) for n in names)
 
 
+@pytest.mark.parametrize("args, solver, code", [
+    (["branch"], {"M": 64, "M_solve": 32, "N": 3, "K_max": 8,
+                  "eps_grid": [0.01, 0.02, 6.0], "max_iter": 1}, 5),
+    (["simulate", "--tau", "1.6", "--T", "0.01"], {"M": 64, "K_max": 5}, 6)],
+    ids=["branch-5", "simulate-6"])
+def test_failing_run_writes_no_companion_file(tmp_path, args, solver, code):
+    # the CSV and orbits files belong to a run that succeeds
+    cfg = write_config(tmp_path, solver=solver)
+    out = tmp_path / "run.json"
+    assert run_cli(args[0], cfg, *args[1:], "--out", str(out)) == code
+    assert "error" in json.loads(out.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.json", "run.json"]
+
+
 def test_tracer_targets_exist():
     # the benchmark tracer wraps these functions by name: one renamed or
     # removed in the package makes every traced run fail at install
@@ -692,11 +706,12 @@ NO_MODE = {"a": "1", "b": "-u3 - u1^3", "tau_guess": 1.0,
 
 
 @pytest.mark.parametrize("args, config, code, key", [
+    (["certificate"], NO_MODE, 3, "flags"),
     (["direction"], NO_MODE, 3, "direction_error"),
     (["branch"], NO_MODE, 3, "error"),
     (["direction"], {"b": "-u1^3/6 - u2 - u3 + u1*u3^2"}, 4, "direction_error"),
     (["simulate", "--tau", "1.6", "--T", "0.01"], {}, 6, "error")],
-    ids=["direction-3", "branch-3", "direction-4", "simulate-6"])
+    ids=["certificate-3", "direction-3", "branch-3", "direction-4", "simulate-6"])
 def test_failure_documents_go_to_stdout_without_out(tmp_path, capsys, args,
                                                      config, code, key):
     # the partial document of a failing run once went only to --out

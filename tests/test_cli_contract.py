@@ -5,10 +5,11 @@ failure on one stderr line, and writes the same bytes when run again.
 The problems are the benchmark's certify family, a = 2/pi and
 b = -q u1^3 - c(x) u2 - c(x) u3 with c > 0, whose Hopf point is pi/2 for
 every c, so every run gets past certification. Perturbations then steer
-runs onto the deep paths: a quadratic or a mixed cubic term (exit 4 from
-direction), a term that leaves its domain, eps grids past the branch's
-reach or a single Newton iteration (exit 5), and simulate on either side
-of pi/2.
+runs onto the deep paths: a resonance scan to K_max = 120 on M = 64 (it
+fails a2 today, exit 3 from certificate, but its code is not pinned), a
+quadratic or a mixed cubic term (exit 4 from direction), a term that
+leaves its domain, eps grids past the branch's reach or a single Newton
+iteration (exit 5), and simulate on either side of pi/2.
 """
 import contextlib
 import io
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 
 from hopfwave import cli
 
-EXIT_CODES = {"direction": {0, 3, 4}, "branch": {0, 3, 5}, "simulate": {0, 6}}
+EXIT_CODES = {"certificate": {0, 3}, "direction": {0, 3, 4}, "branch": {0, 3, 5},
+              "simulate": {0, 6}}
 CERTIFICATE_KEYS = {"tau0", "sigma", "sigma_raw", "rho", "fredholm", "flags",
                     "a2_scan", "low_confidence", "seed"}
 BRANCH_KEYS = {"seed", "certificate", "eps", "omega", "tau", "residual_norm",
@@ -37,6 +39,8 @@ DOMAIN = " + 0.01*(sqrt(1 + 50*u1) - 1 - 25*u1)"     # not finite for u1 < -0.02
 # the exit code it must end in or None); simulate draws its --tau from
 # the given side of pi/2
 PERTURBATIONS = {
+    "certificate": ("", ["certificate"], {}, 0),
+    "wide_scan": ("", ["certificate"], {"K_max": 120}, None),
     "direction": ("", ["direction"], {}, 0),
     "branch": ("", ["branch"], {}, 0),
     "quadratic": (" + 0.5*u1^2", ["direction"], {}, 4),
@@ -82,6 +86,8 @@ def _run(folder, doc, args):
 
 def _promised(command, code, doc):
     """The keys the CLI promises for a document of command ending in code."""
+    if command == "certificate":
+        return CERTIFICATE_KEYS
     if command == "direction":
         return CERTIFICATE_KEYS | {"direction" if code == 0 else "direction_error"}
     if command == "branch":

@@ -47,9 +47,9 @@ def test_linear_advection_pulse():
 
 def test_negative_delay_rejected(spec_cubic_down):
     with pytest.raises(NegativeDelayUnsupported):
-        timedomain.Simulator(spec_cubic_down, tau=-0.5)
+        timedomain.Simulator(spec_cubic_down, tau=-0.5, M=64)
     with pytest.raises(NegativeDelayUnsupported):
-        timedomain.Simulator(spec_cubic_down, tau=0.0)
+        timedomain.Simulator(spec_cubic_down, tau=0.0, M=64)
 
 
 def test_boundary_rows_exact(cert_down, ctx_down, super_orbit):
